@@ -27,7 +27,7 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import build_poset, is_monotone, iter_ideal_masks
+from .poset import build_poset, count_ideals, count_ideals_or_walk, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -274,7 +274,7 @@ def cmd_fixpoints(cfg, out) -> int:
                 names = quo.class_poset.ids_from(qmask)
                 print(_dumps(fixpoint_mod.algorithm1(hom, names, quotient=quo)), file=out)
         elif cfg.mode == "count":
-            print(sum(1 for _ in iter_ideal_masks(quo.class_poset)), file=out)
+            print(count_ideals_or_walk(quo.class_poset), file=out)
         else:
             print(_dumps(quotient_to_obj(quo)), file=out)
     return EXIT_OK
@@ -421,18 +421,15 @@ def _bench_table(base, map_kind):
     return table
 
 
-def _count_ideals_capped(poset, cap):
-    if (1 << poset.minimal_mask().bit_count()) > cap:
-        return None
-    try:
-        return sum(1 for _ in iter_ideal_masks(poset, max_count=cap))
-    except SizeBoundExceeded:
-        return None
-
-
 def _count_fixed_primal(base, phi, cap):
-    """Brute-force count of fixed ideals: scan the whole ideal family."""
-    if (1 << base.minimal_mask().bit_count()) > cap:
+    """Brute-force count of fixed ideals: scan the whole ideal family.
+
+    None when the base has more than ``cap`` ideals.  The exact ideal count
+    decides that up front; the scan's own cap decides it only when the DP is
+    over its state budget.
+    """
+    total = count_ideals(base)
+    if total is not None and total > cap:
         return None
     moved = [(1 << y, 1 << phi.image[y]) for y in range(len(base)) if phi.image[y] != y]
     fixed = 0
@@ -470,7 +467,10 @@ def cmd_bench(cfg, out) -> int:
     report["quotients_agree"] = components is not None and components == coequalizer
 
     t3 = time.perf_counter()
-    dual_count = _count_ideals_capped(coequalizer.class_poset, cfg.count_cap)
+    try:
+        dual_count = count_ideals_or_walk(coequalizer.class_poset, cfg.count_cap)
+    except SizeBoundExceeded:
+        dual_count = None
     report["dual_count_seconds"] = round(time.perf_counter() - t3, 6)
     report["dual_count"] = dual_count if dual_count is not None else "skipped (count above cap)"
 

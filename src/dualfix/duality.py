@@ -59,7 +59,8 @@ def hom_from_dual(phi: MonotoneMap, domain_lattice=None, codomain_lattice=None, 
     q, p = phi.domain, phi.codomain
     dom = domain_lattice if domain_lattice is not None else ideal_lattice(p, max_size)
     cod = codomain_lattice if codomain_lattice is not None else ideal_lattice(q, max_size)
-    assert dom.ideal_base == p and cod.ideal_base == q
+    if dom.ideal_base != p or cod.ideal_base != q:
+        raise ValueError("lattices must be the ideal lattices of the map's codomain and domain")
     nq = len(q)
     table = {}
     for i, a in enumerate(dom.elements):

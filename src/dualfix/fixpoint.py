@@ -3,7 +3,8 @@
 The dual map's graph is quotiented into a poset of classes; unioning the
 classes of each quotient ideal gives back exactly the fixed ideals of the
 base, so the whole fix-point lattice is read off without ever iterating the
-endomorphism or materializing its lattice.
+endomorphism or materializing its lattice.  The number of fix-points is the
+quotient's ideal count, which ``count_ideals`` computes without listing them.
 
 Two quotient constructions are implemented.  ``phi_components`` merges the
 connected components of the undirected map graph and is the cheap path;
@@ -22,7 +23,7 @@ from .bitgraph import UnionFind, bits, condensation_reach, dag_reach, tarjan_scc
 from .duality import dual_map, hom_from_dual, lift_hom
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
 from .lattice import LatticeHom, explicit_lattice_bound, ideal_lattice
-from .poset import MonotoneMap, OrderIdeal, Poset, iter_ideal_masks
+from .poset import MonotoneMap, OrderIdeal, Poset, count_ideals_or_walk, iter_ideal_masks
 
 
 class QuotientPoset:
@@ -172,7 +173,8 @@ class FixpointLattice:
     Members are the unions of quotient-ideal classes, streamed in the
     canonical ideal order of the quotient; each one is re-checked to be
     down-closed in the base on emission.  The member count equals the
-    quotient's ideal count, so counting never builds the members.
+    quotient's ideal count, so ``count`` takes it from the frontier DP of
+    ``count_ideals`` and walks the ideals only when the DP is over budget.
     """
 
     __slots__ = ("phi", "quotient", "_members")
@@ -192,10 +194,7 @@ class FixpointLattice:
             yield OrderIdeal(base, union)
 
     def count(self, max_count=None) -> int:
-        total = 0
-        for _ in iter_ideal_masks(self.quotient.class_poset, max_count=max_count):
-            total += 1
-        return total
+        return count_ideals_or_walk(self.quotient.class_poset, max_count)
 
     @property
     def members(self) -> tuple:

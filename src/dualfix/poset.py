@@ -7,6 +7,7 @@ index order equals identifier order), and subsets are int bitmasks.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator
 
 from .bitgraph import bits, dag_reach, mask_of, tarjan_scc, transpose_masks
@@ -30,10 +31,11 @@ class Poset:
     __slots__ = ("elements", "up_masks", "down_masks", "_index")
 
     def __init__(self, elements, up_masks, down_masks=None):
-        # Trusted constructor: callers guarantee a closed partial order on a
-        # sorted identifier list.
+        # Trusted constructor: callers guarantee a closed partial order; only
+        # the sorted identifier order is checked.
         self.elements = tuple(elements)
-        assert list(self.elements) == sorted(self.elements)
+        if list(self.elements) != sorted(self.elements):
+            raise ValueError("poset elements must be in sorted identifier order")
         self.up_masks = tuple(up_masks)
         if down_masks is None:
             down_masks = transpose_masks(self.up_masks)
@@ -89,9 +91,6 @@ class Poset:
             if self.down_masks[i] & ~mask:
                 return False
         return True
-
-    def minimal_mask(self) -> int:
-        return mask_of(i for i in range(len(self)) if self.down_masks[i] == 1 << i)
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
@@ -239,6 +238,129 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
 
 def _lex_key(mask):
     return tuple(bits(mask))
+
+
+# Live states one component's frontier DP may hold before count_ideals gives
+# up.  Fixed, so that whether a count falls back is reproducible.
+_DP_STATE_BUDGET = 1 << 16
+
+
+def count_ideals(poset: Poset) -> int | None:
+    """Exact number of order ideals, without enumerating them.
+
+    The count is the product over the connected components of the cover
+    graph.  Each component is counted by a frontier DP over a linear
+    extension that takes the smallest-index ready element first: a state is
+    the in/out pattern of the processed elements that still have an
+    unprocessed upper cover, and an element may join only if all of its
+    lower covers are in.  Counting ideals is #P-complete in general, so
+    returns None once a component holds more than ``_DP_STATE_BUDGET`` live
+    states; callers then fall back to :func:`iter_ideal_masks`.
+    """
+    lower, upper = _cover_masks(poset)
+    total = 1
+    for order in _component_extensions(lower, upper):
+        part = _count_component(order, lower, upper)
+        if part is None:
+            return None
+        total *= part
+    return total
+
+
+def count_ideals_or_walk(poset: Poset, max_count=None) -> int:
+    """:func:`count_ideals`, or the :func:`iter_ideal_masks` walk when the
+    DP is over its state budget.  Raises SizeBoundExceeded when the count
+    is above ``max_count``, like the walk does.
+    """
+    total = count_ideals(poset)
+    if total is None:
+        return sum(1 for _ in iter_ideal_masks(poset, max_count=max_count))
+    if max_count is not None and total > max_count:
+        raise SizeBoundExceeded(max_count, "order ideal count")
+    return total
+
+
+def _cover_masks(poset):
+    """Lower and upper cover masks: the maximal elements strictly below each
+    element, found by climbing to a maximal one and dropping its down-set."""
+    up, down = poset.up_masks, poset.down_masks
+    lower = []
+    for i in range(len(poset)):
+        rest = down[i] ^ (1 << i)
+        covers = 0
+        while rest:
+            j = rest.bit_length() - 1
+            while above := (up[j] & rest) ^ (1 << j):
+                j = above.bit_length() - 1
+            covers |= 1 << j
+            rest &= ~down[j]
+        lower.append(covers)
+    return lower, transpose_masks(lower)
+
+
+def _component_extensions(lower, upper):
+    """Per connected component of the cover graph, its linear extension that
+    takes the smallest-index ready element first."""
+    seen = 0
+    for start in range(len(lower)):
+        if seen >> start & 1:
+            continue
+        comp = todo = 1 << start
+        while todo:
+            reach = 0
+            for v in bits(todo):
+                reach |= lower[v] | upper[v]
+            todo = reach & ~comp
+            comp |= todo
+        seen |= comp
+        pending = {v: lower[v].bit_count() for v in bits(comp)}
+        ready = [v for v, k in pending.items() if k == 0]  # ascending: a heap
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in bits(upper[v]):
+                pending[w] -= 1
+                if not pending[w]:
+                    heapq.heappush(ready, w)
+        yield order
+
+
+def _count_component(order, lower, upper):
+    """Ideals of one component by the frontier DP, or None over budget.
+
+    Each frontier element holds a bit position of the state, reused once it
+    leaves, so a state is as wide as the frontier and not as the poset.
+    """
+    unseen_up = {v: upper[v].bit_count() for v in order}
+    slot = {}
+    free = []
+    states = {0: 1}
+    for v in order:
+        need = retire = 0
+        for u in bits(lower[v]):
+            b = 1 << slot[u]
+            need |= b
+            unseen_up[u] -= 1
+            if not unseen_up[u]:
+                retire |= b
+                heapq.heappush(free, slot.pop(u))
+        bit_v = 0
+        if upper[v]:
+            slot[v] = heapq.heappop(free) if free else len(slot)
+            bit_v = 1 << slot[v]
+        keep = ~retire
+        grown = {}
+        for s, c in states.items():
+            t = s & keep
+            grown[t] = grown.get(t, 0) + c
+            if s & need == need:
+                t |= bit_v
+                grown[t] = grown.get(t, 0) + c
+        if len(grown) > _DP_STATE_BUDGET:
+            return None
+        states = grown
+    return sum(states.values())
 
 
 def enumerate_ideals(poset: Poset) -> Iterator[OrderIdeal]:

@@ -342,6 +342,15 @@ class TestBench:
         assert report["dual_count"] == "skipped (count above cap)"
         assert report["primal_count"] == "skipped (primal side infeasible)"
 
+    def test_grid_count_above_cap_skips_both_sides(self, capsys):
+        # 137846528820 ideals on each side: decided by the exact count
+        code, out, _ = run(capsys, "bench", "--shape", "grid", "--n", "400", "--map-kind", "identity")
+        assert code == 0
+        report = json.loads(out)
+        assert report["dual_count"] == "skipped (count above cap)"
+        assert report["primal_count"] == "skipped (primal side infeasible)"
+        assert "counts_agree" not in report
+
     def test_long_chain_identity_count(self, capsys):
         code, out, _ = run(capsys, "bench", "--shape", "chain", "--n", "1000", "--map-kind", "identity")
         assert code == 0

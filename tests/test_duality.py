@@ -106,6 +106,12 @@ class TestHomFromDual:
         hom = hom_from_dual(phi)
         assert hom.table == {"{}": "{}", "{a}": "{b}", "{b}": "{a}", "{a,b}": "{a,b}"}
 
+    def test_lattices_of_other_posets_are_rejected(self, two_chain, two_antichain):
+        phi = MonotoneMap.identity(two_chain)
+        lat = ideal_lattice(two_antichain)
+        with pytest.raises(ValueError):
+            hom_from_dual(phi, lat, lat)
+
     def test_images_are_ideals_and_hom_validates(self):
         # the construction re-validates through is_homomorphism, so surviving
         # construction is itself the check; spot extra structure here

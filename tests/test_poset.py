@@ -1,19 +1,24 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualfix.poset
 from dualfix import (
     AntisymmetryViolation,
     DuplicateElement,
     MonotoneMap,
     NotMonotone,
     OrderIdeal,
+    Poset,
     SizeBoundExceeded,
     UnknownElement,
     build_poset,
+    count_ideals,
     enumerate_ideals,
+    fixpoints_via_duality,
     is_monotone,
     is_order_ideal,
     iter_ideal_masks,
@@ -93,6 +98,10 @@ class TestBuildPoset:
             p = random_poset(rng, rng.randrange(0, 7))
             pairs = [(x, y) for x in p for y in p if p.leq(x, y)]
             assert build_poset(list(p.elements), pairs) == p
+
+    def test_unsorted_identifiers_are_rejected(self):
+        with pytest.raises(ValueError):
+            Poset(["b", "a"], [0b01, 0b10])
 
     def test_covers_regenerate_the_poset(self):
         rng = random.Random(13)
@@ -188,6 +197,60 @@ class TestEnumerateIdeals:
         with pytest.raises(SizeBoundExceeded):
             list(iter_ideal_masks(two_antichain, max_count=3))
         assert len(list(iter_ideal_masks(two_antichain, max_count=4))) == 4
+
+
+def _walk_count(p):
+    return sum(1 for _ in iter_ideal_masks(p))
+
+
+def _random_posets(seed, count, max_size):
+    rng = random.Random(seed)
+    return [random_poset(rng, rng.randrange(0, max_size + 1)) for _ in range(count)]
+
+
+class TestCountIdeals:
+    def test_matches_walk_exhaustively(self):
+        for p in noniso_posets_upto(5):
+            assert count_ideals(p) == _walk_count(p)
+
+    def test_matches_walk_on_random_posets(self):
+        for p in _random_posets(23, 500, 12):
+            assert count_ideals(p) == _walk_count(p)
+
+    def test_closed_forms_beyond_enumeration(self):
+        rows = cols = 20
+        ids = {(r, c): f"g{r:02d}x{c:02d}" for r in range(rows) for c in range(cols)}
+        pairs = [(ids[r, c], ids[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+        pairs += [(ids[r, c], ids[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+        assert count_ideals(build_poset(list(ids.values()), pairs)) == comb(rows + cols, rows)
+        anti = build_poset([f"a{k:04d}" for k in range(1000)], [])
+        assert count_ideals(anti) == 2**1000
+        assert count_ideals(build_poset([], [])) == 1
+
+    def test_budget_fallback_gives_same_answers(self, monkeypatch):
+        monkeypatch.setattr(dualfix.poset, "_DP_STATE_BUDGET", 1)
+        fell_back = 0
+        for p in noniso_posets_upto(4) + _random_posets(29, 100, 10):
+            dp = count_ideals(p)
+            fell_back += dp is None
+            assert dp in (None, _walk_count(p))
+            assert fixpoints_via_duality(MonotoneMap.identity(p)).count() == _walk_count(p)
+        assert fell_back > 0
+
+    @pytest.mark.parametrize("budget", [1, dualfix.poset._DP_STATE_BUDGET])
+    def test_fixpoint_count_cap(self, monkeypatch, budget):
+        monkeypatch.setattr(dualfix.poset, "_DP_STATE_BUDGET", budget)
+        for p in noniso_posets_upto(4) + _random_posets(31, 50, 9):
+            fx = fixpoints_via_duality(MonotoneMap.identity(p))
+            total = _walk_count(p)
+            for cap in (1, total - 1, total, total + 1):
+                if cap < 1:
+                    continue
+                if total > cap:
+                    with pytest.raises(SizeBoundExceeded):
+                        fx.count(max_count=cap)
+                else:
+                    assert fx.count(max_count=cap) == total
 
 
 class TestOrderIdeal:
