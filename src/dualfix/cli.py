@@ -27,7 +27,7 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import build_poset, count_ideals, count_ideals_or_walk, is_monotone, iter_ideal_masks
+from .poset import build_poset, count_ideals, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -274,7 +274,7 @@ def cmd_fixpoints(cfg, out) -> int:
                 names = quo.class_poset.ids_from(qmask)
                 print(_dumps(fixpoint_mod.algorithm1(hom, names, quotient=quo)), file=out)
         elif cfg.mode == "count":
-            print(count_ideals_or_walk(quo.class_poset), file=out)
+            print(count_ideals(quo.class_poset), file=out)
         else:
             print(_dumps(quotient_to_obj(quo)), file=out)
     return EXIT_OK
@@ -424,24 +424,21 @@ def _bench_table(base, map_kind):
 def _count_fixed_primal(base, phi, cap):
     """Brute-force count of fixed ideals: scan the whole ideal family.
 
-    None when the base has more than ``cap`` ideals.  The exact ideal count
-    decides that up front; the scan's own cap decides it only when the DP is
-    over its state budget.
+    None when the base has more than ``cap`` ideals, which the exact ideal
+    count decides before the scan starts.
     """
-    total = count_ideals(base)
-    if total is not None and total > cap:
+    try:
+        count_ideals(base, max_count=cap)
+    except SizeBoundExceeded:
         return None
     moved = [(1 << y, 1 << phi.image[y]) for y in range(len(base)) if phi.image[y] != y]
     fixed = 0
-    try:
-        for m in iter_ideal_masks(base, max_count=cap):
-            for ybit, imgbit in moved:
-                if bool(m & imgbit) != bool(m & ybit):
-                    break
-            else:
-                fixed += 1
-    except SizeBoundExceeded:
-        return None
+    for m in iter_ideal_masks(base):
+        for ybit, imgbit in moved:
+            if bool(m & imgbit) != bool(m & ybit):
+                break
+        else:
+            fixed += 1
     return fixed
 
 
@@ -468,7 +465,7 @@ def cmd_bench(cfg, out) -> int:
 
     t3 = time.perf_counter()
     try:
-        dual_count = count_ideals_or_walk(coequalizer.class_poset, cfg.count_cap)
+        dual_count = count_ideals(coequalizer.class_poset, cfg.count_cap)
     except SizeBoundExceeded:
         dual_count = None
     report["dual_count_seconds"] = round(time.perf_counter() - t3, 6)

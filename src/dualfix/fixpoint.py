@@ -23,7 +23,7 @@ from .bitgraph import UnionFind, bits, condensation_reach, dag_reach, tarjan_scc
 from .duality import dual_map, hom_from_dual, lift_hom
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
 from .lattice import LatticeHom, explicit_lattice_bound, ideal_lattice
-from .poset import MonotoneMap, OrderIdeal, Poset, count_ideals_or_walk, iter_ideal_masks
+from .poset import MonotoneMap, OrderIdeal, Poset, count_ideals, iter_ideal_masks
 
 
 class QuotientPoset:
@@ -174,7 +174,7 @@ class FixpointLattice:
     canonical ideal order of the quotient; each one is re-checked to be
     down-closed in the base on emission.  The member count equals the
     quotient's ideal count, so ``count`` takes it from the frontier DP of
-    ``count_ideals`` and walks the ideals only when the DP is over budget.
+    ``count_ideals`` and never builds the members.
     """
 
     __slots__ = ("phi", "quotient", "_members")
@@ -194,7 +194,7 @@ class FixpointLattice:
             yield OrderIdeal(base, union)
 
     def count(self, max_count=None) -> int:
-        return count_ideals_or_walk(self.quotient.class_poset, max_count)
+        return count_ideals(self.quotient.class_poset, max_count)
 
     @property
     def members(self) -> tuple:

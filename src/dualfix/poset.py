@@ -94,14 +94,8 @@ class Poset:
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
-        out = []
-        for i in range(len(self)):
-            strict_up = self.up_masks[i] ^ (1 << i)
-            for j in bits(strict_up):
-                strict_down = self.down_masks[j] ^ (1 << j)
-                if strict_up & strict_down == 0:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        _, upper = _cover_masks(self)
+        return [(self.elements[i], self.elements[j]) for i in range(len(self)) for j in bits(upper[i])]
 
     def restrict(self, indices) -> "Poset":
         """Sub-poset on the given element indices, order inherited."""
@@ -240,12 +234,7 @@ def _lex_key(mask):
     return tuple(bits(mask))
 
 
-# Live states one component's frontier DP may hold before count_ideals gives
-# up.  Fixed, so that whether a count falls back is reproducible.
-_DP_STATE_BUDGET = 1 << 16
-
-
-def count_ideals(poset: Poset) -> int | None:
+def count_ideals(poset: Poset, max_count=None) -> int:
     """Exact number of order ideals, without enumerating them.
 
     The count is the product over the connected components of the cover
@@ -253,30 +242,14 @@ def count_ideals(poset: Poset) -> int | None:
     extension that takes the smallest-index ready element first: a state is
     the in/out pattern of the processed elements that still have an
     unprocessed upper cover, and an element may join only if all of its
-    lower covers are in.  Counting ideals is #P-complete in general, so
-    returns None once a component holds more than ``_DP_STATE_BUDGET`` live
-    states; callers then fall back to :func:`iter_ideal_masks`.
+    lower covers are in.  With ``max_count`` set, raises SizeBoundExceeded
+    as soon as the total provably exceeds it, like :func:`iter_ideal_masks`.
     """
     lower, upper = _cover_masks(poset)
     total = 1
     for order in _component_extensions(lower, upper):
-        part = _count_component(order, lower, upper)
-        if part is None:
-            return None
-        total *= part
-    return total
-
-
-def count_ideals_or_walk(poset: Poset, max_count=None) -> int:
-    """:func:`count_ideals`, or the :func:`iter_ideal_masks` walk when the
-    DP is over its state budget.  Raises SizeBoundExceeded when the count
-    is above ``max_count``, like the walk does.
-    """
-    total = count_ideals(poset)
-    if total is None:
-        return sum(1 for _ in iter_ideal_masks(poset, max_count=max_count))
-    if max_count is not None and total > max_count:
-        raise SizeBoundExceeded(max_count, "order ideal count")
+        limit = None if max_count is None else max_count // total
+        total *= _count_component(order, lower, upper, limit, max_count)
     return total
 
 
@@ -326,11 +299,15 @@ def _component_extensions(lower, upper):
         yield order
 
 
-def _count_component(order, lower, upper):
-    """Ideals of one component by the frontier DP, or None over budget.
+def _count_component(order, lower, upper, limit, max_count):
+    """Ideals of one component by the frontier DP.
 
     Each frontier element holds a bit position of the state, reused once it
     leaves, so a state is as wide as the frontier and not as the poset.
+    After each step the states count the ideals of the processed prefix,
+    which is down-closed, so that sum never exceeds the final count and
+    passing ``limit`` proves the total over the cap.  It also bounds the
+    live states, since each one stands for at least one of those ideals.
     """
     unseen_up = {v: upper[v].bit_count() for v in order}
     slot = {}
@@ -357,8 +334,8 @@ def _count_component(order, lower, upper):
             if s & need == need:
                 t |= bit_v
                 grown[t] = grown.get(t, 0) + c
-        if len(grown) > _DP_STATE_BUDGET:
-            return None
+        if limit is not None and sum(grown.values()) > limit:
+            raise SizeBoundExceeded(max_count, "order ideal count")
         states = grown
     return sum(states.values())
 

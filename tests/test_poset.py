@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dualfix.poset
 from dualfix import (
     AntisymmetryViolation,
     DuplicateElement,
@@ -227,19 +226,7 @@ class TestCountIdeals:
         assert count_ideals(anti) == 2**1000
         assert count_ideals(build_poset([], [])) == 1
 
-    def test_budget_fallback_gives_same_answers(self, monkeypatch):
-        monkeypatch.setattr(dualfix.poset, "_DP_STATE_BUDGET", 1)
-        fell_back = 0
-        for p in noniso_posets_upto(4) + _random_posets(29, 100, 10):
-            dp = count_ideals(p)
-            fell_back += dp is None
-            assert dp in (None, _walk_count(p))
-            assert fixpoints_via_duality(MonotoneMap.identity(p)).count() == _walk_count(p)
-        assert fell_back > 0
-
-    @pytest.mark.parametrize("budget", [1, dualfix.poset._DP_STATE_BUDGET])
-    def test_fixpoint_count_cap(self, monkeypatch, budget):
-        monkeypatch.setattr(dualfix.poset, "_DP_STATE_BUDGET", budget)
+    def test_count_cap_is_exact(self):
         for p in noniso_posets_upto(4) + _random_posets(31, 50, 9):
             fx = fixpoints_via_duality(MonotoneMap.identity(p))
             total = _walk_count(p)
@@ -248,9 +235,22 @@ class TestCountIdeals:
                     continue
                 if total > cap:
                     with pytest.raises(SizeBoundExceeded):
+                        count_ideals(p, max_count=cap)
+                    with pytest.raises(SizeBoundExceeded):
                         fx.count(max_count=cap)
                 else:
+                    assert count_ideals(p, max_count=cap) == total
                     assert fx.count(max_count=cap) == total
+
+    def test_grid_with_identifiers_against_the_order(self):
+        rows, cols = 60, 12
+        ids = {(r, c): f"g{(rows - r) * cols - c:04d}" for r in range(rows) for c in range(cols)}
+        pairs = [(ids[r, c], ids[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+        pairs += [(ids[r, c], ids[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+        grid = build_poset(list(ids.values()), pairs)
+        assert count_ideals(grid) == comb(rows + cols, rows)
+        with pytest.raises(SizeBoundExceeded):
+            count_ideals(grid, max_count=2**20)
 
 
 class TestOrderIdeal:
