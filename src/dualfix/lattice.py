@@ -12,7 +12,7 @@ from array import array
 
 from .bitgraph import bits
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import OrderIdeal, Poset, _total_image, iter_ideal_masks
+from .poset import OrderIdeal, Poset, _total_image, count_ideals, iter_ideal_masks
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -261,7 +261,7 @@ def birkhoff_eta(lat: FiniteLattice) -> dict:
         out[a] = OrderIdeal(irr, m)
     if len({ideal.mask for ideal in out.values()}) != len(out):
         raise RuntimeError("irreducible-ideal map is not injective on a validated lattice")
-    n_ideals = sum(1 for _ in iter_ideal_masks(irr, max_count=len(out)))
+    n_ideals = count_ideals(irr, max_count=len(out))
     if n_ideals != len(out):
         raise RuntimeError("irreducible-ideal map is not onto the ideal family")
     return out
