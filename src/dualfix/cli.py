@@ -2,7 +2,9 @@
 
 Subcommands: validate, dual, dualmap, fixpoints, compare, dot, bench.
 Exit codes: 0 success, 1 usage or I/O error, 2 invalid input, 3 comparison
-mismatch.  All output is deterministic except the timing fields of bench.
+mismatch, 4 internal error (a failed internal consistency check, reported
+on stderr as ``error: internal: ...``).  All output is deterministic except
+the timing fields of bench.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from . import fixpoint as fixpoint_mod
-from .duality import dual_map, hom_from_dual, lift_hom
+from .duality import dual_map, hom_from_dual
 from .errors import InvalidInput, NotMonotone, QuotientNotAntisymmetric, SizeBoundExceeded
 from .jsonio import (
     ParseError,
@@ -27,12 +29,13 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import build_poset, count_ideals, is_monotone, iter_ideal_masks
+from .poset import MonotoneMap, build_poset, count_ideals, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_COUNT_CAP = 1 << 20
 
@@ -164,46 +167,46 @@ def _load_poset(cfg, role):
 
 
 def _load_lattice(cfg, role):
-    path = cfg.inputs.get(role)
-    if path is None:
-        raise UsageError(f"--{role} is required here")
-    return lattice_from_order(poset_from_obj(load_obj(path)), max_size=cfg.max_lattice)
+    return lattice_from_order(_load_poset(cfg, role), max_size=cfg.max_lattice)
 
 
-def _load_phi(cfg):
+def _load_phi(cfg, role="map"):
     domain = _load_poset(cfg, "poset")
-    codomain = poset_from_obj(load_obj(cfg.inputs["codomain"])) if "codomain" in cfg.inputs else domain
-    return is_monotone(table_from_obj(load_obj(cfg.inputs["map"])), domain, codomain)
+    codomain = _load_poset(cfg, "codomain") if "codomain" in cfg.inputs else domain
+    return is_monotone(table_from_obj(load_obj(cfg.inputs[role])), domain, codomain)
 
 
-def _load_hom(cfg):
+def _load_hom(cfg, role="hom"):
     domain = _load_lattice(cfg, "lattice")
-    codomain = (
-        lattice_from_order(poset_from_obj(load_obj(cfg.inputs["codomain"])), max_size=cfg.max_lattice)
-        if "codomain" in cfg.inputs
-        else domain
-    )
-    return is_homomorphism(table_from_obj(load_obj(cfg.inputs["hom"])), domain, codomain)
+    codomain = _load_lattice(cfg, "codomain") if "codomain" in cfg.inputs else domain
+    return is_homomorphism(table_from_obj(load_obj(cfg.inputs[role])), domain, codomain)
+
+
+def _load_either_side(cfg):
+    """The MonotoneMap from --poset/--map, or the LatticeHom from --lattice/--hom."""
+    dual_side = "poset" in cfg.inputs or "map" in cfg.inputs
+    primal_side = "lattice" in cfg.inputs or "hom" in cfg.inputs
+    if dual_side == primal_side:
+        raise UsageError("give either --poset with --map, or --lattice with --hom")
+    if dual_side:
+        if not ("poset" in cfg.inputs and "map" in cfg.inputs):
+            raise UsageError("--poset and --map go together")
+        return _load_phi(cfg)
+    if not ("lattice" in cfg.inputs and "hom" in cfg.inputs):
+        raise UsageError("--lattice and --hom go together")
+    return _load_hom(cfg)
 
 
 def cmd_validate(cfg, out) -> int:
     try:
         if cfg.kind == "poset":
-            poset_from_obj(load_obj(cfg.inputs["file"]))
+            _load_poset(cfg, "file")
         elif cfg.kind == "lattice":
-            lattice_from_order(poset_from_obj(load_obj(cfg.inputs["file"])), max_size=cfg.max_lattice)
+            _load_lattice(cfg, "file")
         elif cfg.kind == "map":
-            domain = _load_poset(cfg, "poset")
-            codomain = poset_from_obj(load_obj(cfg.inputs["codomain"])) if "codomain" in cfg.inputs else domain
-            is_monotone(table_from_obj(load_obj(cfg.inputs["file"])), domain, codomain)
+            _load_phi(cfg, "file")
         else:
-            domain = _load_lattice(cfg, "lattice")
-            codomain = (
-                lattice_from_order(poset_from_obj(load_obj(cfg.inputs["codomain"])), max_size=cfg.max_lattice)
-                if "codomain" in cfg.inputs
-                else domain
-            )
-            is_homomorphism(table_from_obj(load_obj(cfg.inputs["file"])), domain, codomain)
+            _load_hom(cfg, "file")
     except InvalidInput as exc:
         print(_dumps(exc.verdict()), file=out)
         return EXIT_INVALID
@@ -213,48 +216,31 @@ def cmd_validate(cfg, out) -> int:
 
 def cmd_dual(cfg, out) -> int:
     if cfg.kind == "poset":
-        base = poset_from_obj(load_obj(cfg.inputs["file"]))
-        lat = ideal_lattice(base, cfg.max_lattice)
+        lat = ideal_lattice(_load_poset(cfg, "file"), cfg.max_lattice)
         print(_dumps(poset_to_obj(lat.order)), file=out)
     else:
-        lat = lattice_from_order(poset_from_obj(load_obj(cfg.inputs["file"])), max_size=cfg.max_lattice)
-        print(_dumps(poset_to_obj(join_irreducibles(lat))), file=out)
+        print(_dumps(poset_to_obj(join_irreducibles(_load_lattice(cfg, "file")))), file=out)
     return EXIT_OK
 
 
 def cmd_dualmap(cfg, out) -> int:
-    dual_side = "poset" in cfg.inputs or "map" in cfg.inputs
-    primal_side = "lattice" in cfg.inputs or "hom" in cfg.inputs
-    if dual_side == primal_side:
-        raise UsageError("give either --poset with --map, or --lattice with --hom")
-    if dual_side:
-        if not ("poset" in cfg.inputs and "map" in cfg.inputs):
-            raise UsageError("--poset and --map go together")
-        phi = _load_phi(cfg)
-        hom = hom_from_dual(phi, max_size=cfg.max_lattice)
+    loaded = _load_either_side(cfg)
+    if isinstance(loaded, MonotoneMap):
+        hom = hom_from_dual(loaded, max_size=cfg.max_lattice)
         print(_dumps({"lattice": poset_to_obj(hom.domain.order), "hom": map_to_obj(hom.table)}), file=out)
     else:
-        if not ("lattice" in cfg.inputs and "hom" in cfg.inputs):
-            raise UsageError("--lattice and --hom go together")
-        hom = _load_hom(cfg)
-        base, lifted = lift_hom(hom, cfg.max_lattice)
-        phi = dual_map(lifted)
-        print(_dumps({"poset": poset_to_obj(base), "map": map_to_obj(phi.table)}), file=out)
+        # A lattice read from an order has its join-irreducibles as ideal base.
+        phi = dual_map(loaded)
+        print(_dumps({"poset": poset_to_obj(phi.domain), "map": map_to_obj(phi.table)}), file=out)
     return EXIT_OK
 
 
 def cmd_fixpoints(cfg, out) -> int:
-    dual_side = "poset" in cfg.inputs or "map" in cfg.inputs
-    primal_side = "lattice" in cfg.inputs or "hom" in cfg.inputs
-    if dual_side == primal_side:
-        raise UsageError("give either --poset with --map, or --lattice with --hom")
-    if dual_side:
-        if not ("poset" in cfg.inputs and "map" in cfg.inputs):
-            raise UsageError("--poset and --map go together")
-        phi = _load_phi(cfg)
-        if not phi.is_endo():
+    loaded = _load_either_side(cfg)
+    if isinstance(loaded, MonotoneMap):
+        if not loaded.is_endo():
             raise UsageError("fix-points need a self-map: codomain must equal domain")
-        fx = fixpoint_mod.fixpoints_via_duality(phi)
+        fx = fixpoint_mod.fixpoints_via_duality(loaded)
         if cfg.mode == "list":
             for member in fx.iter_members():
                 print(_dumps(list(member.members)), file=out)
@@ -263,12 +249,10 @@ def cmd_fixpoints(cfg, out) -> int:
         else:
             print(_dumps(quotient_to_obj(fx.quotient)), file=out)
     else:
-        if not ("lattice" in cfg.inputs and "hom" in cfg.inputs):
-            raise UsageError("--lattice and --hom go together")
-        hom = _load_hom(cfg)
+        hom = loaded
         if not hom.is_endo():
             raise UsageError("fix-points need an endomorphism: codomain must equal domain")
-        quo = fixpoint_mod.hom_quotient(hom, cfg.max_lattice)
+        quo = fixpoint_mod.hom_quotient(hom)
         if cfg.mode == "list":
             for qmask in iter_ideal_masks(quo.class_poset):
                 names = quo.class_poset.ids_from(qmask)
@@ -281,8 +265,8 @@ def cmd_fixpoints(cfg, out) -> int:
 
 
 def cmd_compare(cfg, out) -> int:
-    base = _load_poset(cfg, "poset")
-    phi = is_monotone(table_from_obj(load_obj(cfg.inputs["map"])), base, base)
+    phi = _load_phi(cfg)
+    base = phi.domain
 
     components_view = None
     try:
@@ -367,13 +351,11 @@ def _dot_quotient(quotient) -> str:
 
 def cmd_dot(cfg, out) -> int:
     if cfg.kind == "poset":
-        out.write(_dot_poset(poset_from_obj(load_obj(cfg.inputs["file"]))))
+        out.write(_dot_poset(_load_poset(cfg, "file")))
     elif cfg.kind == "lattice":
-        lat = lattice_from_order(poset_from_obj(load_obj(cfg.inputs["file"])), max_size=cfg.max_lattice)
-        out.write(_dot_poset(lat.order))
+        out.write(_dot_poset(_load_lattice(cfg, "file").order))
     else:
-        base = _load_poset(cfg, "poset")
-        phi = is_monotone(table_from_obj(load_obj(cfg.inputs["file"])), base, base)
+        phi = _load_phi(cfg, "file")
         if cfg.kind == "map":
             out.write(_dot_map(phi))
         else:
@@ -522,6 +504,9 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(_dumps(exc.verdict()), file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if opened is not None:
             opened.close()

@@ -1,29 +1,29 @@
-"""Transport of maps between ideal lattices and their base posets.
+"""Transport of maps between lattices and their base posets.
 
-A homomorphism of ideal lattices determines a monotone map the other way
-between the base posets, and vice versa.  ``lift_hom`` renames an arbitrary
-explicit endomorphism into ideal-lattice form so both directions apply.
+A homomorphism of finite distributive lattices determines a monotone map the
+other way between the bases of their Birkhoff representations, and vice
+versa.  Every validated lattice carries that representation, so ``dual_map``
+applies to any of them directly.
 """
 
 from __future__ import annotations
 
 from .bitgraph import bits
 from .errors import NoMinimum
-from .lattice import LatticeHom, birkhoff_eta, ideal_lattice, is_homomorphism, join_irreducibles
+from .lattice import LatticeHom, birkhoff_eta, ideal_lattice, is_homomorphism
 from .poset import MonotoneMap, is_monotone
 
 
 def dual_map(hom: LatticeHom) -> MonotoneMap:
-    """The monotone map dual to an ideal-lattice homomorphism.
+    """The monotone map dual to a lattice homomorphism.
 
-    For f: O(P) -> O(Q) the dual sends each base point y of Q to the least
-    x in P with y in f(down-set of x).  A validated homomorphism always
+    With P and Q the ideal bases of the domain and codomain, f acts as a map
+    O(P) -> O(Q); the dual sends each base point y of Q to the least x in P
+    with y in f(down-set of x).  A validated homomorphism always
     yields a unique least candidate; NoMinimum flags a map that merely
     pretends to be one.
     """
     dom, cod = hom.domain, hom.codomain
-    if dom.ideal_base is None or cod.ideal_base is None:
-        raise ValueError("dual_map needs ideal lattices; use lift_hom first")
     p, q = dom.ideal_base, cod.ideal_base
     # f(down-set of x) for each x in P, as member masks over Q.
     images = [
@@ -79,16 +79,15 @@ def lift_hom(hom: LatticeHom, max_size=None):
     Returns (base, lifted) where base is the poset of join-irreducibles of
     the domain and lifted is the conjugate of ``hom`` by the element ->
     irreducibles-below-it bijection, validated on the ideal lattice of base.
+    ``dual_map`` applies to ``hom`` directly; this is for callers that want
+    the ideal-lattice form itself.
     """
     if not hom.is_endo():
         raise ValueError("lift_hom expects an endomorphism")
     lat = hom.domain
-    base = join_irreducibles(lat)
     eta = birkhoff_eta(lat)
+    base = eta[lat.bot].carrier
     lifted = ideal_lattice(base, max_size)
-    table = {}
-    for a in lat.elements:
-        src = lifted.elements[lifted.ideal_index(eta[a].mask)]
-        dst = lifted.elements[lifted.ideal_index(eta[hom(a)].mask)]
-        table[src] = dst
+    rename = [lifted.elements[lifted.ideal_index(eta[a].mask)] for a in lat.elements]
+    table = {rename[i]: rename[j] for i, j in enumerate(hom.image)}
     return base, is_homomorphism(table, lifted, lifted)

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitgraph import UnionFind, bits, condensation_reach, dag_reach, tarjan_scc
-from .duality import dual_map, hom_from_dual, lift_hom
+from .duality import dual_map, hom_from_dual
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
-from .lattice import LatticeHom, explicit_lattice_bound, ideal_lattice
+from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound, ideal_lattice
 from .poset import MonotoneMap, OrderIdeal, Poset, count_ideals, iter_ideal_masks
 
 
@@ -220,13 +220,22 @@ def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:
     return FixpointLattice(phi, coequalizer_general(phi))
 
 
-def hom_quotient(hom: LatticeHom, max_size=None) -> QuotientPoset:
-    """Quotient for an explicit endomorphism: lift, dualize, take components."""
-    _, lifted = lift_hom(hom, max_size)
-    return phi_components(dual_map(lifted))
+def hom_quotient(hom: LatticeHom) -> QuotientPoset:
+    """Quotient for an explicit endomorphism: dualize, take components.
+
+    The quotient is over the join-irreducibles of the domain, named as
+    lattice elements: base point x of the Birkhoff representation becomes
+    the element whose ideal is the down-set of x.
+    """
+    phi = dual_map(hom)
+    irr, pos = _irreducibles(hom.domain)
+    image = [0] * len(irr)
+    for x, y in enumerate(phi.image):
+        image[pos[x]] = pos[y]
+    return phi_components(MonotoneMap(irr, irr, image))
 
 
-def algorithm1(hom: LatticeHom, ideal, quotient=None, max_size=None):
+def algorithm1(hom: LatticeHom, ideal, quotient=None):
     """Fix-point of an explicit endomorphism selected by a quotient ideal.
 
     ``ideal`` is an OrderIdeal of the quotient's class poset (or an iterable
@@ -237,7 +246,7 @@ def algorithm1(hom: LatticeHom, ideal, quotient=None, max_size=None):
     if not hom.is_endo():
         raise ValueError("algorithm1 expects an endomorphism")
     lat = hom.domain
-    quo = quotient if quotient is not None else hom_quotient(hom, max_size)
+    quo = quotient if quotient is not None else hom_quotient(hom)
     if isinstance(ideal, OrderIdeal):
         if ideal.carrier != quo.class_poset:
             raise NotAnIdealOfC(ideal.members)
@@ -247,11 +256,11 @@ def algorithm1(hom: LatticeHom, ideal, quotient=None, max_size=None):
         qmask = quo.class_poset.mask_from(names)
         if not quo.class_poset.is_down_closed(qmask):
             raise NotAnIdealOfC(names)
-    out = lat.bot_idx
+    out = 0
     for c in bits(qmask):
         for i in bits(quo.member_masks[c]):
-            out = lat.join_idx(out, lat.index(quo.base.elements[i]))
-    return lat.elements[out]
+            out |= lat.element_masks[lat.index(quo.base.elements[i])]
+    return lat.elements[lat.ideal_index(out)]
 
 
 def bruteforce_fixpoints(hom: LatticeHom) -> tuple:

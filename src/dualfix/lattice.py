@@ -1,5 +1,12 @@
 """Explicit finite distributive lattices and their homomorphisms.
 
+Every validated lattice is stored as its Birkhoff representation: a poset B
+(the join-irreducibles, or the base of an ideal lattice) and, per element,
+the bitmask of the order ideal of B it corresponds to, so meet is ``&`` and
+join is ``|``.  Validation checks that representation directly, in at most
+O(n·|B|) mask steps instead of a pair or triple scan; the identifier-order
+scans that name a witness run only once that check has failed.
+
 Explicit lattices exist for validation and small-scale oracles; production
 fix-point computation stays on the poset side, so the element count is
 capped (BIRKHOFF_MAX_LATTICE overrides the default of 4096).
@@ -12,7 +19,7 @@ from array import array
 
 from .bitgraph import bits
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import OrderIdeal, Poset, _total_image, count_ideals, iter_ideal_masks
+from .poset import OrderIdeal, Poset, _cover_masks, _total_image, count_ideals, iter_ideal_masks
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -32,26 +39,26 @@ def explicit_lattice_bound(override=None) -> int:
 
 
 class FiniteLattice:
-    """A finite lattice: carrier poset, meet/join tables, bottom and top.
+    """A finite distributive lattice as its Birkhoff representation.
 
+    ``order`` is the carrier poset.  ``ideal_base`` is a poset B and
+    ``element_masks[i]`` the bitmask over B of the order ideal that element
+    i corresponds to; the map is an order-isomorphism onto all ideals of B,
+    so meet and join are intersection and union of masks.  For ideal
+    lattices B is the poset the elements are ideals of; for lattices built
+    from an order it is the sub-poset of join-irreducible elements.
     Instances come from the validating constructors below and are immutable.
-    For ideal lattices, ``ideal_base`` is the poset the elements are ideals
-    of and ``element_masks`` ties each element to its member bitmask.
     """
 
-    __slots__ = ("order", "_meet", "_join", "bot_idx", "top_idx", "ideal_base", "element_masks", "_mask_index")
+    __slots__ = ("order", "bot_idx", "top_idx", "ideal_base", "element_masks", "_mask_index")
 
-    def __init__(self, order, meet, join, bot_idx, top_idx, ideal_base=None, element_masks=None):
+    def __init__(self, order, ideal_base, element_masks):
         self.order = order
-        self._meet = meet  # flat array('i'), row-major
-        self._join = join
-        self.bot_idx = bot_idx
-        self.top_idx = top_idx
         self.ideal_base = ideal_base
-        self.element_masks = element_masks
-        self._mask_index = None
-        if element_masks is not None:
-            self._mask_index = {m: i for i, m in enumerate(element_masks)}
+        self.element_masks = tuple(element_masks)
+        self._mask_index = {m: i for i, m in enumerate(self.element_masks)}
+        self.bot_idx = self._mask_index[0]
+        self.top_idx = self._mask_index[(1 << len(ideal_base)) - 1]
 
     @property
     def elements(self):
@@ -78,10 +85,10 @@ class FiniteLattice:
         return self.order.leq(x, y)
 
     def meet_idx(self, i, j):
-        return self._meet[i * len(self.order) + j]
+        return self._mask_index[self.element_masks[i] & self.element_masks[j]]
 
     def join_idx(self, i, j):
-        return self._join[i * len(self.order) + j]
+        return self._mask_index[self.element_masks[i] | self.element_masks[j]]
 
     def meet(self, x, y):
         return self.elements[self.meet_idx(self.index(x), self.index(y))]
@@ -90,40 +97,33 @@ class FiniteLattice:
         return self.elements[self.join_idx(self.index(x), self.index(y))]
 
     def ideal_index(self, mask) -> int:
-        """Element index of an ideal bitmask; only on ideal lattices."""
-        if self._mask_index is None:
-            raise ValueError("not an ideal lattice; lift first")
+        """Element index of an ideal bitmask over ``ideal_base``."""
         try:
             return self._mask_index[mask]
         except KeyError:
             raise RuntimeError(f"mask {mask:b} is not an ideal of the base") from None
 
     def __eq__(self, other):
-        # Structural equality; the ideal-base annotation does not participate.
+        # The order determines meet, join and the bounds; the representation
+        # does not participate.
         if not isinstance(other, FiniteLattice):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.bot_idx == other.bot_idx
-            and self.top_idx == other.top_idx
-            and self._meet == other._meet
-            and self._join == other._join
-        )
+        return self.order == other.order
 
     __hash__ = None
 
     def __repr__(self):
-        if not len(self):
-            return "FiniteLattice(empty)"
         return f"FiniteLattice({len(self)} elements, bot={self.bot!r}, top={self.top!r})"
 
 
 def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
     """Derive and validate the lattice structure of a poset.
 
-    Every pair must have a unique greatest lower bound and least upper bound
-    (witnessed by NotALattice otherwise), and meet must distribute over join
-    (NotDistributive carries the witness triple).
+    Accepts through Birkhoff's theorem (see :func:`_birkhoff`).  On
+    rejection, every pair must have a unique greatest lower bound and least
+    upper bound (witnessed by NotALattice otherwise), and meet must
+    distribute over join (NotDistributive carries the witness triple), both
+    checked in identifier order.
     """
     bound = explicit_lattice_bound(max_size)
     n = len(order)
@@ -131,6 +131,65 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
         raise SizeBoundExceeded(bound, f"lattice carrier has {n} elements")
     if n == 0:
         raise NotALattice("", "", "carrier (empty order has no bounds)")
+    rep = _birkhoff(order)
+    if rep is None:
+        _raise_lattice_witness(order)
+        raise RuntimeError("Birkhoff check rejected an order that the witness scans accept")
+    return FiniteLattice(order, *rep)
+
+
+def _birkhoff(order: Poset):
+    """(J, masks) when the order is a distributive lattice, else None.
+
+    J is the sub-poset of the elements with exactly one lower cover, and
+    masks[a] the set of those below a, built up over a linear extension as
+    the union of the lower covers' masks.  The order is accepted when every
+    minimal element is the least element, every element with two or more
+    lower covers is their least upper bound, and J has exactly n ideals.
+    By induction over the extension, the first two make every a the least
+    upper bound of masks[a], so a -> masks[a] reflects the order and is
+    injective; the count makes it onto the ideals of J, so the order is
+    isomorphic to the ideal lattice of J.  Conversely, in a finite
+    distributive lattice J is the set of join-irreducibles and the map is
+    Birkhoff's isomorphism, so all three checks pass.
+    """
+    n = len(order)
+    up, down = order.up_masks, order.down_masks
+    lower, upper = _cover_masks(order)
+    irr = [a for a in range(n) if lower[a].bit_count() == 1]
+    own = {j: 1 << k for k, j in enumerate(irr)}
+    extension = sorted(range(n), key=lambda a: down[a].bit_count())
+    full = (1 << n) - 1
+    masks = [0] * n
+    for a in extension:
+        mask = own.get(a, 0)
+        bounds = full
+        for c in bits(lower[a]):
+            mask |= masks[c]
+            bounds &= up[c]
+        if a not in own and bounds != up[a]:
+            return None
+        masks[a] = mask
+    # J's up-sets, over the same positions, by the mirror-image pass.
+    above = [0] * n
+    for a in reversed(extension):
+        mask = own.get(a, 0)
+        for c in bits(upper[a]):
+            mask |= above[c]
+        above[a] = mask
+    base = Poset([order.elements[j] for j in irr], [above[j] for j in irr], [masks[j] for j in irr])
+    try:
+        if count_ideals(base, max_count=n) != n:
+            return None
+    except SizeBoundExceeded:
+        return None
+    return base, masks
+
+
+def _raise_lattice_witness(order: Poset):
+    """The canonical scans: raise the first pair without a bound, else the
+    first triple where meet does not distribute, both in identifier order."""
+    n = len(order)
     down = order.down_masks
     up = order.up_masks
     # In a lattice glb(i,j) is the unique element whose down-set equals
@@ -150,13 +209,6 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
             meet[i * n + j] = meet[j * n + i] = g
             join[i * n + j] = join[j * n + i] = l
     _check_distributive(order.elements, meet, join, n)
-    # Folding the tables gives the global bounds; both exist once every pair
-    # has bounds.
-    bot = top = 0
-    for i in range(1, n):
-        bot = meet[bot * n + i]
-        top = join[top * n + i]
-    return FiniteLattice(order, meet, join, bot, top)
 
 
 def _check_distributive(elements, meet, join, n):
@@ -170,10 +222,6 @@ def _check_distributive(elements, meet, join, n):
                     raise NotDistributive(elements[a], elements[b], elements[c])
 
 
-def ideal_name(base: Poset, mask: int) -> str:
-    return "{" + ",".join(base.ids_from(mask)) + "}"
-
-
 def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:
     """Materialize the lattice of all order ideals of a poset.
 
@@ -185,7 +233,7 @@ def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:
     """
     bound = explicit_lattice_bound(max_size)
     masks = list(iter_ideal_masks(base, max_count=bound))
-    items = sorted((ideal_name(base, m), m) for m in masks)
+    items = sorted((OrderIdeal(base, m).name, m) for m in masks)
     names = [nm for nm, _ in items]
     emasks = [m for _, m in items]
     k = len(items)
@@ -197,67 +245,43 @@ def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:
             if mi & ~emasks[j] == 0:
                 row |= 1 << j
         up.append(row)
-    order = Poset(names, up)
-    index = {m: i for i, m in enumerate(emasks)}
-    meet = array("i", bytes(4 * k * k))
-    join = array("i", bytes(4 * k * k))
-    for i in range(k):
-        for j in range(i, k):
-            g = index[emasks[i] & emasks[j]]
-            l = index[emasks[i] | emasks[j]]
-            meet[i * k + j] = meet[j * k + i] = g
-            join[i * k + j] = join[j * k + i] = l
-    # Intersection/union of down-closed sets is down-closed and distributes,
-    # so no triple scan is needed here; lattice_from_order re-derives the
-    # same structure when a full revalidation is wanted.
-    return FiniteLattice(
-        order,
-        meet,
-        join,
-        index[0],
-        index[(1 << len(base)) - 1],
-        ideal_base=base,
-        element_masks=tuple(emasks),
-    )
+    # The ideals of a poset, ordered by inclusion, are its Birkhoff
+    # representation by definition: nothing is left to validate.
+    return FiniteLattice(Poset(names, up), base, emasks)
 
 
 def join_irreducibles(lat: FiniteLattice) -> Poset:
     """Sub-poset of the join-irreducible elements, order inherited.
 
-    An element qualifies iff it has exactly one lower cover, which in a
-    finite lattice is equivalent to never being a join of two strictly
-    smaller elements (and excludes bottom).
+    These are the elements whose ideal over the base is principal, one per
+    base point; for ideal lattices, the base with each x renamed to the name
+    of its down-set.
     """
-    order = lat.order
-    keep = []
-    for x in range(len(order)):
-        strict_down = order.down_masks[x] ^ (1 << x)
-        ncovers = 0
-        for i in bits(strict_down):
-            if (order.up_masks[i] ^ (1 << i)) & strict_down == 0:
-                ncovers += 1
-                if ncovers > 1:
-                    break
-        if ncovers == 1:
-            keep.append(x)
-    return order.restrict(keep)
+    return _irreducibles(lat)[0]
+
+
+def _irreducibles(lat: FiniteLattice):
+    """join_irreducibles(lat), and per base point x the index in it of the
+    element whose ideal is the down-set of x."""
+    elems = [lat.ideal_index(down) for down in lat.ideal_base.down_masks]
+    rank = {e: k for k, e in enumerate(sorted(elems))}
+    return lat.order.restrict(elems), [rank[e] for e in elems]
 
 
 def birkhoff_eta(lat: FiniteLattice) -> dict:
     """Map each lattice element to its ideal of join-irreducibles below.
 
-    On a validated distributive lattice this is a bijection onto the ideal
-    family of the irreducibles and preserves meet, join, bottom and top; a
-    failure here is an internal-consistency defect and raises RuntimeError.
+    This renames the stored masks onto :func:`join_irreducibles`.  On a
+    validated distributive lattice it is a bijection onto the ideal family
+    of the irreducibles and preserves meet, join, bottom and top; a failure
+    here is an internal-consistency defect and raises RuntimeError.
     """
-    irr = join_irreducibles(lat)
-    irr_idx = [lat.index(x) for x in irr.elements]
+    irr, pos = _irreducibles(lat)
     out = {}
-    for a_i, a in enumerate(lat.elements):
+    for a, mask in zip(lat.elements, lat.element_masks):
         m = 0
-        for k, x_i in enumerate(irr_idx):
-            if lat.order.leq_idx(x_i, a_i):
-                m |= 1 << k
+        for x in bits(mask):
+            m |= 1 << pos[x]
         out[a] = OrderIdeal(irr, m)
     if len({ideal.mask for ideal in out.values()}) != len(out):
         raise RuntimeError("irreducible-ideal map is not injective on a validated lattice")
@@ -324,14 +348,68 @@ class LatticeHom:
 def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> LatticeHom:
     """Validate a raw element table as a lattice homomorphism and wrap it.
 
-    Checks bottom, top, then every element pair's meet and join in
-    identifier order; NotHom carries the first broken law and its witnesses.
+    Checks bottom, then top, then accepts through :func:`_preserves_laws`.
+    Only a table that fails it is scanned pair by pair in identifier order,
+    so NotHom carries the first broken law and its witnesses.
     """
     image = _total_image(table, domain.order, codomain.order)
     if image[domain.bot_idx] != codomain.bot_idx:
         raise NotHom("bot", domain.bot)
     if image[domain.top_idx] != codomain.top_idx:
         raise NotHom("top", domain.top)
+    if not _preserves_laws(image, domain, codomain):
+        _raise_hom_witness(image, domain, codomain)
+        raise RuntimeError("homomorphism check rejected a table that the pair scan accepts")
+    return LatticeHom(domain, codomain, image)
+
+
+def _preserves_laws(image, domain, codomain) -> bool:
+    """Whether an image that keeps bottom and top preserves meet and join.
+
+    With F(a) the image's mask over the codomain base, it checks for every
+    a above bottom and one maximal base point x in a that
+    F(a) = F(a - x) | F(down-set of x), and for every a below top and one
+    minimal point x outside a that F(a) = F(a + x) & F(B - up-set of x).
+    Both hold for a homomorphism.  Conversely, by induction on |a| from
+    F(bottom) = 0, the first makes F(a) the union of F(down-set of x) over
+    x in a, which is additive in a, so F preserves joins; dually, from
+    F(top) = all, the second makes F preserve meets.  Finding x walks the
+    base order, so the cost is at most O(n·height(B)) mask steps.
+    """
+    base = domain.ideal_base
+    full = (1 << len(base)) - 1
+    index = domain.ideal_index
+    f = [codomain.element_masks[i] for i in image]
+    for a, mask in enumerate(domain.element_masks):
+        if mask:
+            x = _maximal(mask, base.up_masks)
+            if f[a] != f[index(mask ^ 1 << x)] | f[index(base.down_masks[x])]:
+                return False
+        if mask != full:
+            x = _minimal(full & ~mask, base.down_masks)
+            if f[a] != f[index(mask | 1 << x)] & f[index(full & ~base.up_masks[x])]:
+                return False
+    return True
+
+
+def _maximal(mask, up):
+    """A maximal element of a nonempty mask, climbing from its highest bit."""
+    j = mask.bit_length() - 1
+    while above := (up[j] & mask) ^ (1 << j):
+        j = above.bit_length() - 1
+    return j
+
+
+def _minimal(mask, down):
+    """A minimal element of a nonempty mask, descending from its lowest bit."""
+    j = (mask & -mask).bit_length() - 1
+    while below := (down[j] & mask) ^ (1 << j):
+        j = (below & -below).bit_length() - 1
+    return j
+
+
+def _raise_hom_witness(image, domain, codomain):
+    """The canonical pair scan: raise the first broken meet or join law."""
     n = len(domain)
     for i in range(n):
         for j in range(i, n):
@@ -339,4 +417,3 @@ def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> La
                 raise NotHom("meet", domain.elements[i], domain.elements[j])
             if image[domain.join_idx(i, j)] != codomain.join_idx(image[i], image[j]):
                 raise NotHom("join", domain.elements[i], domain.elements[j])
-    return LatticeHom(domain, codomain, image)

@@ -232,32 +232,9 @@ def random_poset(rng, n, prefix="e"):
     return build_poset(ids, pairs)
 
 
-def random_monotone_selfmap(rng, poset):
-    """Random monotone self-map: assign images along a linear extension,
-    each constrained above the images of everything already below."""
-    n = len(poset)
-    if n == 0:
-        return MonotoneMap(poset, poset, ())
-    order = sorted(range(n), key=lambda i: poset.down_masks[i].bit_count())
-    full = (1 << n) - 1
-    for _ in range(50):
-        image = [0] * n
-        ok = True
-        for v in order:
-            allowed = full
-            for w in bits(poset.down_masks[v] ^ (1 << v)):
-                allowed &= poset.up_masks[image[w]]
-            if not allowed:
-                ok = False
-                break
-            image[v] = rng.choice(list(bits(allowed)))
-        if ok:
-            return MonotoneMap(poset, poset, image)
-    return MonotoneMap(poset, poset, [rng.randrange(n)] * n)
-
-
 def random_monotone_between(rng, domain, codomain):
-    """Random monotone map between different posets, same construction."""
+    """Random monotone map: assign images along a linear extension, each
+    constrained above the images of everything already below."""
     n, m = len(domain), len(codomain)
     if n == 0:
         return MonotoneMap(domain, codomain, ())

@@ -30,7 +30,7 @@ from dualfix.jsonio import map_to_obj, poset_to_obj, quotient_to_obj
 from helpers import (
     monotone_selfmaps,
     noniso_posets_upto,
-    random_monotone_selfmap,
+    random_monotone_between,
     random_poset,
 )
 
@@ -198,7 +198,7 @@ def test_criterion_6_quotient_construction_agreement(sweep, tmp_path):
     random_checked = 0
     for _ in range(1000):
         base = random_poset(rng, rng.randrange(0, 11))
-        phi = random_monotone_selfmap(rng, base)
+        phi = random_monotone_between(rng, base, base)
         coeq = coequalizer_general(phi)
         try:
             comp = phi_components(phi)

@@ -1,7 +1,8 @@
 import json
 
 import dualfix.fixpoint
-from dualfix.cli import main
+import dualfix.lattice
+from dualfix.cli import EXIT_INTERNAL, main
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -80,6 +81,44 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "map", write_json("m.json", COLLAPSE))
         assert code == 1
         assert "poset" in err
+
+
+class TestValidateAtTheLatticeCap:
+    def test_boolean_lattice_of_4096_elements(self, capsys, write_json):
+        # 2^12, the default element cap: a cubic check would take hours
+        names = [f"{m:03x}" for m in range(1 << 12)]
+        leq = [[names[m], names[m | 1 << k]] for m in range(1 << 12) for k in range(12) if not m >> k & 1]
+        lattice = write_json("l.json", {"elements": names, "leq": leq})
+        code, out, _ = run(capsys, "validate", "lattice", lattice)
+        assert code == 0
+        assert json.loads(out) == {"valid": True}
+        identity = write_json("h.json", {"map": {x: x for x in names}})
+        code, out, _ = run(capsys, "validate", "hom", identity, "--lattice", lattice)
+        assert code == 0
+        assert json.loads(out) == {"valid": True}
+
+
+class TestInternalErrors:
+    def test_lattice_check_disagreement_is_exit_4(self, capsys, write_json, monkeypatch):
+        # the fast check rejecting a distributive lattice leaves the witness
+        # scans without a witness
+        monkeypatch.setattr(dualfix.lattice, "_birkhoff", lambda order: None)
+        code, out, err = run(capsys, "validate", "lattice", write_json("l.json", THREE_CHAIN))
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("error: internal: ")
+
+    def test_hom_check_disagreement_is_exit_4(self, capsys, write_json, monkeypatch):
+        monkeypatch.setattr(dualfix.lattice, "_preserves_laws", lambda image, domain, codomain: False)
+        code, out, err = run(
+            capsys,
+            "fixpoints",
+            "--lattice", write_json("l.json", THREE_CHAIN),
+            "--hom", write_json("h.json", {"map": {"0": "0", "m": "m", "1": "1"}}),
+        )
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("error: internal: ")
 
 
 class TestFixpoints:

@@ -11,6 +11,7 @@ from dualfix import (
     ideal_lattice,
     is_homomorphism,
     is_monotone,
+    join_irreducibles,
     lattice_from_order,
     lift_hom,
 )
@@ -62,10 +63,24 @@ class TestDualMap:
             hom = hom_from_dual(phi0, lat, lat)
             assert dual_map(hom).table == brute_dual_table(hom)
 
-    def test_requires_ideal_lattice_form(self, three_chain):
+    def test_lattices_from_order_dualize_directly(self, three_chain):
         lat = lattice_from_order(three_chain)
-        with pytest.raises(ValueError):
-            dual_map(LatticeHom.identity(lat))
+        hom = is_homomorphism({"0": "0", "m": "0", "1": "1"}, lat, lat)
+        assert dual_map(hom).table == {"1": "1", "m": "1"}
+        assert dual_map(LatticeHom.identity(lat)) == MonotoneMap.identity(join_irreducibles(lat))
+
+    def test_matches_the_lift_hom_route(self):
+        # differential: the dual on the stored representation against the
+        # dual of the hom conjugated onto the ideal lattice of J(L)
+        rng = random.Random(71)
+        for _ in range(30):
+            base = random_poset(rng, rng.randrange(0, 6))
+            ideals = ideal_lattice(base)
+            lat = lattice_from_order(ideals.order)
+            induced = hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals)
+            hom = is_homomorphism(induced.table, lat, lat)
+            _, lifted = lift_hom(hom)
+            assert dual_map(hom) == dual_map(lifted)
 
     def test_empty_candidate_set_refused(self, two_antichain):
         # not a homomorphism: a is in no principal-ideal image, so its

@@ -14,6 +14,7 @@ from dualfix import (
     bruteforce_fixpoints,
     build_poset,
     coequalizer_general,
+    dual_map,
     enumerate_ideals,
     fixpoints_via_duality,
     hom_from_dual,
@@ -24,13 +25,14 @@ from dualfix import (
     iter_ideal_masks,
     kleene_iterate,
     lattice_from_order,
+    lift_hom,
     phi_components,
 )
 from helpers import (
     brute_preorder_pairs,
     monotone_selfmaps,
     noniso_posets_upto,
-    random_monotone_selfmap,
+    random_monotone_between,
     random_poset,
 )
 
@@ -101,7 +103,7 @@ class TestCoequalizerGeneral:
         rng = random.Random(71)
         for _ in range(40):
             base = random_poset(rng, rng.randrange(0, 7))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             quo = coequalizer_general(phi)
             expected = brute_preorder_pairs(base, phi)
             rows = quo.gen_preorder()
@@ -119,7 +121,7 @@ class TestCoequalizerGeneral:
         rng = random.Random(73)
         for _ in range(25):
             base = random_poset(rng, rng.randrange(1, 7))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             quo = coequalizer_general(phi)
             pre = brute_preorder_pairs(base, phi)
             for x in base:
@@ -132,7 +134,7 @@ class TestCoequalizerGeneral:
         rng = random.Random(79)
         for _ in range(25):
             base = random_poset(rng, rng.randrange(0, 7))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             quo = coequalizer_general(phi)
             for x in base:
                 for y in base:
@@ -143,7 +145,7 @@ class TestCoequalizerGeneral:
         rng = random.Random(83)
         for _ in range(25):
             base = random_poset(rng, rng.randrange(0, 7))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             quo = coequalizer_general(phi)
             flat = [x for c in quo.classes for x in c]
             assert sorted(flat) == sorted(base.elements)
@@ -193,7 +195,7 @@ class TestFixpointsViaDuality:
         rng = random.Random(97)
         for _ in range(60):
             base = random_poset(rng, rng.randrange(0, 9))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             lat = ideal_lattice(base)
             dual = sorted(m.name for m in fixpoints_via_duality(phi).iter_members())
             brute = sorted(bruteforce_fixpoints(hom_from_dual(phi, lat, lat)))
@@ -203,7 +205,7 @@ class TestFixpointsViaDuality:
         rng = random.Random(101)
         for _ in range(25):
             base = random_poset(rng, rng.randrange(0, 7))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             fx = fixpoints_via_duality(phi)
             quo = fx.quotient
             pairs = []
@@ -224,7 +226,7 @@ class TestFixpointsViaDuality:
         rng = random.Random(103)
         for _ in range(25):
             base = random_poset(rng, rng.randrange(0, 7))
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             members = {m.mask for m in fixpoints_via_duality(phi).iter_members()}
             assert 0 in members
             assert (1 << len(base)) - 1 in members
@@ -283,7 +285,7 @@ class TestAlgorithm1:
         for _ in range(20):
             base = random_poset(rng, rng.randrange(0, 5))
             lat = ideal_lattice(base)
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             hom = hom_from_dual(phi, lat, lat)
             quo = hom_quotient(hom)
             got = sorted(
@@ -293,6 +295,22 @@ class TestAlgorithm1:
             assert got == sorted(bruteforce_fixpoints(hom))
             for x in got:
                 assert hom(x) == x
+
+
+class TestHomQuotient:
+    def test_matches_the_lift_hom_route(self):
+        # differential: dualizing the stored representation directly, with
+        # base points renamed to irreducibles, against the old route through
+        # lift_hom; class names included
+        rng = random.Random(113)
+        for _ in range(60):
+            base = random_poset(rng, rng.randrange(0, 6))
+            ideals = ideal_lattice(base)
+            hom = hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals)
+            lat = lattice_from_order(ideals.order)
+            for h in (hom, is_homomorphism(hom.table, lat, lat)):
+                _, lifted = lift_hom(h)
+                assert hom_quotient(h) == phi_components(dual_map(lifted))
 
 
 class TestBruteforceFixpoints:
@@ -346,7 +364,7 @@ class TestKleeneIterate:
         for _ in range(20):
             base = random_poset(rng, rng.randrange(0, 5))
             lat = ideal_lattice(base)
-            phi = random_monotone_selfmap(rng, base)
+            phi = random_monotone_between(rng, base, base)
             hom = hom_from_dual(phi, lat, lat)
             for start in lat:
                 result = kleene_iterate(hom, start, max_steps=len(lat))

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,13 +12,21 @@ from dualfix import (
     UnknownElement,
     birkhoff_eta,
     build_poset,
+    hom_from_dual,
     ideal_lattice,
     is_homomorphism,
     join_irreducibles,
     lattice_from_order,
     principal_ideal,
 )
-from helpers import brute_join_irreducibles, noniso_posets_upto, random_poset
+from dualfix.lattice import _birkhoff, _preserves_laws, _raise_hom_witness, _raise_lattice_witness
+from helpers import (
+    brute_join_irreducibles,
+    labeled_posets,
+    noniso_posets_upto,
+    random_monotone_between,
+    random_poset,
+)
 
 
 class TestLatticeFromOrder:
@@ -117,8 +126,9 @@ class TestJoinIrreducibles:
     def test_matches_definitional_scan(self):
         rng = random.Random(37)
         for _ in range(15):
-            lat = ideal_lattice(random_poset(rng, rng.randrange(0, 6)))
-            assert sorted(join_irreducibles(lat).elements) == brute_join_irreducibles(lat)
+            ideals = ideal_lattice(random_poset(rng, rng.randrange(0, 6)))
+            for lat in (ideals, lattice_from_order(ideals.order)):
+                assert sorted(join_irreducibles(lat).elements) == brute_join_irreducibles(lat)
 
 
 class TestBirkhoffEta:
@@ -140,8 +150,11 @@ class TestBirkhoffEta:
 
     def test_isomorphism_on_small_lattices(self):
         rng = random.Random(41)
+        lattices = []
         for _ in range(10):
-            lat = ideal_lattice(random_poset(rng, rng.randrange(0, 6)))
+            ideals = ideal_lattice(random_poset(rng, rng.randrange(0, 6)))
+            lattices += [ideals, lattice_from_order(ideals.order)]
+        for lat in lattices:
             eta = birkhoff_eta(lat)
             masks = {v.mask for v in eta.values()}
             assert len(masks) == len(lat)
@@ -225,3 +238,121 @@ class TestIsHomomorphism:
             {"{}": "{}", "{a}": "{}", "{b}": "{}", "{a,b}": "{a,b}"}, lat, lat
         )
         assert hom("{a}") == "{}"
+
+
+def _bounded(poset):
+    """The poset with a new bottom "0" and top "1" added."""
+    ids = list(poset.elements)
+    pairs = [(x, y) for x in ids for y in ids if x != y and poset.leq(x, y)]
+    pairs += [("0", x) for x in ids] + [(x, "1") for x in ids] + [("0", "1")]
+    return build_poset(["0", "1"] + ids, pairs)
+
+
+def _scans_accept(order):
+    try:
+        _raise_lattice_witness(order)
+    except (NotALattice, NotDistributive):
+        return False
+    return True
+
+
+def _pair_scan_accepts(image, domain, codomain):
+    try:
+        _raise_hom_witness(image, domain, codomain)
+    except NotHom:
+        return False
+    return True
+
+
+class TestBirkhoffAcceptAgainstScans:
+    """Differential: the Birkhoff accept against the pair and triple scans."""
+
+    def _check(self, order):
+        rep = _birkhoff(order)
+        assert (rep is not None) == _scans_accept(order), order.elements
+        if rep is None:
+            return False
+        lat = lattice_from_order(order)
+        down, up = order.down_masks, order.up_masks
+        for i in range(len(order)):
+            for j in range(len(order)):
+                assert down[lat.meet_idx(i, j)] == down[i] & down[j]
+                assert up[lat.join_idx(i, j)] == up[i] & up[j]
+        return True
+
+    def test_every_bounded_poset_up_to_seven_elements(self):
+        accepted = checked = 0
+        for n in range(6):
+            for inner in labeled_posets(n):
+                accepted += self._check(_bounded(inner))
+                checked += 1
+        assert checked == 4474
+        assert 0 < accepted < checked
+
+    def test_random_bounded_posets(self):
+        rng = random.Random(89)
+        accepted = 0
+        for _ in range(300):
+            accepted += self._check(_bounded(random_poset(rng, rng.randrange(0, 8))))
+        assert 0 < accepted < 300
+
+    def test_ideal_lattice_orders_are_accepted(self):
+        rng = random.Random(97)
+        for _ in range(30):
+            assert self._check(ideal_lattice(random_poset(rng, rng.randrange(0, 7))).order)
+
+
+class TestFastHomAcceptAgainstPairScan:
+    """Differential: the O(n·|B|) hom accept against the pair scan."""
+
+    @staticmethod
+    def _lattices():
+        out = []
+        for p in noniso_posets_upto(3):
+            lat = ideal_lattice(p)
+            if len(lat) <= 6:
+                out += [lat, lattice_from_order(lat.order)]
+        return out
+
+    def test_every_bot_top_preserving_table_of_small_lattices(self):
+        accepted = checked = 0
+        lattices = self._lattices()
+        for dom in lattices:
+            for cod in lattices:
+                inner = [i for i in range(len(dom)) if i not in (dom.bot_idx, dom.top_idx)]
+                for choice in product(range(len(cod)), repeat=len(inner)):
+                    image = [0] * len(dom)
+                    image[dom.bot_idx], image[dom.top_idx] = cod.bot_idx, cod.top_idx
+                    for i, c in zip(inner, choice):
+                        image[i] = c
+                    if image[dom.bot_idx] != cod.bot_idx:
+                        continue  # a one-element domain into a larger codomain
+                    fast = _preserves_laws(image, dom, cod)
+                    assert fast == _pair_scan_accepts(image, dom, cod)
+                    accepted += fast
+                    checked += 1
+        assert 0 < accepted < checked
+
+    def test_random_monotone_and_random_tables(self):
+        rng = random.Random(101)
+        for _ in range(200):
+            dom = ideal_lattice(random_poset(rng, rng.randrange(0, 5)))
+            cod = ideal_lattice(random_poset(rng, rng.randrange(0, 5)))
+            if rng.random() < 0.5:
+                dom = lattice_from_order(dom.order)
+            for image in (
+                list(random_monotone_between(rng, dom.order, cod.order).image),
+                [rng.randrange(len(cod)) for _ in range(len(dom))],
+            ):
+                image[dom.bot_idx], image[dom.top_idx] = cod.bot_idx, cod.top_idx
+                if image[dom.bot_idx] != cod.bot_idx:
+                    continue  # a one-element domain into a larger codomain
+                assert _preserves_laws(image, dom, cod) == _pair_scan_accepts(image, dom, cod)
+
+    def test_induced_homs_are_accepted(self):
+        rng = random.Random(103)
+        for _ in range(50):
+            base = random_poset(rng, rng.randrange(0, 6))
+            lat = ideal_lattice(base)
+            hom = hom_from_dual(random_monotone_between(rng, base, base), lat, lat)
+            assert _preserves_laws(list(hom.image), lat, lat)
