@@ -263,7 +263,13 @@ def join_irreducibles(lat: FiniteLattice) -> Poset:
 def _irreducibles(lat: FiniteLattice):
     """join_irreducibles(lat), and per base point x the index in it of the
     element whose ideal is the down-set of x."""
-    elems = [lat.ideal_index(down) for down in lat.ideal_base.down_masks]
+    base = lat.ideal_base
+    elems = [lat.ideal_index(down) for down in base.down_masks]
+    if elems == sorted(elems):
+        # Same index order as the base (always so for lattices built from an
+        # order): rename the base instead of restricting the lattice order.
+        names = [lat.elements[e] for e in elems]
+        return Poset(names, base.up_masks, base.down_masks), list(range(len(elems)))
     rank = {e: k for k, e in enumerate(sorted(elems))}
     return lat.order.restrict(elems), [rank[e] for e in elems]
 

@@ -12,7 +12,6 @@ from dualfix import (
     UnknownElement,
     birkhoff_eta,
     build_poset,
-    hom_from_dual,
     ideal_lattice,
     is_homomorphism,
     join_irreducibles,
@@ -303,7 +302,7 @@ class TestBirkhoffAcceptAgainstScans:
 
 
 class TestFastHomAcceptAgainstPairScan:
-    """Differential: the O(n·|B|) hom accept against the pair scan."""
+    """Differential: the fast hom accept against the pair scan."""
 
     @staticmethod
     def _lattices():
@@ -348,11 +347,3 @@ class TestFastHomAcceptAgainstPairScan:
                 if image[dom.bot_idx] != cod.bot_idx:
                     continue  # a one-element domain into a larger codomain
                 assert _preserves_laws(image, dom, cod) == _pair_scan_accepts(image, dom, cod)
-
-    def test_induced_homs_are_accepted(self):
-        rng = random.Random(103)
-        for _ in range(50):
-            base = random_poset(rng, rng.randrange(0, 6))
-            lat = ideal_lattice(base)
-            hom = hom_from_dual(random_monotone_between(rng, base, base), lat, lat)
-            assert _preserves_laws(list(hom.image), lat, lat)
