@@ -93,28 +93,6 @@ def dag_reach(adj, order):
     return reach
 
 
-def condensation_reach(adj, comps):
-    """Reflexive-transitive reachability between the components of a digraph.
-
-    ``comps`` must come from tarjan_scc on ``adj``.  Returns (comp_of, reach)
-    with reach rows indexed like ``comps``.
-    """
-    comp_of = [0] * len(adj)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    reach = [0] * len(comps)
-    for ci, comp in enumerate(comps):
-        r = 1 << ci
-        for v in comp:
-            for w in bits(adj[v]):
-                cw = comp_of[w]
-                if cw != ci:
-                    r |= reach[cw]
-        reach[ci] = r
-    return comp_of, reach
-
-
 class UnionFind:
     """Array union-find with path compression."""
 

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 from . import fixpoint as fixpoint_mod
@@ -81,7 +82,11 @@ def _positive(text):
     return value
 
 
-def parse_args(argv) -> RunConfig:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built once per process: argparse keeps no state
+    between parse_args calls, and building seven subparsers costs more than
+    most requests."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", metavar="PATH", help="write output here instead of stdout")
     common.add_argument(
@@ -137,8 +142,11 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--map-kind", choices=["identity", "collapse", "permutation"], required=True)
     p.add_argument("--count-cap", type=_positive, default=DEFAULT_COUNT_CAP)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def parse_args(argv) -> RunConfig:
+    ns = _parser().parse_args(argv)
     inputs = {"file": getattr(ns, "file", None)}
     for role in ("poset", "lattice", "codomain"):
         inputs[role] = getattr(ns, role, None)
@@ -359,7 +367,7 @@ def cmd_dot(cfg, out) -> int:
         if cfg.kind == "map":
             out.write(_dot_map(phi))
         else:
-            out.write(_dot_quotient(fixpoint_mod.phi_components(phi)))
+            out.write(_dot_quotient(fixpoint_mod.coequalizer_general(phi)))
     return EXIT_OK
 
 

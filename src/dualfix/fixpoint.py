@@ -6,24 +6,26 @@ base, so the whole fix-point lattice is read off without ever iterating the
 endomorphism or materializing its lattice.  The number of fix-points is the
 quotient's ideal count, which ``count_ideals`` computes without listing them.
 
-Two quotient constructions are implemented.  ``phi_components`` merges the
-connected components of the undirected map graph and is the cheap path;
-``coequalizer_general`` closes the base order together with both directions
-of the map edges and condenses the strongly connected classes.  The general
-construction is authoritative: it always yields a partial order, while the
-component shortcut must be checked for antisymmetry and is differentially
-tested against it.
+Two quotient constructions are implemented.  ``coequalizer_general`` is
+the authoritative one, and the only one the library's fix-point paths use
+(``fixpoints_via_duality``, ``hom_quotient``, and through them the CLI's
+``fixpoints`` and ``dot quotient``): one strongly-connected-component pass
+over the base's generating edges plus both directions of the map edges,
+which always yields a partial order.  ``phi_components`` merges the
+connected components of the undirected map graph and must then check the
+class order for antisymmetry; it stays only so that ``compare`` and
+``bench`` can cross-check the two constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import UnionFind, bits, condensation_reach, dag_reach, tarjan_scc
+from .bitgraph import UnionFind, bits, dag_reach, tarjan_scc
 from .duality import dual_map, hom_from_dual
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
 from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound, ideal_lattice
-from .poset import MonotoneMap, OrderIdeal, Poset, count_ideals, iter_ideal_masks
+from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, count_ideals, iter_ideal_masks
 
 
 class QuotientPoset:
@@ -140,31 +142,28 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
 
     Classes are the strongly connected parts of that preorder (x and y
     identified when each reaches the other); the class order is its
-    condensation, which is a partial order by construction.
+    condensation, which is a partial order by construction.  One Tarjan
+    pass over the base's generating edges plus both directions of the map
+    edges finds the classes; the base edges between classes generate the
+    class order, closed in emission order.
     """
     base = _endo_base(phi)
-    n = len(base)
-    adj = list(base.up_masks)
-    for i in range(n):
-        j = phi.image[i]
+    adj = list(base.gen_masks)
+    for i, j in enumerate(phi.image):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     comps = tarjan_scc(adj)
-    comp_of, reach = condensation_reach(adj, comps)
     names, member_masks, class_idx = _canonical_classes(base, [sorted(c) for c in comps])
-    m = len(names)
-    # reach rows are indexed by emission order; remap to canonical order.
-    canon_of_emit = [0] * m
-    for e, comp in enumerate(comps):
-        canon_of_emit[e] = class_idx[comp[0]]
-    up = [0] * m
-    for e in range(m):
+    gen = [0] * len(names)
+    for v, succ in enumerate(base.gen_masks):
+        c = class_idx[v]
         row = 0
-        for e2 in bits(reach[e]):
-            row |= 1 << canon_of_emit[e2]
-        up[canon_of_emit[e]] = row
+        for w in bits(succ):
+            row |= 1 << class_idx[w]
+        gen[c] |= row & ~(1 << c)
+    class_poset = _generated_poset(names, gen, [class_idx[comp[0]] for comp in comps])
     classes = tuple(base.ids_from(mask) for mask in member_masks)
-    return QuotientPoset(base, classes, Poset(names, up), member_masks, class_idx)
+    return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
 
 
 class FixpointLattice:
@@ -221,7 +220,7 @@ def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:
 
 
 def hom_quotient(hom: LatticeHom) -> QuotientPoset:
-    """Quotient for an explicit endomorphism: dualize, take components.
+    """Quotient for an explicit endomorphism: dualize, then quotient.
 
     The quotient is over the join-irreducibles of the domain, named as
     lattice elements: base point x of the Birkhoff representation becomes
@@ -232,7 +231,7 @@ def hom_quotient(hom: LatticeHom) -> QuotientPoset:
     image = [0] * len(irr)
     for x, y in enumerate(phi.image):
         image[pos[x]] = pos[y]
-    return phi_components(MonotoneMap(irr, irr, image))
+    return coequalizer_general(MonotoneMap(irr, irr, image))
 
 
 def algorithm1(hom: LatticeHom, ideal, quotient=None):

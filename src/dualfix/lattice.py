@@ -19,7 +19,7 @@ from array import array
 
 from .bitgraph import bits
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import OrderIdeal, Poset, _cover_masks, _total_image, count_ideals, iter_ideal_masks
+from .poset import OrderIdeal, Poset, _cover_masks, _generated_poset, _total_image, count_ideals, iter_ideal_masks
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -236,18 +236,24 @@ def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:
     items = sorted((OrderIdeal(base, m).name, m) for m in masks)
     names = [nm for nm, _ in items]
     emasks = [m for _, m in items]
-    k = len(items)
-    up = []
-    for i in range(k):
-        mi = emasks[i]
+    index = {m: i for i, m in enumerate(emasks)}
+    # An ideal is covered by itself plus one minimal point of its complement;
+    # inclusion is the closure of those covers.  The masks come in ascending
+    # size, so their reverse lists every ideal after all ideals above it.
+    down = base.down_masks
+    full = (1 << len(base)) - 1
+    covers = [0] * len(emasks)
+    for i, m in enumerate(emasks):
+        comp = full & ~m
         row = 0
-        for j in range(k):
-            if mi & ~emasks[j] == 0:
-                row |= 1 << j
-        up.append(row)
+        for x in bits(comp):
+            if down[x] & comp == 1 << x:
+                row |= 1 << index[m | 1 << x]
+        covers[i] = row
+    order = _generated_poset(names, covers, [index[m] for m in reversed(masks)])
     # The ideals of a poset, ordered by inclusion, are its Birkhoff
     # representation by definition: nothing is left to validate.
-    return FiniteLattice(Poset(names, up), base, emasks)
+    return FiniteLattice(order, base, emasks)
 
 
 def join_irreducibles(lat: FiniteLattice) -> Poset:
@@ -269,7 +275,7 @@ def _irreducibles(lat: FiniteLattice):
         # Same index order as the base (always so for lattices built from an
         # order): rename the base instead of restricting the lattice order.
         names = [lat.elements[e] for e in elems]
-        return Poset(names, base.up_masks, base.down_masks), list(range(len(elems)))
+        return Poset(names, base.up_masks, base.down_masks, base.gen_masks), list(range(len(elems)))
     rank = {e: k for k, e in enumerate(sorted(elems))}
     return lat.order.restrict(elems), [rank[e] for e in elems]
 

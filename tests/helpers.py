@@ -8,8 +8,9 @@ the code paths they check.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from dualfix import MonotoneMap, Poset, build_poset, iter_ideal_masks, principal_ideal
-from dualfix.bitgraph import bits
+from dualfix import MonotoneMap, Poset, QuotientPoset, build_poset, iter_ideal_masks, principal_ideal
+from dualfix.bitgraph import bits, tarjan_scc
+from dualfix.fixpoint import _canonical_classes
 
 LETTERS = "abcdefgh"
 
@@ -92,6 +93,54 @@ def brute_preorder_pairs(poset, phi):
         pairs.append((x, phi(x)))
         pairs.append((phi(x), x))
     return brute_closure_pairs(poset.elements, pairs)
+
+
+def scan_monotone_witness(image, domain, codomain):
+    """First pair x <= y, in identifier order, whose images are not
+    ordered, by scanning every closed pair; None for a monotone image."""
+    for i in range(len(domain)):
+        for j in bits(domain.up_masks[i]):
+            if not codomain.leq_idx(image[i], image[j]):
+                return (domain.elements[i], domain.elements[j])
+    return None
+
+
+def closure_coequalizer(phi):
+    """The coequalizer built from the closed order: condense the strongly
+    connected parts of the closed rows plus the map edges, close the
+    condensation class by class, then remap rows to canonical classes."""
+    base = phi.domain
+    n = len(base)
+    adj = list(base.up_masks)
+    for i in range(n):
+        j = phi.image[i]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    comps = tarjan_scc(adj)
+    comp_of = [0] * n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    reach = [0] * len(comps)
+    for ci, comp in enumerate(comps):
+        r = 1 << ci
+        for v in comp:
+            for w in bits(adj[v]):
+                if comp_of[w] != ci:
+                    r |= reach[comp_of[w]]
+        reach[ci] = r
+    names, member_masks, class_idx = _canonical_classes(base, [sorted(c) for c in comps])
+    canon = [class_idx[comp[0]] for comp in comps]
+    up = [0] * len(comps)
+    for e, r in enumerate(reach):
+        up[canon[e]] = sum(1 << canon[e2] for e2 in bits(r))
+    classes = tuple(base.ids_from(mask) for mask in member_masks)
+    return QuotientPoset(base, classes, Poset(names, up), member_masks, class_idx)
+
+
+def inclusion_rows(masks):
+    """Up rows of a family of sets under inclusion, by the pairwise scan."""
+    return [sum(1 << j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]
 
 
 # ----------------------------------------------------------- enumerations

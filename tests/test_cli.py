@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import dualfix.fixpoint
 import dualfix.lattice
-from dualfix.cli import EXIT_INTERNAL, main
+import dualfix.poset
+from dualfix.cli import EXIT_INTERNAL, _parser, main
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -119,6 +124,86 @@ class TestInternalErrors:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert err.startswith("error: internal: ")
+
+    def test_monotone_check_disagreement_is_exit_4(self, capsys, write_json, monkeypatch):
+        # the generator check rejecting a monotone map leaves the pair scan
+        # without a witness
+        monkeypatch.setattr(dualfix.poset, "_preserves_generators", lambda image, domain, codomain: False)
+        code, out, err = run(
+            capsys,
+            "validate", "map", write_json("m.json", COLLAPSE),
+            "--poset", write_json("p.json", TWO_CHAIN),
+        )
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("error: internal: ")
+
+
+class TestQuotientAtScale:
+    # The identity's quotient is the base itself: one class per element and
+    # the base's covers.  Checked against closed forms; no time is asserted.
+    @staticmethod
+    def _identity_quotient(capsys, write_json, ids, pairs):
+        code, out, _ = run(
+            capsys,
+            "fixpoints", "--quotient",
+            "--poset", write_json("p.json", {"elements": ids, "leq": pairs}),
+            "--map", write_json("m.json", {"map": {x: x for x in ids}}),
+        )
+        assert code == 0
+        return json.loads(out)
+
+    def test_chain_of_3000(self, capsys, write_json):
+        ids = [f"c{i:04d}" for i in range(3000)]
+        obj = self._identity_quotient(capsys, write_json, ids, [[a, b] for a, b in zip(ids, ids[1:])])
+        assert obj["classes"] == {f"[{x}]": [x] for x in ids}
+        assert obj["leq"] == [[f"[{a}]", f"[{b}]"] for a, b in zip(ids, ids[1:])]
+        assert len(obj["leq"]) == 3000 - 1
+
+    def test_grid_of_50_by_60(self, capsys, write_json):
+        g = [[f"g{r:02d}x{c:02d}" for c in range(60)] for r in range(50)]
+        ids = [x for row in g for x in row]
+        covers = []
+        for r in range(50):
+            for c in range(60):
+                if c + 1 < 60:
+                    covers.append([g[r][c], g[r][c + 1]])
+                if r + 1 < 50:
+                    covers.append([g[r][c], g[r + 1][c]])
+        # generating pairs in reverse, so the input order is not the output's
+        obj = self._identity_quotient(capsys, write_json, ids, covers[::-1])
+        assert obj["classes"] == {f"[{x}]": [x] for x in ids}
+        assert obj["leq"] == [[f"[{a}]", f"[{b}]"] for a, b in covers]
+        assert len(obj["leq"]) == 50 * 59 + 49 * 60
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_match_fresh_processes(self, capsys, write_json, monkeypatch):
+        # main() builds its parser once per process; a sequence of calls in
+        # one process, failing ones included, must answer like fresh ones.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(dualfix.__file__).parents[1]))
+        poset = write_json("p.json", TWO_CHAIN)
+        mapping = write_json("m.json", COLLAPSE)
+        sequence = [
+            ["validate", "map", mapping, "--poset", poset],
+            ["fixpoints", "--poset", poset, "--map", mapping, "--count", "--list"],
+            ["--help"],
+            ["fixpoints", "--poset", poset, "--map", mapping, "--quotient"],
+            ["validate", "map", mapping, "--poset", poset],
+        ]
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "dualfix.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert [code, fresh.stdout] == [0, '{"valid":true}\n']
+        assert _parser() is _parser()
 
 
 class TestFixpoints:

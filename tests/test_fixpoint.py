@@ -30,6 +30,7 @@ from dualfix import (
 )
 from helpers import (
     brute_preorder_pairs,
+    closure_coequalizer,
     monotone_selfmaps,
     noniso_posets_upto,
     random_monotone_between,
@@ -150,6 +151,32 @@ class TestCoequalizerGeneral:
             flat = [x for c in quo.classes for x in c]
             assert sorted(flat) == sorted(base.elements)
             assert len(flat) == len(set(flat))
+
+    @staticmethod
+    def _assert_matches_closure_construction(phi):
+        quo, ref = coequalizer_general(phi), closure_coequalizer(phi)
+        assert quo.classes == ref.classes
+        assert quo.class_poset.elements == ref.class_poset.elements
+        assert quo.class_poset.up_masks == ref.class_poset.up_masks
+        assert quo.class_poset.down_masks == ref.class_poset.down_masks
+        assert quo.member_masks == ref.member_masks
+
+    def test_matches_the_closure_construction_exhaustive_small(self):
+        # every monotone self-map of every poset of at most 4 elements, with
+        # the poset rebuilt from its covers so that the generators are sparse
+        for p in noniso_posets_upto(4):
+            base = build_poset(list(p.elements), p.covers())
+            for phi in monotone_selfmaps(base):
+                self._assert_matches_closure_construction(phi)
+
+    def test_matches_the_closure_construction_on_random_maps(self):
+        # random generating pairs, monotone maps and arbitrary tables
+        rng = random.Random(89)
+        for _ in range(300):
+            base = random_poset(rng, rng.randrange(0, 13))
+            self._assert_matches_closure_construction(random_monotone_between(rng, base, base))
+            image = [rng.randrange(len(base)) for _ in base.elements]
+            self._assert_matches_closure_construction(MonotoneMap(base, base, image))
 
     def test_agreement_with_components_exhaustive_small(self):
         for base in noniso_posets_upto(3):

@@ -19,8 +19,10 @@ from dualfix import (
     principal_ideal,
 )
 from dualfix.lattice import _birkhoff, _preserves_laws, _raise_hom_witness, _raise_lattice_witness
+from dualfix.bitgraph import bits, transpose_masks
 from helpers import (
     brute_join_irreducibles,
+    inclusion_rows,
     labeled_posets,
     noniso_posets_upto,
     random_monotone_between,
@@ -98,6 +100,21 @@ class TestIdealLattice:
                     mi, mj = lat.element_masks[i], lat.element_masks[j]
                     assert lat.element_masks[lat.index(lat.meet(x, y))] == mi & mj
                     assert lat.element_masks[lat.index(lat.join(x, y))] == mi | mj
+
+    def test_order_is_inclusion(self):
+        # the order built over covers against the pairwise inclusion scan
+        rng = random.Random(37)
+        bases = [p for n in range(5) for p in labeled_posets(n)]
+        bases += [random_poset(rng, rng.randrange(0, 10)) for _ in range(100)]
+        bases.append(build_poset([f"a{k}" for k in range(8)], []))
+        for base in bases:
+            lat = ideal_lattice(base)
+            assert list(lat.elements) == sorted(lat.elements)
+            assert list(lat.order.up_masks) == inclusion_rows(lat.element_masks)
+            assert list(lat.order.down_masks) == transpose_masks(lat.order.up_masks)
+            gen = lat.order.gen_masks
+            pairs = [(x, lat.elements[j]) for i, x in enumerate(lat.elements) for j in bits(gen[i])]
+            assert build_poset(list(lat.elements), pairs) == lat.order
 
     def test_size_bound_exceeded(self):
         anti = build_poset([f"a{k}" for k in range(5)], [])

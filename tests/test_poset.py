@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from dualfix import (
     iter_ideal_masks,
     principal_ideal,
 )
+from dualfix.bitgraph import bits, transpose_masks
 from helpers import (
     brute_closure_pairs,
     brute_ideal_sets,
@@ -30,8 +32,29 @@ from helpers import (
     labeled_posets,
     noniso_posets,
     noniso_posets_upto,
+    random_monotone_between,
     random_poset,
+    scan_monotone_witness,
 )
+
+
+def noisy_pairs(rng, p):
+    """Generating pairs of p: its covers plus some redundant closed pairs,
+    reflexive pairs and duplicates, shuffled."""
+    pairs = list(p.covers())
+    closed = [(x, y) for x in p for y in p if x != y and p.leq(x, y)]
+    pairs += rng.sample(closed, len(closed) // 3)
+    pairs += [(x, x) for x in p if rng.random() < 0.3]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def noisy_random_posets(seed, count, max_size):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = random_poset(rng, rng.randrange(0, max_size + 1))
+        yield rng, build_poset(list(p.elements), noisy_pairs(rng, p))
 
 
 @st.composite
@@ -107,6 +130,34 @@ class TestBuildPoset:
         for _ in range(25):
             p = random_poset(rng, rng.randrange(0, 7))
             assert build_poset(list(p.elements), p.covers()) == p
+
+    def test_down_masks_are_the_transpose_of_the_up_masks(self):
+        for _, p in noisy_random_posets(17, 200, 12):
+            assert list(p.down_masks) == transpose_masks(p.up_masks)
+
+    def test_generators_are_the_strict_input_edges(self):
+        for rng, p in noisy_random_posets(19, 100, 10):
+            pairs = noisy_pairs(rng, p)
+            q = build_poset(list(p.elements), pairs)
+            assert q == p
+            expected = {(x, y) for x, y in pairs if x != y}
+            got = {(p.elements[i], p.elements[j]) for i in range(len(p)) for j in bits(q.gen_masks[i])}
+            assert got == expected
+
+    def test_other_generators_of_the_same_order_are_equal_and_hash_equal(self):
+        for _, p in noisy_random_posets(29, 100, 10):
+            pairs = [(x, y) for x in p for y in p if p.leq(x, y)]
+            covers = build_poset(list(p.elements), p.covers())
+            closed = build_poset(list(p.elements), pairs)
+            assert covers == closed == p
+            assert hash(covers) == hash(closed) == hash(p)
+            if len(pairs) - len(p) > len(p.covers()):
+                assert covers.gen_masks != closed.gen_masks
+
+    def test_trusted_constructor_falls_back_to_the_closure(self, two_chain):
+        p = Poset(two_chain.elements, two_chain.up_masks)
+        assert p.gen_masks == p.up_masks
+        assert p == two_chain
 
 
 class TestPrincipalIdeal:
@@ -303,6 +354,46 @@ class TestIsMonotone:
                 else:
                     with pytest.raises(NotMonotone):
                         is_monotone(table, p, p)
+
+    @staticmethod
+    def _check_against_scan(table, domain, codomain):
+        image = [codomain.index(table[x]) for x in domain]
+        witness = scan_monotone_witness(image, domain, codomain)
+        if witness is None:
+            assert is_monotone(table, domain, codomain).image == tuple(image)
+        else:
+            with pytest.raises(NotMonotone) as exc:
+                is_monotone(table, domain, codomain)
+            assert tuple(exc.value.payload["witness"]) == witness
+        return witness is None
+
+    def test_generator_check_matches_the_scan_on_every_small_selfmap(self):
+        # every labeled poset of at most 4 elements, rebuilt from its covers
+        # so that the generators are sparse, and every self-map table
+        accepted = rejected = 0
+        for n in range(5):
+            for p in labeled_posets(n):
+                p = build_poset(list(p.elements), p.covers())
+                for image in product(p.elements, repeat=n):
+                    if self._check_against_scan(dict(zip(p.elements, image)), p, p):
+                        accepted += 1
+                    else:
+                        rejected += 1
+        assert (accepted, rejected) == (9741, 46850)
+
+    def test_generator_check_matches_the_scan_on_noisy_random_posets(self):
+        # redundant, reflexive and duplicate generating pairs; monotone maps,
+        # monotone maps with one image moved, and maps into another poset
+        for rng, p in noisy_random_posets(31, 300, 9):
+            if not len(p):
+                continue
+            q = random_poset(rng, rng.randrange(1, 8), prefix="f")
+            for codomain in (p, q):
+                phi = random_monotone_between(rng, p, codomain)
+                table = phi.table
+                assert self._check_against_scan(table, p, codomain)
+                table[rng.choice(p.elements)] = rng.choice(codomain.elements)
+                self._check_against_scan(table, p, codomain)
 
     def test_composition(self, two_chain):
         phi = is_monotone({"p": "q", "q": "q"}, two_chain, two_chain)
