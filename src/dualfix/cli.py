@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
@@ -48,27 +47,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    kind: str | None = None
-    mode: str = "list"
-    max_lattice: int | None = None
-    count_cap: int = DEFAULT_COUNT_CAP
-    output: str | None = None
-    artifact: str = "counterexample.json"
-    shape: str | None = None
-    n: int = 0
-    map_kind: str | None = None
-
-    def __post_init__(self):
-        if self.max_lattice is not None and self.max_lattice <= 0:
-            raise UsageError("--max-lattice must be positive")
-        if self.count_cap <= 0:
-            raise UsageError("--count-cap must be positive")
 
 
 def _dumps(obj) -> str:
@@ -145,26 +123,13 @@ def _parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed arguments, with the input paths given attached as
+    ``inputs``, keyed by role: file, poset, lattice, codomain, map, hom."""
     ns = _parser().parse_args(argv)
-    inputs = {"file": getattr(ns, "file", None)}
-    for role in ("poset", "lattice", "codomain"):
-        inputs[role] = getattr(ns, role, None)
-    inputs["map"] = getattr(ns, "map_file", None)
-    inputs["hom"] = getattr(ns, "hom_file", None)
-    return RunConfig(
-        command=ns.command,
-        inputs={k: v for k, v in inputs.items() if v is not None},
-        kind=getattr(ns, "kind", None),
-        mode=getattr(ns, "mode", "list"),
-        max_lattice=ns.max_lattice,
-        count_cap=getattr(ns, "count_cap", DEFAULT_COUNT_CAP),
-        output=ns.output,
-        artifact=getattr(ns, "artifact", "counterexample.json"),
-        shape=getattr(ns, "shape", None),
-        n=getattr(ns, "n", 0),
-        map_kind=getattr(ns, "map_kind", None),
-    )
+    dests = {"file": "file", "poset": "poset", "lattice": "lattice", "codomain": "codomain", "map": "map_file", "hom": "hom_file"}
+    ns.inputs = {role: getattr(ns, dest) for role, dest in dests.items() if getattr(ns, dest, None) is not None}
+    return ns
 
 
 def _load_poset(cfg, role):

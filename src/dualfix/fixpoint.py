@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import UnionFind, bits, dag_reach, tarjan_scc
+from .bitgraph import UnionFind, bits, tarjan_scc
 from .duality import dual_map, hom_from_dual
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
 from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound, ideal_lattice
@@ -37,7 +37,7 @@ class QuotientPoset:
     exactly when class_leq([x], [y]).
     """
 
-    __slots__ = ("base", "classes", "class_poset", "member_masks", "_class_idx", "_gen")
+    __slots__ = ("base", "classes", "class_poset", "member_masks", "_class_idx")
 
     def __init__(self, base, classes, class_poset, member_masks, class_idx):
         self.base = base
@@ -45,7 +45,6 @@ class QuotientPoset:
         self.class_poset = class_poset
         self.member_masks = member_masks
         self._class_idx = class_idx
-        self._gen = None
 
     def __len__(self):
         return len(self.classes)
@@ -55,18 +54,6 @@ class QuotientPoset:
 
     def class_leq(self, c1, c2) -> bool:
         return self.class_poset.leq(c1, c2)
-
-    def gen_preorder(self) -> tuple:
-        """Rows of the generating preorder over base elements (audit view)."""
-        if self._gen is None:
-            class_rows = []
-            for c in range(len(self.classes)):
-                row = 0
-                for c2 in bits(self.class_poset.up_masks[c]):
-                    row |= self.member_masks[c2]
-                class_rows.append(row)
-            self._gen = tuple(class_rows[self._class_idx[i]] for i in range(len(self.base)))
-        return self._gen
 
     def __eq__(self, other):
         if not isinstance(other, QuotientPoset):
@@ -132,9 +119,10 @@ def phi_components(phi: MonotoneMap) -> QuotientPoset:
         if len(comp) > 1:
             a, b = sorted(comp)[:2]
             raise QuotientNotAntisymmetric(names[a], names[b])
-    up = dag_reach(cadj, [c[0] for c in comps])
+    gen = [row & ~(1 << c) for c, row in enumerate(cadj)]
+    class_poset = _generated_poset(names, gen, [c[0] for c in comps])
     classes = tuple(base.ids_from(mask) for mask in member_masks)
-    return QuotientPoset(base, classes, Poset(names, up), member_masks, class_idx)
+    return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
 
 
 def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:

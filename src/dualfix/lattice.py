@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 from array import array
 
-from .bitgraph import bits
+from .bitgraph import bits, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import OrderIdeal, Poset, _cover_masks, _generated_poset, _total_image, count_ideals, iter_ideal_masks
+from .poset import OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _total_image, count_ideals, iter_ideal_masks
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -46,7 +46,8 @@ class FiniteLattice:
     i corresponds to; the map is an order-isomorphism onto all ideals of B,
     so meet and join are intersection and union of masks.  For ideal
     lattices B is the poset the elements are ideals of; for lattices built
-    from an order it is the sub-poset of join-irreducible elements.
+    from an order it is the sub-poset of join-irreducible elements, closed
+    from sparse generators found while validating, like every poset.
     Instances come from the validating constructors below and are immutable.
     """
 
@@ -77,6 +78,9 @@ class FiniteLattice:
 
     def __iter__(self):
         return iter(self.order.elements)
+
+    def __contains__(self, x):
+        return x in self.order
 
     def index(self, x):
         return self.order.index(x)
@@ -152,32 +156,43 @@ def _birkhoff(order: Poset):
     isomorphic to the ideal lattice of J.  Conversely, in a finite
     distributive lattice J is the set of join-irreducibles and the map is
     Birkhoff's isomorphism, so all three checks pass.
+
+    Alongside, gens[a] is a set of irreducibles whose down-closure in J is
+    masks[a]: a itself for a in J, else the union over the lower covers.
+    Each j in J is generated from gens of its one lower cover, whose
+    down-closure is everything in J strictly below j.
     """
     n = len(order)
     up, down = order.up_masks, order.down_masks
-    lower, upper = _cover_masks(order)
+    lower, _ = _cover_masks(order)
     irr = [a for a in range(n) if lower[a].bit_count() == 1]
-    own = {j: 1 << k for k, j in enumerate(irr)}
+    rank = {j: k for k, j in enumerate(irr)}
     extension = sorted(range(n), key=lambda a: down[a].bit_count())
     full = (1 << n) - 1
     masks = [0] * n
+    gens = [0] * n
+    below = [0] * len(irr)
     for a in extension:
-        mask = own.get(a, 0)
+        mask = gen = 0
         bounds = full
         for c in bits(lower[a]):
             mask |= masks[c]
+            gen |= gens[c]
             bounds &= up[c]
-        if a not in own and bounds != up[a]:
+        if a in rank:
+            k = rank[a]
+            below[k] = gen
+            mask |= 1 << k
+            gen = 1 << k
+        elif bounds != up[a]:
             return None
         masks[a] = mask
-    # J's up-sets, over the same positions, by the mirror-image pass.
-    above = [0] * n
-    for a in reversed(extension):
-        mask = own.get(a, 0)
-        for c in bits(upper[a]):
-            mask |= above[c]
-        above[a] = mask
-    base = Poset([order.elements[j] for j in irr], [above[j] for j in irr], [masks[j] for j in irr])
+        gens[a] = gen
+    base = _generated_poset(
+        [order.elements[j] for j in irr],
+        transpose_masks(below),
+        [rank[a] for a in reversed(extension) if a in rank],
+    )
     try:
         if count_ideals(base, max_count=n) != n:
             return None
@@ -268,16 +283,19 @@ def join_irreducibles(lat: FiniteLattice) -> Poset:
 
 def _irreducibles(lat: FiniteLattice):
     """join_irreducibles(lat), and per base point x the index in it of the
-    element whose ideal is the down-set of x."""
+    element whose ideal is the down-set of x: the base's generators,
+    relabelled by that index and closed."""
     base = lat.ideal_base
     elems = [lat.ideal_index(down) for down in base.down_masks]
-    if elems == sorted(elems):
-        # Same index order as the base (always so for lattices built from an
-        # order): rename the base instead of restricting the lattice order.
-        names = [lat.elements[e] for e in elems]
-        return Poset(names, base.up_masks, base.down_masks, base.gen_masks), list(range(len(elems)))
     rank = {e: k for k, e in enumerate(sorted(elems))}
-    return lat.order.restrict(elems), [rank[e] for e in elems]
+    pos = [rank[e] for e in elems]
+    gen = [0] * len(pos)
+    for x, succ in enumerate(base.gen_masks):
+        for y in bits(succ):
+            gen[pos[x]] |= 1 << pos[y]
+    extension = sorted(range(len(pos)), key=lambda x: base.up_masks[x].bit_count())
+    irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in extension])
+    return irr, pos
 
 
 def birkhoff_eta(lat: FiniteLattice) -> dict:
@@ -303,58 +321,17 @@ def birkhoff_eta(lat: FiniteLattice) -> dict:
     return out
 
 
-class LatticeHom:
+class LatticeHom(_TableMap):
     """A map between lattices preserving meet, join, bottom and top.
 
     Build through :func:`is_homomorphism`; ``unchecked`` is the validation
     bypass for oracle harnesses that iterate deliberately non-preserving
-    maps.
+    maps.  Lattices are unhashable, and so are their homomorphisms.
     """
 
-    __slots__ = ("domain", "codomain", "image")
-
-    def __init__(self, domain: FiniteLattice, codomain: FiniteLattice, image):
-        self.domain = domain
-        self.codomain = codomain
-        self.image = tuple(image)
-
-    @classmethod
-    def identity(cls, lat: FiniteLattice) -> "LatticeHom":
-        return cls(lat, lat, range(len(lat)))
-
-    @classmethod
-    def unchecked(cls, table, domain: FiniteLattice, codomain: FiniteLattice) -> "LatticeHom":
-        return cls(domain, codomain, _total_image(table, domain.order, codomain.order))
-
-    @property
-    def table(self) -> dict:
-        return {x: self.codomain.elements[self.image[i]] for i, x in enumerate(self.domain.elements)}
-
-    def __call__(self, x):
-        return self.codomain.elements[self.image[self.domain.index(x)]]
-
-    def after(self, other: "LatticeHom") -> "LatticeHom":
-        """Composition self . other (apply ``other`` first)."""
-        if other.codomain != self.domain:
-            raise ValueError("composition domains do not match")
-        return LatticeHom(other.domain, self.codomain, (self.image[i] for i in other.image))
-
-    def is_endo(self) -> bool:
-        return self.domain == self.codomain
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeHom):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.image == other.image
-        )
+    __slots__ = ()
 
     __hash__ = None
-
-    def __repr__(self):
-        return f"LatticeHom({self.table!r})"
 
 
 def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> LatticeHom:

@@ -25,30 +25,28 @@ class Poset:
 
     ``up_masks[i]`` holds {j | i <= j} and ``down_masks[i]`` holds
     {j | j <= i} as bitmasks; both are reflexive-transitively closed.
-    ``gen_masks[i]`` holds the successors of i along a generating relation
-    whose reflexive-transitive closure is the order.  :func:`build_poset`
-    and the quotient store their strict generating edges there, so layers
-    that only need to walk the order (the monotone check, the quotient) run
-    in O(n + generating edges) steps; a trusted caller that omits them gets
-    ``up_masks``, which generates itself.  The generators are a working
-    representation and take no part in equality or hashing.
-    Use :func:`build_poset` to construct one from generating pairs.
+    ``gen_masks[i]`` holds the successors of i along strict generating
+    edges whose reflexive-transitive closure is the order, so layers that
+    only need to walk the order (the quotient, the monotone check's
+    preimages) run in O(n + generating edges) steps.  The generators are a
+    working representation and take no part in equality or hashing.
+    Every instance in the package comes from :func:`_generated_poset`,
+    which closes the generators; use :func:`build_poset` to construct one
+    from pairs.
     """
 
     __slots__ = ("elements", "up_masks", "down_masks", "gen_masks", "_index")
 
-    def __init__(self, elements, up_masks, down_masks=None, gen_masks=None):
-        # Trusted constructor: callers guarantee a closed partial order and,
-        # if given, generators of it; only the sorted identifier order is
-        # checked.
+    def __init__(self, elements, up_masks, down_masks, gen_masks):
+        # Trusted constructor: the caller guarantees closed up- and down-sets
+        # of a partial order and strict generators of it; only the sorted
+        # identifier order is checked.
         self.elements = tuple(elements)
         if list(self.elements) != sorted(self.elements):
             raise ValueError("poset elements must be in sorted identifier order")
         self.up_masks = tuple(up_masks)
-        if down_masks is None:
-            down_masks = transpose_masks(self.up_masks)
         self.down_masks = tuple(down_masks)
-        self.gen_masks = self.up_masks if gen_masks is None else tuple(gen_masks)
+        self.gen_masks = tuple(gen_masks)
         self._index = {x: i for i, x in enumerate(self.elements)}
 
     def __len__(self):
@@ -105,19 +103,6 @@ class Poset:
         """Covering pairs (lesser, greater): the transitive reduction."""
         _, upper = _cover_masks(self)
         return [(self.elements[i], self.elements[j]) for i in range(len(self)) for j in bits(upper[i])]
-
-    def restrict(self, indices) -> "Poset":
-        """Sub-poset on the given element indices, order inherited."""
-        idxs = sorted(indices)
-        keep = mask_of(idxs)
-        pos = {v: k for k, v in enumerate(idxs)}
-        up = []
-        for v in idxs:
-            row = 0
-            for w in bits(self.up_masks[v] & keep):
-                row |= 1 << pos[w]
-            up.append(row)
-        return Poset([self.elements[v] for v in idxs], up)
 
 
 def build_poset(elements, pairs) -> Poset:
@@ -371,26 +356,26 @@ def enumerate_ideals(poset: Poset) -> Iterator[OrderIdeal]:
         yield OrderIdeal(poset, mask)
 
 
-class MonotoneMap:
-    """A total order-preserving map between posets.
+class _TableMap:
+    """A total map between finite carriers, stored as image indices.
 
-    Build through :func:`is_monotone`; ``unchecked`` skips only the order
-    check and exists for oracle harnesses that need deliberately broken maps.
+    The shared body of :class:`MonotoneMap` and ``lattice.LatticeHom``;
+    each subclass's validating constructor is the one that checks its laws.
     """
 
     __slots__ = ("domain", "codomain", "image")
 
-    def __init__(self, domain: Poset, codomain: Poset, image):
+    def __init__(self, domain, codomain, image):
         self.domain = domain
         self.codomain = codomain
         self.image = tuple(image)
 
     @classmethod
-    def identity(cls, poset: Poset) -> "MonotoneMap":
-        return cls(poset, poset, range(len(poset)))
+    def identity(cls, carrier):
+        return cls(carrier, carrier, range(len(carrier)))
 
     @classmethod
-    def unchecked(cls, table, domain: Poset, codomain: Poset) -> "MonotoneMap":
+    def unchecked(cls, table, domain, codomain):
         return cls(domain, codomain, _total_image(table, domain, codomain))
 
     @property
@@ -400,17 +385,17 @@ class MonotoneMap:
     def __call__(self, x):
         return self.codomain.elements[self.image[self.domain.index(x)]]
 
-    def after(self, other: "MonotoneMap") -> "MonotoneMap":
+    def after(self, other):
         """Composition self . other (apply ``other`` first)."""
         if other.codomain != self.domain:
             raise ValueError("composition domains do not match")
-        return MonotoneMap(other.domain, self.codomain, (self.image[i] for i in other.image))
+        return type(self)(other.domain, self.codomain, (self.image[i] for i in other.image))
 
     def is_endo(self) -> bool:
         return self.domain == self.codomain
 
     def __eq__(self, other):
-        if not isinstance(other, MonotoneMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.domain == other.domain
@@ -422,7 +407,17 @@ class MonotoneMap:
         return hash((self.domain, self.codomain, self.image))
 
     def __repr__(self):
-        return f"MonotoneMap({self.table!r})"
+        return f"{type(self).__name__}({self.table!r})"
+
+
+class MonotoneMap(_TableMap):
+    """A total order-preserving map between posets.
+
+    Build through :func:`is_monotone`; ``unchecked`` skips only the order
+    check and exists for oracle harnesses that need deliberately broken maps.
+    """
+
+    __slots__ = ()
 
 
 def _total_image(table, domain, codomain):
@@ -440,37 +435,24 @@ def _total_image(table, domain, codomain):
 def is_monotone(table, domain: Poset, codomain: Poset) -> MonotoneMap:
     """Validate a raw element table as a monotone map and wrap it.
 
-    Accepts through :func:`_preserves_generators`.  Only a table that fails
-    it is scanned pair by pair in identifier order, so NotMonotone carries
-    the first pair x <= y whose images are not ordered.
+    For each codomain point c it forms the preimage of the up-set of c,
+    closing along the codomain's generating edges with the codomain sorted
+    by up-set size.  The map is monotone exactly when every up-set of the
+    domain lies in the preimage of the up-set of its image; otherwise
+    NotMonotone carries the first pair x <= y, in identifier order, whose
+    images are not ordered.
     """
     image = _total_image(table, domain, codomain)
-    if not _preserves_generators(image, domain, codomain):
-        _raise_monotone_witness(image, domain, codomain)
-        raise RuntimeError("generating-edge check rejected a map that the pair scan accepts")
-    return MonotoneMap(domain, codomain, image)
-
-
-def _preserves_generators(image, domain, codomain) -> bool:
-    """Whether the image keeps every generating edge of the domain ordered.
-
-    That is enough: the domain order is the reflexive-transitive closure of
-    its generating edges, and the codomain order is reflexive and
-    transitive, so every x <= y maps to an ordered pair.
-    """
+    pre = [0] * len(codomain)
+    for i, c in enumerate(image):
+        pre[c] |= 1 << i
     up = codomain.up_masks
-    for i, succ in enumerate(domain.gen_masks):
-        row = up[image[i]]
-        for j in bits(succ):
-            if not row >> image[j] & 1:
-                return False
-    return True
-
-
-def _raise_monotone_witness(image, domain, codomain):
-    """The canonical pair scan: raise the first x <= y, in identifier order,
-    whose images are not ordered."""
-    for i in range(len(domain)):
-        for j in bits(domain.up_masks[i]):
-            if not codomain.leq_idx(image[i], image[j]):
-                raise NotMonotone(domain.elements[i], domain.elements[j])
+    for c in sorted(range(len(codomain)), key=lambda c: up[c].bit_count()):
+        for d in bits(codomain.gen_masks[c]):
+            pre[c] |= pre[d]
+    for i, row in enumerate(domain.up_masks):
+        missing = row & ~pre[image[i]]
+        if missing:
+            j = (missing & -missing).bit_length() - 1
+            raise NotMonotone(domain.elements[i], domain.elements[j])
+    return MonotoneMap(domain, codomain, image)

@@ -9,13 +9,67 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from dualfix import MonotoneMap, Poset, QuotientPoset, build_poset, iter_ideal_masks, principal_ideal
-from dualfix.bitgraph import bits, tarjan_scc
+from dualfix.bitgraph import bits, tarjan_scc, transpose_masks
 from dualfix.fixpoint import _canonical_classes
 
 LETTERS = "abcdefgh"
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def closed_poset(elements, up):
+    """The poset with the given closed up-sets, built without the library's
+    closure: down-sets by transposing, every strict relation a generator."""
+    return Poset(elements, up, transpose_masks(up), [row & ~(1 << i) for i, row in enumerate(up)])
+
+
+def restrict(poset, indices):
+    """Sub-poset on the given element indices, order inherited, by remapping
+    each closed row bit by bit."""
+    idxs = sorted(indices)
+    pos = {v: k for k, v in enumerate(idxs)}
+    up = [sum(1 << pos[w] for w in bits(poset.up_masks[v]) if w in pos) for v in idxs]
+    return closed_poset([poset.elements[v] for v in idxs], up)
+
+
+def gen_preorder(quotient):
+    """Rows of a quotient's generating preorder over base elements: x is
+    below every member of every class at or above its own."""
+    cp = quotient.class_poset
+    class_rows = []
+    for row in cp.up_masks:
+        members = 0
+        for c in bits(row):
+            members |= quotient.member_masks[c]
+        class_rows.append(members)
+    return tuple(class_rows[cp.index(quotient.class_name_of(x))] for x in quotient.base.elements)
+
+
+def closure_rows(gen):
+    """Reflexive-transitive closure of successor masks, by naive iteration
+    to a fixed point."""
+    rows = [row | 1 << i for i, row in enumerate(gen)]
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            grown = row
+            for j in bits(row):
+                grown |= rows[j]
+            if grown != row:
+                rows[i] = grown
+                changed = True
+    return rows
+
+
+def assert_generated(poset):
+    """The poset's generators are strict and close to its order, and its
+    down-sets are the transpose of its up-sets."""
+    for i, row in enumerate(poset.gen_masks):
+        assert not row >> i & 1, f"self-loop at {poset.elements[i]}"
+    assert list(poset.up_masks) == closure_rows(poset.gen_masks)
+    assert list(poset.down_masks) == transpose_masks(poset.up_masks)
 
 
 def brute_closure_pairs(elements, pairs):
@@ -135,7 +189,7 @@ def closure_coequalizer(phi):
     for e, r in enumerate(reach):
         up[canon[e]] = sum(1 << canon[e2] for e2 in bits(r))
     classes = tuple(base.ids_from(mask) for mask in member_masks)
-    return QuotientPoset(base, classes, Poset(names, up), member_masks, class_idx)
+    return QuotientPoset(base, classes, closed_poset(names, up), member_masks, class_idx)
 
 
 def inclusion_rows(masks):
@@ -171,7 +225,7 @@ def labeled_posets(n):
                 transitive = False
                 break
         if transitive:
-            out.append(Poset(ids, rel))
+            out.append(closed_poset(ids, rel))
     return tuple(out)
 
 
@@ -239,7 +293,7 @@ def noniso_posets(n):
             up.append(new_bit)
             canon = _canonical_form(up)
             if canon not in seen:
-                seen[canon] = Poset(ids, up)
+                seen[canon] = closed_poset(ids, up)
     return tuple(seen.values())
 
 

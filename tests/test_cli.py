@@ -6,7 +6,6 @@ from pathlib import Path
 
 import dualfix.fixpoint
 import dualfix.lattice
-import dualfix.poset
 from dualfix.cli import EXIT_INTERNAL, _parser, main
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
@@ -125,19 +124,6 @@ class TestInternalErrors:
         assert out == ""
         assert err.startswith("error: internal: ")
 
-    def test_monotone_check_disagreement_is_exit_4(self, capsys, write_json, monkeypatch):
-        # the generator check rejecting a monotone map leaves the pair scan
-        # without a witness
-        monkeypatch.setattr(dualfix.poset, "_preserves_generators", lambda image, domain, codomain: False)
-        code, out, err = run(
-            capsys,
-            "validate", "map", write_json("m.json", COLLAPSE),
-            "--poset", write_json("p.json", TWO_CHAIN),
-        )
-        assert code == EXIT_INTERNAL
-        assert out == ""
-        assert err.startswith("error: internal: ")
-
 
 class TestQuotientAtScale:
     # The identity's quotient is the base itself: one class per element and
@@ -175,6 +161,22 @@ class TestQuotientAtScale:
         assert obj["classes"] == {f"[{x}]": [x] for x in ids}
         assert obj["leq"] == [[f"[{a}]", f"[{b}]"] for a, b in covers]
         assert len(obj["leq"]) == 50 * 59 + 49 * 60
+
+    def test_lattice_chain_of_1024(self, capsys, write_json):
+        # every element but the bottom is join-irreducible, so the quotient
+        # is a chain of 1023 singleton classes
+        ids = [f"c{i:04d}" for i in range(1024)]
+        code, out, _ = run(
+            capsys,
+            "fixpoints", "--quotient",
+            "--lattice", write_json("l.json", {"elements": ids, "leq": [[a, b] for a, b in zip(ids, ids[1:])]}),
+            "--hom", write_json("h.json", {"map": {x: x for x in ids}}),
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["classes"] == {f"[{x}]": [x] for x in ids[1:]}
+        assert obj["leq"] == [[f"[{a}]", f"[{b}]"] for a, b in zip(ids[1:], ids[2:])]
+        assert len(obj["leq"]) == 1023 - 1
 
 
 class TestParserReuse:
@@ -531,3 +533,12 @@ class TestPlumbing:
         )
         assert code == 2
         assert json.loads(err)["error"] == "SizeBoundExceeded"
+
+    def test_non_positive_bounds_are_usage_errors(self, capsys, write_json):
+        poset = write_json("p.json", TWO_CHAIN)
+        code, out, err = run(capsys, "validate", "poset", poset, "--max-lattice", "0")
+        assert (code, out, err) == (1, "", "error: argument --max-lattice: must be positive\n")
+        code, out, err = run(
+            capsys, "bench", "--shape", "chain", "--n", "3", "--map-kind", "identity", "--count-cap", "0"
+        )
+        assert (code, out, err) == (1, "", "error: argument --count-cap: must be positive\n")

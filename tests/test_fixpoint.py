@@ -31,6 +31,7 @@ from dualfix import (
 from helpers import (
     brute_preorder_pairs,
     closure_coequalizer,
+    gen_preorder,
     monotone_selfmaps,
     noniso_posets_upto,
     random_monotone_between,
@@ -107,7 +108,7 @@ class TestCoequalizerGeneral:
             phi = random_monotone_between(rng, base, base)
             quo = coequalizer_general(phi)
             expected = brute_preorder_pairs(base, phi)
-            rows = quo.gen_preorder()
+            rows = gen_preorder(quo)
             got = {
                 (x, base.elements[j])
                 for i, x in enumerate(base.elements)

@@ -5,6 +5,8 @@ import pytest
 
 from dualfix import (
     LatticeHom,
+    MonotoneMap,
+    QuotientNotAntisymmetric,
     NotALattice,
     NotDistributive,
     NotHom,
@@ -12,21 +14,25 @@ from dualfix import (
     UnknownElement,
     birkhoff_eta,
     build_poset,
+    coequalizer_general,
     ideal_lattice,
     is_homomorphism,
     join_irreducibles,
     lattice_from_order,
+    phi_components,
     principal_ideal,
 )
 from dualfix.lattice import _birkhoff, _preserves_laws, _raise_hom_witness, _raise_lattice_witness
 from dualfix.bitgraph import bits, transpose_masks
 from helpers import (
+    assert_generated,
     brute_join_irreducibles,
     inclusion_rows,
     labeled_posets,
     noniso_posets_upto,
     random_monotone_between,
     random_poset,
+    restrict,
 )
 
 
@@ -147,6 +153,88 @@ class TestJoinIrreducibles:
                 assert sorted(join_irreducibles(lat).elements) == brute_join_irreducibles(lat)
 
 
+def _irreducible_indices(order):
+    """Elements whose strict down-set has exactly one maximal element."""
+    up, down = order.up_masks, order.down_masks
+    out = []
+    for x in range(len(order)):
+        below = down[x] ^ (1 << x)
+        if sum(1 for m in bits(below) if up[m] & below == 1 << m) == 1:
+            out.append(x)
+    return out
+
+
+def _assert_same_poset(got, expected):
+    assert got.elements == expected.elements
+    assert got.up_masks == expected.up_masks
+    assert got.down_masks == expected.down_masks
+
+
+class TestIrreduciblesAgainstRestriction:
+    """J(L), closed from generators, against the restriction of the order."""
+
+    def _check_birkhoff(self, order):
+        rep = _birkhoff(order)
+        if rep is None:
+            return False
+        _assert_same_poset(rep[0], restrict(order, _irreducible_indices(order)))
+        assert_generated(rep[0])
+        return True
+
+    def _check_join_irreducibles(self, lat):
+        irr = join_irreducibles(lat)
+        _assert_same_poset(irr, restrict(lat.order, _irreducible_indices(lat.order)))
+        assert_generated(irr)
+        elems = [lat.ideal_index(down) for down in lat.ideal_base.down_masks]
+        return elems != sorted(elems)
+
+    def test_bounded_distributive_orders_of_labeled_posets(self):
+        orders = [p for n in range(1, 6) for p in labeled_posets(n)]
+        orders += [_bounded(p) for n in range(6) for p in labeled_posets(n)]
+        accepted = 0
+        for order in orders:
+            if self._check_birkhoff(order):
+                accepted += 1
+                self._check_join_irreducibles(lattice_from_order(order))
+        assert 0 < accepted < len(orders)
+
+    def test_random_ideal_lattice_orders(self):
+        # ideal names such as "{e01,e03}" and "{e03}" sort apart from their
+        # base points, which takes the relabelling in join_irreducibles
+        rng = random.Random(103)
+        unsorted = 0
+        for _ in range(300):
+            lat = ideal_lattice(random_poset(rng, rng.randrange(0, 7)))
+            assert self._check_birkhoff(lat.order)
+            unsorted += self._check_join_irreducibles(lat)
+            assert not self._check_join_irreducibles(lattice_from_order(lat.order))
+        assert unsorted > 0
+
+
+class TestEveryConstructorGenerates:
+    def test_strict_generators_close_to_the_order(self):
+        rng = random.Random(107)
+        quotients = 0
+        for _ in range(100):
+            base = random_poset(rng, rng.randrange(0, 7))
+            lat = ideal_lattice(base)
+            posets = [base, lat.order, join_irreducibles(lat), join_irreducibles(lattice_from_order(lat.order))]
+            n = len(base)
+            for phi in (
+                random_monotone_between(rng, base, base),
+                MonotoneMap(base, base, [rng.randrange(n) for _ in range(n)]),
+            ):
+                posets.append(coequalizer_general(phi).class_poset)
+                try:
+                    posets.append(phi_components(phi).class_poset)
+                    quotients += 1
+                except QuotientNotAntisymmetric:
+                    pass
+            for p in posets:
+                assert_generated(p)
+        assert quotients > 100
+
+
 class TestBirkhoffEta:
     def test_three_chain_frozen(self, three_chain):
         lat = lattice_from_order(three_chain)
@@ -247,6 +335,20 @@ class TestIsHomomorphism:
         lat = lattice_from_order(three_chain)
         with pytest.raises(UnknownElement):
             is_homomorphism({"0": "0"}, lat, lat)
+
+    def test_table_map_behaviour_matches_monotone_maps(self, three_chain):
+        lat = lattice_from_order(three_chain)
+        hom = is_homomorphism({"0": "0", "m": "0", "1": "1"}, lat, lat)
+        assert type(hom.after(hom)) is LatticeHom and hom.after(hom) == hom
+        assert repr(hom) == "LatticeHom({'0': '0', '1': '1', 'm': '0'})"
+        phi = MonotoneMap.unchecked(hom.table, three_chain, three_chain)
+        assert repr(phi) == "MonotoneMap({'0': '0', '1': '1', 'm': '0'})"
+        assert phi.image == hom.image and phi != hom and hom != phi
+        assert hash(phi) == hash(MonotoneMap(three_chain, three_chain, hom.image))
+        with pytest.raises(TypeError):
+            hash(hom)
+        with pytest.raises(UnknownElement):
+            LatticeHom.unchecked({"0": "0", "zz": "0"}, lat, lat)
 
     def test_unchecked_bypass_skips_laws(self, two_antichain):
         lat = ideal_lattice(two_antichain)

@@ -8,13 +8,33 @@ import dualfix
 SRC = Path(dualfix.__file__).parent
 
 
+def _trees():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_bare_assert_in_the_package():
     # Invariants must survive ``python -O``, which strips assert statements;
     # raise an exception instead.
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
     found = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _trees():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_posets_are_built_only_in_the_poset_module():
+    # Outside poset.py every Poset comes from _generated_poset or build_poset,
+    # so each one carries strict generators of its order.
+    found = []
+    for path, tree in _trees():
+        if path.name == "poset.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Poset":
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
