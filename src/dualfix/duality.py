@@ -22,31 +22,66 @@ def dual_map(hom: LatticeHom) -> MonotoneMap:
     with y in f(down-set of x).  A validated homomorphism always
     yields a unique least candidate; NoMinimum flags a map that merely
     pretends to be one.
+
+    The dual is read off by differences, with no loop over pairs: y is new
+    at x when y is in f(down-set of x) but not in f(down-set of x less x).
+    For a homomorphism, y is in f(down-set of x) exactly when phi(y) <= x,
+    and f of the strict down-set is the union of f over the principal
+    ideals in it, so y is new exactly at phi(y).  The result is taken when
+    every y is new at exactly one x and each f(down-set of x) is what is
+    new at x plus f(down-set of w) over the generating predecessors w of x:
+    by induction over the order, y is then in f(down-set of x) exactly when
+    the x it is new at is <= x, so that x is the least candidate.  Any
+    other map runs the candidate loop, which names the first y without a
+    least candidate.
     """
     dom, cod = hom.domain, hom.codomain
     p, q = dom.ideal_base, cod.ideal_base
+
+    def image(ideal):
+        return cod.element_masks[hom.image[dom.ideal_index(ideal)]]
+
     # f(down-set of x) for each x in P, as member masks over Q.
-    images = [
-        cod.element_masks[hom.image[dom.ideal_index(p.down_masks[x])]]
-        for x in range(len(p))
-    ]
-    table = {}
+    images = [image(down) for down in p.down_masks]
+    least = _least_by_differences(images, [image(down ^ 1 << x) for x, down in enumerate(p.down_masks)], p, q)
+    if least is None:
+        least = _least_candidates(images, p, q)
+    return is_monotone({q.elements[y]: p.elements[x] for y, x in enumerate(least)}, q, p)
+
+
+def _least_by_differences(images, strict_images, p, q):
+    """Per y of Q the x of P it is new at, or None unless every y is new at
+    exactly one x and the images are generated from what is new."""
+    least = [None] * len(q)
+    below = [0] * len(p)
+    for x, (img, strict) in enumerate(zip(images, strict_images)):
+        for y in bits(img & ~strict):
+            if least[y] is not None:
+                return None
+            least[y] = x
+        for w in bits(p.gen_masks[x]):
+            below[w] |= img
+    if None in least or any(img != img & ~strict | low for img, strict, low in zip(images, strict_images, below)):
+        return None
+    return least
+
+
+def _least_candidates(images, p, q):
+    """Per y of Q the least x of P with y in images[x], in identifier order;
+    NoMinimum at the first y without one."""
+    least = []
     for y in range(len(q)):
         candidates = 0
         for x in range(len(p)):
             if images[x] >> y & 1:
                 candidates |= 1 << x
-        if not candidates:
-            raise NoMinimum(q.elements[y])
-        least = None
         for x in bits(candidates):
             if candidates & ~p.up_masks[x] == 0:
-                least = x
+                least.append(x)
                 break
-        if least is None:
+        else:
             raise NoMinimum(q.elements[y])
-        table[q.elements[y]] = p.elements[least]
-    return is_monotone(table, q, p)
+    return least
 
 
 def hom_from_dual(phi: MonotoneMap, domain_lattice=None, codomain_lattice=None, max_size=None) -> LatticeHom:

@@ -5,7 +5,10 @@ Every validated lattice is stored as its Birkhoff representation: a poset B
 the bitmask of the order ideal of B it corresponds to, so meet is ``&`` and
 join is ``|``.  Validation checks that representation directly, in at most
 O(n·|B|) mask steps instead of a pair or triple scan; the identifier-order
-scans that name a witness run only once that check has failed.
+scans that name a witness run only once that check has failed.  The pair
+scan is quadratic; the triple scan visits only the rows a at or above a
+join-irreducible that is not join-prime, since no other row can hold a
+failing triple, and keeps no meet or join table.
 
 Explicit lattices exist for validation and small-scale oracles; production
 fix-point computation stays on the poset side, so the element count is
@@ -15,7 +18,6 @@ capped (BIRKHOFF_MAX_LATTICE overrides the default of 4096).
 from __future__ import annotations
 
 import os
-from array import array
 
 from .bitgraph import bits, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
@@ -127,7 +129,9 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
     rejection, every pair must have a unique greatest lower bound and least
     upper bound (witnessed by NotALattice otherwise), and meet must
     distribute over join (NotDistributive carries the witness triple), both
-    checked in identifier order.
+    checked in identifier order.  The triple scan skips rows that cannot
+    fail (see :func:`_raise_lattice_witness`), so the witness is the first
+    failing triple of the full scan, found without running it.
     """
     bound = explicit_lattice_bound(max_size)
     n = len(order)
@@ -159,8 +163,10 @@ def _birkhoff(order: Poset):
 
     Alongside, gens[a] is a set of irreducibles whose down-closure in J is
     masks[a]: a itself for a in J, else the union over the lower covers.
-    Each j in J is generated from gens of its one lower cover, whose
-    down-closure is everything in J strictly below j.
+    Each j in J is generated from the maximal members of gens of its one
+    lower cover, whose down-closure is everything in J strictly below j;
+    those are j's lower covers in J, so J's generating edges are its cover
+    relation.
     """
     n = len(order)
     up, down = order.up_masks, order.down_masks
@@ -172,6 +178,7 @@ def _birkhoff(order: Poset):
     masks = [0] * n
     gens = [0] * n
     below = [0] * len(irr)
+    strictly_below = [0] * len(irr)
     for a in extension:
         mask = gen = 0
         bounds = full
@@ -181,7 +188,10 @@ def _birkhoff(order: Poset):
             bounds &= up[c]
         if a in rank:
             k = rank[a]
+            for i in bits(gen):
+                gen &= ~strictly_below[i]
             below[k] = gen
+            strictly_below[k] = mask
             mask |= 1 << k
             gen = 1 << k
         elif bounds != up[a]:
@@ -203,38 +213,59 @@ def _birkhoff(order: Poset):
 
 def _raise_lattice_witness(order: Poset):
     """The canonical scans: raise the first pair without a bound, else the
-    first triple where meet does not distribute, both in identifier order."""
+    first triple (a, b, c) where a ∧ (b ∨ c) differs from (a ∧ b) ∨ (a ∧ c),
+    both in identifier order.
+
+    The triple scan skips, without changing its witness, every row a that
+    provably holds no failing triple.  In a finite lattice a ∧ (b ∨ c) is
+    the join of the join-irreducibles j ≤ a with j ≤ b ∨ c.  When such a j
+    is join-prime, j ≤ b or j ≤ c, so j ≤ (a ∧ b) ∨ (a ∧ c); so a row can
+    fail only if some join-irreducible at or below a is not join-prime.  An
+    element j is join-irreducible when its strict down-set is some element's
+    down-set (that of its one lower cover), and join-prime when the
+    elements not above j are, since a down-set of a lattice is closed under
+    joins exactly when it is principal.  Each test is one lookup.
+    """
     n = len(order)
-    down = order.down_masks
-    up = order.up_masks
+    elements = order.elements
+    up, down = order.up_masks, order.down_masks
     # In a lattice glb(i,j) is the unique element whose down-set equals
     # down(i) & down(j); same for lub with up-sets.
-    by_down = {down[k]: k for k in range(n)}
-    by_up = {up[k]: k for k in range(n)}
-    meet = array("i", bytes(4 * n * n))
-    join = array("i", bytes(4 * n * n))
+    by_down = {m: k for k, m in enumerate(down)}
+    by_up = {m: k for k, m in enumerate(up)}
     for i in range(n):
+        di, ui = down[i], up[i]
         for j in range(i, n):
-            g = by_down.get(down[i] & down[j])
-            if g is None:
-                raise NotALattice(order.elements[i], order.elements[j], "greatest lower bound")
-            l = by_up.get(up[i] & up[j])
-            if l is None:
-                raise NotALattice(order.elements[i], order.elements[j], "least upper bound")
-            meet[i * n + j] = meet[j * n + i] = g
-            join[i * n + j] = join[j * n + i] = l
-    _check_distributive(order.elements, meet, join, n)
-
-
-def _check_distributive(elements, meet, join, n):
+            if di & down[j] not in by_down:
+                raise NotALattice(elements[i], elements[j], "greatest lower bound")
+            if ui & up[j] not in by_up:
+                raise NotALattice(elements[i], elements[j], "least upper bound")
+    nonprime = _nonprime_irreducibles(order, by_down)
     for a in range(n):
-        arow = meet[a * n : a * n + n]
+        if not down[a] & nonprime:
+            continue
+        # meet_up[x] is the up-set of a ∧ x, and meet_up_of maps the up-set
+        # of x to it.  The up-set of a join is the intersection of the
+        # up-sets, which gives both sides as up-sets without a table.
+        meet_up = [up[by_down[down[a] & d]] for d in down]
+        meet_up_of = dict(zip(up, meet_up))
         for b in range(n):
-            ab = arow[b]
-            jrow = join[b * n : b * n + n]
-            for c in range(n):
-                if arow[jrow[c]] != join[ab * n + arow[c]]:
+            ub, ab = up[b], meet_up[b]
+            for c, (uc, ac) in enumerate(zip(up, meet_up)):
+                if meet_up_of[ub & uc] != ab & ac:
                     raise NotDistributive(elements[a], elements[b], elements[c])
+
+
+def _nonprime_irreducibles(order: Poset, by_down) -> int:
+    """Mask of the join-irreducibles of a lattice that are not join-prime;
+    ``by_down`` holds every element's down-set."""
+    up, down = order.up_masks, order.down_masks
+    full = (1 << len(order)) - 1
+    out = 0
+    for j in range(len(order)):
+        if down[j] ^ 1 << j in by_down and full & ~up[j] not in by_down:
+            out |= 1 << j
+    return out
 
 
 def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:

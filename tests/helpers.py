@@ -8,7 +8,18 @@ the code paths they check.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from dualfix import MonotoneMap, Poset, QuotientPoset, build_poset, iter_ideal_masks, principal_ideal
+from dualfix import (
+    MonotoneMap,
+    NotALattice,
+    NoMinimum,
+    NotDistributive,
+    Poset,
+    QuotientPoset,
+    build_poset,
+    is_monotone,
+    iter_ideal_masks,
+    principal_ideal,
+)
 from dualfix.bitgraph import bits, tarjan_scc, transpose_masks
 from dualfix.fixpoint import _canonical_classes
 
@@ -140,6 +151,32 @@ def brute_dual_table(hom):
     return table
 
 
+def candidate_dual_map(hom):
+    """The dual map by the pair loop: per base point y of the codomain, the
+    candidates x with y in f(principal ideal of x), and the first of them
+    below all others; NoMinimum at the first y without one."""
+    dom, cod = hom.domain, hom.codomain
+    p, q = dom.ideal_base, cod.ideal_base
+    images = [cod.element_masks[hom.image[dom.ideal_index(p.down_masks[x])]] for x in range(len(p))]
+    table = {}
+    for y in range(len(q)):
+        candidates = 0
+        for x in range(len(p)):
+            if images[x] >> y & 1:
+                candidates |= 1 << x
+        if not candidates:
+            raise NoMinimum(q.elements[y])
+        least = None
+        for x in bits(candidates):
+            if candidates & ~p.up_masks[x] == 0:
+                least = x
+                break
+        if least is None:
+            raise NoMinimum(q.elements[y])
+        table[q.elements[y]] = p.elements[least]
+    return is_monotone(table, q, p)
+
+
 def brute_preorder_pairs(poset, phi):
     """Smallest preorder extending the order with x ~ phi(x), by naive closure."""
     pairs = [(x, y) for x in poset.elements for y in poset.elements if poset.leq(x, y)]
@@ -190,6 +227,33 @@ def closure_coequalizer(phi):
         up[canon[e]] = sum(1 << canon[e2] for e2 in bits(r))
     classes = tuple(base.ids_from(mask) for mask in member_masks)
     return QuotientPoset(base, classes, closed_poset(names, up), member_masks, class_idx)
+
+
+def brute_lattice_witness(order):
+    """The table-based scans: fill n×n meet and join tables pair by pair in
+    identifier order, raising NotALattice at the first pair without a bound,
+    then raise NotDistributive at the first triple of the full cubic scan."""
+    n = len(order)
+    down, up = order.down_masks, order.up_masks
+    by_down = {down[k]: k for k in range(n)}
+    by_up = {up[k]: k for k in range(n)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g = by_down.get(down[i] & down[j])
+            if g is None:
+                raise NotALattice(order.elements[i], order.elements[j], "greatest lower bound")
+            l = by_up.get(up[i] & up[j])
+            if l is None:
+                raise NotALattice(order.elements[i], order.elements[j], "least upper bound")
+            meet[i][j] = meet[j][i] = g
+            join[i][j] = join[j][i] = l
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    raise NotDistributive(order.elements[a], order.elements[b], order.elements[c])
 
 
 def inclusion_rows(masks):

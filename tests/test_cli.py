@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dualfix.fixpoint
 import dualfix.lattice
+from dualfix import NotDistributive, lattice_from_order
 from dualfix.cli import EXIT_INTERNAL, _parser, main
+from dualfix.jsonio import poset_from_obj
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -100,6 +104,23 @@ class TestValidateAtTheLatticeCap:
         code, out, _ = run(capsys, "validate", "hom", identity, "--lattice", lattice)
         assert code == 0
         assert json.loads(out) == {"valid": True}
+
+    def test_boolean_lattice_with_m3_above_its_top_is_rejected(self, capsys, write_json):
+        # 2^10 plus M3 above its top, 1028 elements: the 1024 Boolean rows
+        # come first in identifier order and hold only join-prime
+        # irreducibles, so the witness scan skips them (the full cubic scan
+        # took minutes here)
+        names = [f"b{m:04d}" for m in range(1 << 10)]
+        leq = [[names[m], names[m | 1 << k]] for m in range(1 << 10) for k in range(10) if not m >> k & 1]
+        leq += [[names[-1], x] for x in ("x0", "x1", "x2")] + [[x, "y"] for x in ("x0", "x1", "x2")]
+        obj = {"elements": names + ["x0", "x1", "x2", "y"], "leq": leq}
+        with pytest.raises(NotDistributive) as exc:
+            lattice_from_order(poset_from_obj(obj))
+        assert exc.value.args == NotDistributive("x0", "x1", "x2").args
+        code, out, err = run(capsys, "validate", "lattice", write_json("l.json", obj))
+        assert code == 2 and err == ""
+        assert json.loads(out) == exc.value.verdict()
+        assert json.loads(out)["witness"] == ["x0", "x1", "x2"]
 
 
 class TestInternalErrors:

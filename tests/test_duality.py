@@ -6,6 +6,7 @@ from dualfix import (
     LatticeHom,
     MonotoneMap,
     NoMinimum,
+    build_poset,
     dual_map,
     hom_from_dual,
     ideal_lattice,
@@ -15,8 +16,10 @@ from dualfix import (
     lattice_from_order,
     lift_hom,
 )
+from dualfix.duality import _least_by_differences
 from helpers import (
     brute_dual_table,
+    candidate_dual_map,
     monotone_selfmaps,
     noniso_posets_upto,
     random_monotone_between,
@@ -103,6 +106,64 @@ class TestDualMap:
         with pytest.raises(NoMinimum) as exc:
             dual_map(fake)
         assert exc.value.payload["witness"] == ["a"]
+
+
+def _dual_outcome(dualize, hom):
+    try:
+        return dualize(hom)
+    except NoMinimum as exc:
+        return type(exc), exc.args
+
+
+class TestDualMapByDifferences:
+    """Differential: the dual read off by differences against the pair loop."""
+
+    def test_validated_homs_take_the_difference_path(self):
+        rng = random.Random(109)
+        for _ in range(150):
+            base = random_poset(rng, rng.randrange(0, 7))
+            ideals = ideal_lattice(base)
+            hom = hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals)
+            lat = lattice_from_order(ideals.order)
+            for h in (hom, is_homomorphism(hom.table, lat, lat)):
+                p, q = h.domain.ideal_base, h.codomain.ideal_base
+
+                def image(ideal):
+                    return h.codomain.element_masks[h.image[h.domain.ideal_index(ideal)]]
+
+                images = [image(d) for d in p.down_masks]
+                strict = [image(d ^ 1 << x) for x, d in enumerate(p.down_masks)]
+                assert _least_by_differences(images, strict, p, q) is not None
+                assert dual_map(h) == candidate_dual_map(h)
+
+    def test_random_unchecked_tables(self):
+        rng = random.Random(113)
+        refused = 0
+        for _ in range(600):
+            dom = ideal_lattice(random_poset(rng, rng.randrange(0, 6)))
+            cod = ideal_lattice(random_poset(rng, rng.randrange(0, 4)))
+            if rng.random() < 0.5:
+                table = random_monotone_between(rng, dom.order, cod.order).table
+            else:
+                table = {x: rng.choice(cod.elements) for x in dom.elements}
+            hom = LatticeHom.unchecked(table, dom, cod)
+            got = _dual_outcome(dual_map, hom)
+            assert got == _dual_outcome(candidate_dual_map, hom)
+            refused += isinstance(got, tuple)
+        assert 0 < refused < 600
+
+    def test_new_at_one_point_that_is_not_least(self):
+        # f sends {s}, {p,q} and every ideal of three or more points to {y}:
+        # y is new only at s, since f(down-set of r) = f({p,q}), yet y is
+        # also in f(down-set of r) with r incomparable to s, so there is no
+        # least candidate, as the pair loop says
+        base = build_poset(["p", "q", "r", "s"], [("p", "r"), ("q", "r")])
+        dom = ideal_lattice(base)
+        cod = ideal_lattice(build_poset(["y"], []))
+        table = {x: "{y}" if x in ("{s}", "{p,q}", "{p,q,r}") or x.count(",") >= 2 else "{}" for x in dom.elements}
+        hom = LatticeHom.unchecked(table, dom, cod)
+        assert _dual_outcome(candidate_dual_map, hom) == (NoMinimum, NoMinimum("y").args)
+        assert _dual_outcome(dual_map, hom) == (NoMinimum, NoMinimum("y").args)
 
 
 class TestHomFromDual:

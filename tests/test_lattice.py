@@ -22,11 +22,18 @@ from dualfix import (
     phi_components,
     principal_ideal,
 )
-from dualfix.lattice import _birkhoff, _preserves_laws, _raise_hom_witness, _raise_lattice_witness
+from dualfix.lattice import (
+    _birkhoff,
+    _nonprime_irreducibles,
+    _preserves_laws,
+    _raise_hom_witness,
+    _raise_lattice_witness,
+)
 from dualfix.bitgraph import bits, transpose_masks
 from helpers import (
     assert_generated,
     brute_join_irreducibles,
+    brute_lattice_witness,
     inclusion_rows,
     labeled_posets,
     noniso_posets_upto,
@@ -170,6 +177,16 @@ def _assert_same_poset(got, expected):
     assert got.down_masks == expected.down_masks
 
 
+def _upper_covers(poset):
+    """Per element, the mask of the elements that cover it, by definition."""
+    up = poset.up_masks
+    out = []
+    for x in range(len(poset)):
+        above = up[x] ^ (1 << x)
+        out.append(sum(1 << y for y in bits(above) if not any(up[z] >> y & 1 for z in bits(above ^ (1 << y)))))
+    return out
+
+
 class TestIrreduciblesAgainstRestriction:
     """J(L), closed from generators, against the restriction of the order."""
 
@@ -179,6 +196,7 @@ class TestIrreduciblesAgainstRestriction:
             return False
         _assert_same_poset(rep[0], restrict(order, _irreducible_indices(order)))
         assert_generated(rep[0])
+        assert list(rep[0].gen_masks) == _upper_covers(rep[0])
         return True
 
     def _check_join_irreducibles(self, lat):
@@ -209,6 +227,19 @@ class TestIrreduciblesAgainstRestriction:
             unsorted += self._check_join_irreducibles(lat)
             assert not self._check_join_irreducibles(lattice_from_order(lat.order))
         assert unsorted > 0
+
+
+class TestIrreduciblesAreGeneratedByCovers:
+    def test_generators_are_the_cover_relation(self):
+        # J(L) found while validating an order is generated by its covers;
+        # an ideal lattice's J(L) takes the base's generators, here covers
+        rng = random.Random(127)
+        for _ in range(150):
+            p = random_poset(rng, rng.randrange(0, 7))
+            ideals = ideal_lattice(build_poset(list(p.elements), p.covers()))
+            for lat in (ideals, lattice_from_order(ideals.order)):
+                irr = join_irreducibles(lat)
+                assert list(irr.gen_masks) == _upper_covers(irr)
 
 
 class TestEveryConstructorGenerates:
@@ -366,14 +397,6 @@ def _bounded(poset):
     return build_poset(["0", "1"] + ids, pairs)
 
 
-def _scans_accept(order):
-    try:
-        _raise_lattice_witness(order)
-    except (NotALattice, NotDistributive):
-        return False
-    return True
-
-
 def _pair_scan_accepts(image, domain, codomain):
     try:
         _raise_hom_witness(image, domain, codomain)
@@ -382,42 +405,50 @@ def _pair_scan_accepts(image, domain, codomain):
     return True
 
 
+def _witness(scan, order):
+    """The exception class and args a witness scan raises, or None."""
+    try:
+        scan(order)
+    except (NotALattice, NotDistributive) as exc:
+        return type(exc), exc.args
+    return None
+
+
 class TestBirkhoffAcceptAgainstScans:
-    """Differential: the Birkhoff accept against the pair and triple scans."""
+    """Differential: the Birkhoff accept against the pair and triple scans,
+    and the row-pruned scans against the table-based oracle."""
 
     def _check(self, order):
+        """The class of the witness raised, None when accepted."""
+        witness = _witness(_raise_lattice_witness, order)
+        assert witness == _witness(brute_lattice_witness, order), order.elements
         rep = _birkhoff(order)
-        assert (rep is not None) == _scans_accept(order), order.elements
+        assert (rep is not None) == (witness is None), order.elements
         if rep is None:
-            return False
+            return witness[0]
         lat = lattice_from_order(order)
         down, up = order.down_masks, order.up_masks
         for i in range(len(order)):
             for j in range(len(order)):
                 assert down[lat.meet_idx(i, j)] == down[i] & down[j]
                 assert up[lat.join_idx(i, j)] == up[i] & up[j]
-        return True
+        return None
 
     def test_every_bounded_poset_up_to_seven_elements(self):
-        accepted = checked = 0
-        for n in range(6):
-            for inner in labeled_posets(n):
-                accepted += self._check(_bounded(inner))
-                checked += 1
-        assert checked == 4474
-        assert 0 < accepted < checked
+        outcomes = [self._check(_bounded(inner)) for n in range(6) for inner in labeled_posets(n)]
+        assert len(outcomes) == 4474
+        assert 0 < outcomes.count(None) < len(outcomes)
+        assert set(outcomes) == {None, NotALattice, NotDistributive}
 
     def test_random_bounded_posets(self):
         rng = random.Random(89)
-        accepted = 0
-        for _ in range(300):
-            accepted += self._check(_bounded(random_poset(rng, rng.randrange(0, 8))))
-        assert 0 < accepted < 300
+        outcomes = [self._check(_bounded(random_poset(rng, rng.randrange(0, 8)))) for _ in range(300)]
+        assert 0 < outcomes.count(None) < 300
 
     def test_ideal_lattice_orders_are_accepted(self):
         rng = random.Random(97)
         for _ in range(30):
-            assert self._check(ideal_lattice(random_poset(rng, rng.randrange(0, 7))).order)
+            assert self._check(ideal_lattice(random_poset(rng, rng.randrange(0, 7))).order) is None
 
 
 class TestFastHomAcceptAgainstPairScan:
@@ -466,3 +497,94 @@ class TestFastHomAcceptAgainstPairScan:
                 if image[dom.bot_idx] != cod.bot_idx:
                     continue  # a one-element domain into a larger codomain
                 assert _preserves_laws(image, dom, cod) == _pair_scan_accepts(image, dom, cod)
+
+
+def _ordinal_sum(parts, rng):
+    """The orders stacked bottom to top, each maximal element below each
+    minimal element of the next, renamed to shuffled identifiers."""
+    names = [f"v{k:03d}" for k in range(sum(len(p) for p in parts))]
+    rng.shuffle(names)
+    pairs = []
+    offset = 0
+    prev_top = []
+    for p in parts:
+        rename = {x: names[offset + i] for i, x in enumerate(p.elements)}
+        pairs += [(rename[x], rename[y]) for x, y in p.covers()]
+        bottoms = [rename[x] for i, x in enumerate(p.elements) if p.down_masks[i] == 1 << i]
+        pairs += [(t, b) for t in prev_top for b in bottoms]
+        prev_top = [rename[x] for i, x in enumerate(p.elements) if p.up_masks[i] == 1 << i]
+        offset += len(p)
+    return build_poset(names, pairs)
+
+
+M3 = build_poset(["0", "a", "b", "c", "1"], [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+N5 = build_poset(["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
+class TestWitnessScanAgainstTables:
+    """Differential: the row-pruned witness scan against the n×n tables on
+    non-distributive lattices whose skipped rows come first."""
+
+    def test_gadgets_above_below_and_between_ideal_lattices(self):
+        # the ideal lattices' rows are skipped; shuffled names put some of
+        # them before the gadget's rows
+        rng = random.Random(131)
+        skipped_first = 0
+        for _ in range(12):
+            lo = ideal_lattice(random_poset(rng, rng.randrange(1, 5))).order
+            hi = ideal_lattice(random_poset(rng, rng.randrange(1, 5))).order
+            for gadget in (M3, N5):
+                for parts in ([lo, gadget], [gadget, lo], [lo, gadget, hi]):
+                    order = _ordinal_sum(parts, rng)
+                    got = _witness(_raise_lattice_witness, order)
+                    assert got is not None and got[0] is NotDistributive
+                    assert got == _witness(brute_lattice_witness, order)
+                    assert _birkhoff(order) is None
+                    nonprime = _nonprime_irreducibles(order, {d: k for k, d in enumerate(order.down_masks)})
+                    skipped_first += not order.down_masks[0] & nonprime
+        assert skipped_first > 0
+
+
+def _brute_join(order, b, c):
+    ups = order.up_masks[b] & order.up_masks[c]
+    return next(u for u in bits(ups) if ups & ~order.up_masks[u] == 0)
+
+
+def _brute_meet(order, b, c):
+    downs = order.down_masks[b] & order.down_masks[c]
+    return next(m for m in bits(downs) if downs & ~order.down_masks[m] == 0)
+
+
+class TestRowPruneLemma:
+    """On every lattice among the bounded posets of at most seven elements:
+    the flagged irreducibles are exactly those that are not join-prime, and
+    no skipped row holds a failing triple."""
+
+    def test_bounded_lattices_up_to_seven_elements(self):
+        lattices = skipped = flagged = 0
+        for n in range(6):
+            for inner in labeled_posets(n):
+                order = _bounded(inner)
+                if (_witness(brute_lattice_witness, order) or (None,))[0] is NotALattice:
+                    continue
+                lattices += 1
+                m = len(order)
+                up, down = order.up_masks, order.down_masks
+                join = [[_brute_join(order, b, c) for c in range(m)] for b in range(m)]
+                meet = [[_brute_meet(order, b, c) for c in range(m)] for b in range(m)]
+                nonprime = _nonprime_irreducibles(order, {d: k for k, d in enumerate(down)})
+                irreducible = _irreducible_indices(order)
+                assert nonprime & ~sum(1 << j for j in irreducible) == 0
+                for j in irreducible:
+                    outside = [b for b in range(m) if not up[j] >> b & 1]
+                    splits = any(up[j] >> join[b][c] & 1 for b in outside for c in outside)
+                    assert bool(nonprime >> j & 1) == splits
+                flagged += nonprime.bit_count()
+                for a in range(m):
+                    if down[a] & nonprime:
+                        continue
+                    skipped += 1
+                    for b in range(m):
+                        for c in range(m):
+                            assert meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+        assert lattices > 0 and skipped > 0 and flagged > 0
