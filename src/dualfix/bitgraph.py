@@ -1,4 +1,4 @@
-"""Digraph plumbing on successor bitmasks: SCC, reachability, union-find."""
+"""Digraph plumbing on successor bitmasks: SCC and reachability."""
 
 
 def bits(mask):
@@ -92,29 +92,3 @@ def dag_reach(adj, order):
         reach[v] = r
     return reach
 
-
-class UnionFind:
-    """Array union-find with path compression."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while i != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def groups(self):
-        """Members per root, each list ascending, keyed by root index."""
-        out = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return out

@@ -241,20 +241,21 @@ def cmd_compare(cfg, out) -> int:
     phi = _load_phi(cfg)
     base = phi.domain
 
-    components_view = None
+    # phi_components returns the coequalizer once it has checked that its
+    # classes are the map's components.
     try:
-        components = fixpoint_mod.phi_components(phi)
-        components_view = quotient_to_obj(components)
+        coequalizer = fixpoint_mod.phi_components(phi)
+        components_view = quotient_to_obj(coequalizer)
+        quotients_agree = True
     except QuotientNotAntisymmetric as exc:
-        components = None
+        coequalizer = fixpoint_mod.coequalizer_general(phi)
         components_view = exc.verdict()
-    coequalizer = fixpoint_mod.coequalizer_general(phi)
-    quotients_agree = components is not None and components == coequalizer
+        quotients_agree = False
 
     lat = ideal_lattice(base, cfg.max_lattice)
     hom = hom_from_dual(phi, lat, lat)
     brute = sorted(fixpoint_mod.bruteforce_fixpoints(hom))
-    dual = sorted(m.name for m in fixpoint_mod.fixpoints_via_duality(phi).iter_members())
+    dual = sorted(m.name for m in fixpoint_mod.FixpointLattice(phi, coequalizer).iter_members())
     fixpoints_agree = brute == dual
 
     if quotients_agree and fixpoints_agree:

@@ -6,25 +6,23 @@ base, so the whole fix-point lattice is read off without ever iterating the
 endomorphism or materializing its lattice.  The number of fix-points is the
 quotient's ideal count, which ``count_ideals`` computes without listing them.
 
-Two quotient constructions are implemented.  ``coequalizer_general`` is
-the authoritative one, and the only one the library's fix-point paths use
-(``fixpoints_via_duality``, ``hom_quotient``, and through them the CLI's
-``fixpoints`` and ``dot quotient``): one strongly-connected-component pass
-over the base's generating edges plus both directions of the map edges,
-which always yields a partial order.  ``phi_components`` merges the
-connected components of the undirected map graph and must then check the
-class order for antisymmetry; it stays only so that ``compare`` and
-``bench`` can cross-check the two constructions.
+There is one quotient construction, ``coequalizer_general``: one
+strongly-connected-component pass over the base's generating edges plus
+both directions of the map edges, which always yields a partial order.
+``phi_components`` is a check on it: it returns that quotient when its
+classes are exactly the connected components of the undirected map graph,
+and raises QuotientNotAntisymmetric when some class holds two of them,
+which only a map that is not monotone can cause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitgraph import UnionFind, bits, tarjan_scc
-from .duality import dual_map, hom_from_dual
+from .bitgraph import bits, tarjan_scc
+from .duality import dual_map
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
-from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound, ideal_lattice
+from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound
 from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, count_ideals, iter_ideal_masks
 
 
@@ -92,37 +90,38 @@ def _canonical_classes(base, groups):
     return names, tuple(masks), class_idx
 
 
-def phi_components(phi: MonotoneMap) -> QuotientPoset:
-    """Quotient by connected components of the undirected map graph.
+def _with_map_edges(phi: MonotoneMap, rows) -> list:
+    """Successor masks ``rows`` plus every map edge x -> phi(x), both ways."""
+    adj = list(rows)
+    for i, j in enumerate(phi.image):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
 
-    Classes merge every x with its image; the class order is the transitive
-    closure of the base order pushed onto classes.  That closure is not
-    guaranteed to be antisymmetric, so a 2-cycle between distinct classes
-    raises QuotientNotAntisymmetric; see ``coequalizer_general`` for the
-    construction that cannot fail.
+
+def phi_components(phi: MonotoneMap) -> QuotientPoset:
+    """The coequalizer, checked to be the quotient by map components.
+
+    The connected components of the undirected map graph are the strongly
+    connected parts of the map edges taken both ways.  Each lies inside one
+    class of ``coequalizer_general``, and the base order pushed onto the
+    components is antisymmetric exactly when no class holds two of them,
+    that is when there are as many components as classes; then the two
+    quotients coincide and the coequalizer is returned.
+    Otherwise QuotientNotAntisymmetric names, among the components sorted
+    by least member, the first one that shares a class with an earlier one,
+    after the earliest component of that class.
     """
-    base = _endo_base(phi)
-    n = len(base)
-    uf = UnionFind(n)
-    for i in range(n):
-        uf.union(i, phi.image[i])
-    names, member_masks, class_idx = _canonical_classes(base, list(uf.groups().values()))
-    m = len(names)
-    cadj = [0] * m
-    for i in range(n):
-        row = 0
-        for j in bits(base.up_masks[i]):
-            row |= 1 << class_idx[j]
-        cadj[class_idx[i]] |= row
-    comps = tarjan_scc(cadj)
-    for comp in comps:
-        if len(comp) > 1:
-            a, b = sorted(comp)[:2]
-            raise QuotientNotAntisymmetric(names[a], names[b])
-    gen = [row & ~(1 << c) for c, row in enumerate(cadj)]
-    class_poset = _generated_poset(names, gen, [c[0] for c in comps])
-    classes = tuple(base.ids_from(mask) for mask in member_masks)
-    return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
+    quotient = coequalizer_general(phi)
+    names = phi.domain.elements
+    comps = tarjan_scc(_with_map_edges(phi, [0] * len(names)))
+    first = {}
+    for least in sorted(min(comp) for comp in comps):
+        c = quotient._class_idx[least]
+        if c in first:
+            raise QuotientNotAntisymmetric(f"[{names[first[c]]}]", f"[{names[least]}]")
+        first[c] = least
+    return quotient
 
 
 def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
@@ -136,11 +135,7 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
     class order, closed in emission order.
     """
     base = _endo_base(phi)
-    adj = list(base.gen_masks)
-    for i, j in enumerate(phi.image):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    comps = tarjan_scc(adj)
+    comps = tarjan_scc(_with_map_edges(phi, base.gen_masks))
     names, member_masks, class_idx = _canonical_classes(base, [sorted(c) for c in comps])
     gen = [0] * len(names)
     for v, succ in enumerate(base.gen_masks):
@@ -188,11 +183,6 @@ class FixpointLattice:
         if self._members is None:
             self._members = tuple(self.iter_members())
         return self._members
-
-    def source_hom(self, max_size=None) -> LatticeHom:
-        """Materialize the endomorphism on the base's ideal lattice."""
-        lat = ideal_lattice(self.quotient.base, max_size)
-        return hom_from_dual(self.phi, lat, lat)
 
     def __repr__(self):
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"

@@ -14,6 +14,7 @@ from dualfix import (
     NoMinimum,
     NotDistributive,
     Poset,
+    QuotientNotAntisymmetric,
     QuotientPoset,
     build_poset,
     is_monotone,
@@ -22,6 +23,7 @@ from dualfix import (
 )
 from dualfix.bitgraph import bits, tarjan_scc, transpose_masks
 from dualfix.fixpoint import _canonical_classes
+from dualfix.poset import _generated_poset
 
 LETTERS = "abcdefgh"
 
@@ -228,6 +230,86 @@ def closure_coequalizer(phi):
     classes = tuple(base.ids_from(mask) for mask in member_masks)
     return QuotientPoset(base, classes, closed_poset(names, up), member_masks, class_idx)
 
+
+class UnionFind:
+    """Array union-find with path compression."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while i != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+    def groups(self):
+        """Members per root, each list ascending, keyed by root index."""
+        out = {}
+        for i in range(len(self.parent)):
+            out.setdefault(self.find(i), []).append(i)
+        return out
+
+
+def union_find_components(phi):
+    """The components quotient built on its own: union-find merges each x
+    with its image, every closed up-set is pushed onto the classes, and a
+    Tarjan pass over the class rows either meets a cycle, whose two least
+    classes are the QuotientNotAntisymmetric witness, or closes the class
+    order."""
+    base = phi.domain
+    n = len(base)
+    uf = UnionFind(n)
+    for i in range(n):
+        uf.union(i, phi.image[i])
+    names, member_masks, class_idx = _canonical_classes(base, list(uf.groups().values()))
+    m = len(names)
+    cadj = [0] * m
+    for i in range(n):
+        row = 0
+        for j in bits(base.up_masks[i]):
+            row |= 1 << class_idx[j]
+        cadj[class_idx[i]] |= row
+    comps = tarjan_scc(cadj)
+    for comp in comps:
+        if len(comp) > 1:
+            a, b = sorted(comp)[:2]
+            raise QuotientNotAntisymmetric(names[a], names[b])
+    gen = [row & ~(1 << c) for c, row in enumerate(cadj)]
+    class_poset = _generated_poset(names, gen, [c[0] for c in comps])
+    classes = tuple(base.ids_from(mask) for mask in member_masks)
+    return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
+
+
+def brute_components_witness(phi):
+    """The canonical QuotientNotAntisymmetric witness, from naive closures:
+    map components close x ~ phi(x), classes are the mutual pairs of the
+    closed order plus x ~ phi(x).  Among the components sorted by least
+    member, the first that shares a class with an earlier one is named
+    after the earliest component of that class; None when no class holds
+    two components."""
+    base = phi.domain
+    n = len(base)
+    edges = [0] * n
+    for i, j in enumerate(phi.image):
+        edges[i] |= 1 << j
+        edges[j] |= 1 << i
+    linked = closure_rows(edges)
+    pre = closure_rows([up | e for up, e in zip(base.up_masks, edges)])
+    first = {}
+    for least in sorted({(row & -row).bit_length() - 1 for row in linked}):
+        cls = sum(1 << y for y in bits(pre[least]) if pre[y] >> least & 1)
+        if cls in first:
+            return (f"[{base.elements[first[cls]]}]", f"[{base.elements[least]}]")
+        first[cls] = least
+    return None
 
 def brute_lattice_witness(order):
     """The table-based scans: fill n×n meet and join tables pair by pair in

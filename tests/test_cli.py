@@ -379,7 +379,7 @@ class TestCompare:
 
     def test_fault_injection_trips_exit_3(self, capsys, write_json, tmp_path, monkeypatch):
         # deliberately corrupt the dual route: drop the last member
-        original = dualfix.fixpoint.fixpoints_via_duality
+        original = dualfix.fixpoint.FixpointLattice
 
         class Hobbled:
             def __init__(self, inner):
@@ -390,7 +390,7 @@ class TestCompare:
                 yield from members[:-1]
 
         monkeypatch.setattr(
-            dualfix.fixpoint, "fixpoints_via_duality", lambda phi: Hobbled(original(phi))
+            dualfix.fixpoint, "FixpointLattice", lambda phi, quotient: Hobbled(original(phi, quotient))
         )
         artifact = tmp_path / "cex.json"
         code, out, _ = run(

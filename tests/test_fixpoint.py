@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -29,6 +30,7 @@ from dualfix import (
     phi_components,
 )
 from helpers import (
+    brute_components_witness,
     brute_preorder_pairs,
     closure_coequalizer,
     gen_preorder,
@@ -36,6 +38,7 @@ from helpers import (
     noniso_posets_upto,
     random_monotone_between,
     random_poset,
+    union_find_components,
 )
 
 
@@ -78,6 +81,70 @@ class TestPhiComponents:
         assert set(exc.value.payload["witness"]) == {"[a]", "[b]"}
         # the general construction instead merges everything into one class
         assert coequalizer_general(phi).classes == (("a", "b", "c", "d"),)
+
+    def test_two_cycles_give_the_witness_of_the_first_shared_class(self):
+        # b~e, c~d close the cycle b<c~d<e~b, and w~z, x~y close w<x~y<z~w.
+        # Sorted by least member the components are [a], [b], [c], [w], [x];
+        # [c] is the first to share a class with an earlier one.  Union-find
+        # reported the cycle its Tarjan pass met first.
+        base = build_poset(
+            ["a", "b", "c", "d", "e", "w", "x", "y", "z"],
+            [("b", "c"), ("d", "e"), ("w", "x"), ("y", "z"), ("a", "w")],
+        )
+        table = {"a": "a", "b": "e", "e": "b", "c": "d", "d": "c", "w": "z", "z": "w", "x": "y", "y": "x"}
+        phi = MonotoneMap.unchecked(table, base, base)
+        with pytest.raises(QuotientNotAntisymmetric) as exc:
+            phi_components(phi)
+        assert tuple(exc.value.payload["witness"]) == ("[b]", "[c]")
+        with pytest.raises(QuotientNotAntisymmetric) as old:
+            union_find_components(phi)
+        assert tuple(old.value.payload["witness"]) == ("[w]", "[x]")
+
+    @staticmethod
+    def _assert_matches_union_find(phi):
+        """Same accept or reject as the union-find construction; an accepted
+        quotient is equal to it, a rejected map names the canonical witness.
+        Returns whether the map was accepted."""
+        try:
+            ref = union_find_components(phi)
+        except QuotientNotAntisymmetric as old:
+            with pytest.raises(QuotientNotAntisymmetric) as exc:
+                phi_components(phi)
+            assert exc.value.payload["witness"] == list(brute_components_witness(phi))
+            # union-find's witness lies in one class of the coequalizer too
+            quo = coequalizer_general(phi)
+            c1, c2 = (quo.class_name_of(name[1:-1]) for name in old.payload["witness"])
+            assert c1 == c2
+            return False
+        quo = phi_components(phi)
+        assert quo == ref
+        assert quo.class_poset.elements == ref.class_poset.elements
+        assert quo.member_masks == ref.member_masks
+        assert brute_components_witness(phi) is None
+        return True
+
+    def test_matches_union_find_exhaustive_small(self):
+        # every monotone self-map of every poset of at most 4 elements, which
+        # is always accepted, and every table on at most 3 elements
+        for p in noniso_posets_upto(4):
+            base = build_poset(list(p.elements), p.covers())
+            for phi in monotone_selfmaps(base):
+                assert self._assert_matches_union_find(phi)
+        outcomes = set()
+        for base in noniso_posets_upto(3):
+            for image in product(range(len(base)), repeat=len(base)):
+                outcomes.add(self._assert_matches_union_find(MonotoneMap(base, base, image)))
+        assert outcomes == {True, False}
+
+    def test_matches_union_find_on_random_maps(self):
+        rng = random.Random(131)
+        outcomes = []
+        for _ in range(300):
+            base = random_poset(rng, rng.randrange(0, 25))
+            assert self._assert_matches_union_find(random_monotone_between(rng, base, base))
+            image = [rng.randrange(len(base)) for _ in base.elements]
+            outcomes.append(self._assert_matches_union_find(MonotoneMap(base, base, image)))
+        assert 30 < outcomes.count(False) < 270
 
 
 class TestCoequalizerGeneral:
@@ -265,7 +332,8 @@ class TestFixpointsViaDuality:
 
     def test_source_hom_materializes(self, two_chain):
         fx = fixpoints_via_duality(collapse_phi(two_chain))
-        hom = fx.source_hom()
+        lat = ideal_lattice(two_chain)
+        hom = hom_from_dual(fx.phi, lat, lat)
         assert hom.table == {"{}": "{}", "{p}": "{}", "{p,q}": "{p,q}"}
 
     def test_empty_poset_has_single_fixpoint(self):

@@ -38,3 +38,15 @@ def test_posets_are_built_only_in_the_poset_module():
                 if name == "Poset":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_quotient_layer_reads_no_closed_rows():
+    # fixpoint.py works from generating edges only: it reads neither closed
+    # up-sets nor closed down-sets of any poset.
+    tree = ast.parse((SRC / "fixpoint.py").read_text(encoding="utf-8"))
+    found = [
+        f"fixpoint.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("up_masks", "down_masks")
+    ]
+    assert found == []
