@@ -69,6 +69,7 @@ def _least_by_differences(images, strict_images, p, q):
 def _least_candidates(images, p, q):
     """Per y of Q the least x of P with y in images[x], in identifier order;
     NoMinimum at the first y without one."""
+    up = p.up_masks
     least = []
     for y in range(len(q)):
         candidates = 0
@@ -76,7 +77,7 @@ def _least_candidates(images, p, q):
             if images[x] >> y & 1:
                 candidates |= 1 << x
         for x in bits(candidates):
-            if candidates & ~p.up_masks[x] == 0:
+            if candidates & ~up[x] == 0:
                 least.append(x)
                 break
         else:

@@ -113,6 +113,14 @@ def phi_components(phi: MonotoneMap) -> QuotientPoset:
     after the earliest component of that class.
     """
     quotient = coequalizer_general(phi)
+    _check_components(phi, quotient)
+    return quotient
+
+
+def _check_components(phi: MonotoneMap, quotient: QuotientPoset):
+    """Raise QuotientNotAntisymmetric, as :func:`phi_components` documents,
+    when some class of the coequalizer ``quotient`` of phi holds two
+    connected components of the undirected map graph."""
     names = phi.domain.elements
     comps = tarjan_scc(_with_map_edges(phi, [0] * len(names)))
     first = {}
@@ -121,7 +129,6 @@ def phi_components(phi: MonotoneMap) -> QuotientPoset:
         if c in first:
             raise QuotientNotAntisymmetric(f"[{names[first[c]]}]", f"[{names[least]}]")
         first[c] = least
-    return quotient
 
 
 def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
@@ -132,7 +139,7 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
     condensation, which is a partial order by construction.  One Tarjan
     pass over the base's generating edges plus both directions of the map
     edges finds the classes; the base edges between classes generate the
-    class order, closed in emission order.
+    class order, with the emission order as its ``order``.
     """
     base = _endo_base(phi)
     comps = tarjan_scc(_with_map_edges(phi, base.gen_masks))

@@ -42,7 +42,7 @@ def poset_from_obj(obj) -> Poset:
     if not isinstance(pairs, list):
         raise ParseError('"leq" must be a list of [lesser, greater] pairs')
     for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)):
+        if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)):
             raise ParseError(f'"leq" entry {p!r} is not a [lesser, greater] pair')
     return build_poset(elements, [tuple(p) for p in pairs])
 

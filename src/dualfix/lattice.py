@@ -48,8 +48,8 @@ class FiniteLattice:
     i corresponds to; the map is an order-isomorphism onto all ideals of B,
     so meet and join are intersection and union of masks.  For ideal
     lattices B is the poset the elements are ideals of; for lattices built
-    from an order it is the sub-poset of join-irreducible elements, closed
-    from sparse generators found while validating, like every poset.
+    from an order it is the sub-poset of join-irreducible elements,
+    generated by sparse edges found while validating, like every poset.
     Instances come from the validating constructors below and are immutable.
     """
 
@@ -315,7 +315,7 @@ def join_irreducibles(lat: FiniteLattice) -> Poset:
 def _irreducibles(lat: FiniteLattice):
     """join_irreducibles(lat), and per base point x the index in it of the
     element whose ideal is the down-set of x: the base's generators,
-    relabelled by that index and closed."""
+    relabelled by that index."""
     base = lat.ideal_base
     elems = [lat.ideal_index(down) for down in base.down_masks]
     rank = {e: k for k, e in enumerate(sorted(elems))}
@@ -324,8 +324,7 @@ def _irreducibles(lat: FiniteLattice):
     for x, succ in enumerate(base.gen_masks):
         for y in bits(succ):
             gen[pos[x]] |= 1 << pos[y]
-    extension = sorted(range(len(pos)), key=lambda x: base.up_masks[x].bit_count())
-    irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in extension])
+    irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in base.order])
     return irr, pos
 
 
@@ -397,17 +396,18 @@ def _preserves_laws(image, domain, codomain) -> bool:
     base order, so the cost is at most O(n·height(B)) mask steps.
     """
     base = domain.ideal_base
+    up, down = base.up_masks, base.down_masks
     full = (1 << len(base)) - 1
     index = domain.ideal_index
     f = [codomain.element_masks[i] for i in image]
     for a, mask in enumerate(domain.element_masks):
         if mask:
-            x = _maximal(mask, base.up_masks)
-            if f[a] != f[index(mask ^ 1 << x)] | f[index(base.down_masks[x])]:
+            x = _maximal(mask, up)
+            if f[a] != f[index(mask ^ 1 << x)] | f[index(down[x])]:
                 return False
         if mask != full:
-            x = _minimal(full & ~mask, base.down_masks)
-            if f[a] != f[index(mask | 1 << x)] & f[index(full & ~base.up_masks[x])]:
+            x = _minimal(full & ~mask, down)
+            if f[a] != f[index(mask | 1 << x)] & f[index(full & ~up[x])]:
                 return False
     return True
 

@@ -23,31 +23,44 @@ from .errors import (
 class Poset:
     """Immutable finite partial order.
 
-    ``up_masks[i]`` holds {j | i <= j} and ``down_masks[i]`` holds
-    {j | j <= i} as bitmasks; both are reflexive-transitively closed.
     ``gen_masks[i]`` holds the successors of i along strict generating
-    edges whose reflexive-transitive closure is the order, so layers that
-    only need to walk the order (the quotient, the monotone check's
-    preimages) run in O(n + generating edges) steps.  The generators are a
-    working representation and take no part in equality or hashing.
-    Every instance in the package comes from :func:`_generated_poset`,
-    which closes the generators; use :func:`build_poset` to construct one
-    from pairs.
+    edges whose reflexive-transitive closure is the order, and ``order``
+    lists every element after all elements it reaches along them.  Layers
+    that only walk the order (the monotone check, the quotient, covers,
+    ideal streaming) run on the generators in O(n + generating edges)
+    steps.  The closed rows ``up_masks[i]`` = {j | i <= j} and
+    ``down_masks[i]`` = {j | j <= i} are computed on first read and cached;
+    equality and hashing compare the closed up-sets, not the generators.
+    Every instance in the package comes from :func:`_generated_poset`; use
+    :func:`build_poset` to construct one from pairs.
     """
 
-    __slots__ = ("elements", "up_masks", "down_masks", "gen_masks", "_index")
+    __slots__ = ("elements", "gen_masks", "order", "_up_masks", "_down_masks", "_index")
 
-    def __init__(self, elements, up_masks, down_masks, gen_masks):
-        # Trusted constructor: the caller guarantees closed up- and down-sets
-        # of a partial order and strict generators of it; only the sorted
-        # identifier order is checked.
+    def __init__(self, elements, gen_masks, order):
+        # Trusted constructor: the caller guarantees acyclic strict
+        # generators and an order that lists every element after all
+        # elements it reaches; only the sorted identifier order is checked.
         self.elements = tuple(elements)
         if list(self.elements) != sorted(self.elements):
             raise ValueError("poset elements must be in sorted identifier order")
-        self.up_masks = tuple(up_masks)
-        self.down_masks = tuple(down_masks)
         self.gen_masks = tuple(gen_masks)
+        self.order = tuple(order)
+        self._up_masks = None
+        self._down_masks = None
         self._index = {x: i for i, x in enumerate(self.elements)}
+
+    @property
+    def up_masks(self) -> tuple:
+        if self._up_masks is None:
+            self._up_masks = tuple(dag_reach(self.gen_masks, self.order))
+        return self._up_masks
+
+    @property
+    def down_masks(self) -> tuple:
+        if self._down_masks is None:
+            self._down_masks = tuple(dag_reach(transpose_masks(self.gen_masks), reversed(self.order)))
+        return self._down_masks
 
     def __len__(self):
         return len(self.elements)
@@ -59,6 +72,8 @@ class Poset:
         return x in self._index
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Poset):
             return NotImplemented
         return self.elements == other.elements and self.up_masks == other.up_masks
@@ -87,17 +102,9 @@ class Poset:
     def ids_from(self, mask: int) -> tuple:
         return tuple(self.elements[i] for i in bits(mask))
 
-    def down_closure(self, mask: int) -> int:
-        out = mask
-        for i in bits(mask):
-            out |= self.down_masks[i]
-        return out
-
     def is_down_closed(self, mask: int) -> bool:
-        for i in bits(mask):
-            if self.down_masks[i] & ~mask:
-                return False
-        return True
+        """True iff no generating edge enters ``mask`` from outside it."""
+        return not any(row & mask for i, row in enumerate(self.gen_masks) if not mask >> i & 1)
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
@@ -111,9 +118,8 @@ def build_poset(elements, pairs) -> Poset:
     The stored relation is the reflexive-transitive closure of ``pairs``;
     pairs need not be covering pairs and reflexive pairs are harmless.  A
     closure cycle between distinct elements means the input is a preorder
-    and raises AntisymmetryViolation.  Both closures come from the
-    generating edges in Tarjan's emission order, and the edges without
-    self-loops are kept as ``gen_masks``.
+    and raises AntisymmetryViolation.  The edges without self-loops are
+    kept as ``gen_masks``, with Tarjan's emission order as ``order``.
     """
     seen = set()
     for x in elements:
@@ -142,10 +148,9 @@ def build_poset(elements, pairs) -> Poset:
 def _generated_poset(elements, gen, order) -> Poset:
     """The poset generated by acyclic strict edges ``gen``, with ``order``
     listing every vertex after all vertices it reaches: up-sets close along
-    ``order``, down-sets along its reverse over the transposed edges."""
-    up = dag_reach(gen, order)
-    down = dag_reach(transpose_masks(gen), reversed(order))
-    return Poset(elements, up, down, gen)
+    ``order``, down-sets along its reverse over the transposed edges, each
+    when first read."""
+    return Poset(elements, gen, order)
 
 
 class OrderIdeal:
@@ -207,10 +212,12 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
     Canonical order: ascending cardinality, then lexicographic on the sorted
     member identifiers.  Ideals of one size are produced by extending the
     previous size by one minimal element of the complement, so memory tracks
-    the widest size class, not the full count.  With ``max_count`` set,
-    raises SizeBoundExceeded as soon as the total provably exceeds it.
+    the widest size class, not the full count.  The complement of an ideal
+    is an up-set, so a point is minimal in it exactly when none of its
+    generating predecessors is.  With ``max_count`` set, raises
+    SizeBoundExceeded as soon as the total provably exceeds it.
     """
-    down = poset.down_masks
+    pred = transpose_masks(poset.gen_masks)
     n = len(poset)
     full = (1 << n) - 1
     yield 0
@@ -225,7 +232,7 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                if down[i] & comp == low:  # minimal in the complement
+                if not pred[i] & comp:  # minimal in the complement
                     grown.add(m | low)
                     if max_count is not None and count + len(grown) > max_count:
                         raise SizeBoundExceeded(max_count, "order ideal count")
@@ -260,21 +267,20 @@ def count_ideals(poset: Poset, max_count=None) -> int:
 
 
 def _cover_masks(poset):
-    """Lower and upper cover masks: the maximal elements strictly below each
-    element, found by climbing to a maximal one and dropping its down-set."""
-    up, down = poset.up_masks, poset.down_masks
-    lower = []
-    for i in range(len(poset)):
-        rest = down[i] ^ (1 << i)
-        covers = 0
+    """Lower and upper cover masks, read off the generators: every upper
+    cover of i is a generating successor of i, and a generating successor
+    is a cover unless it lies strictly above another one."""
+    up = poset.up_masks
+    upper = []
+    for row in poset.gen_masks:
+        above = 0
+        rest = row
         while rest:
-            j = rest.bit_length() - 1
-            while above := (up[j] & rest) ^ (1 << j):
-                j = above.bit_length() - 1
-            covers |= 1 << j
-            rest &= ~down[j]
-        lower.append(covers)
-    return lower, transpose_masks(lower)
+            low = rest & -rest
+            above |= up[low.bit_length() - 1] ^ low
+            rest ^= low
+        upper.append(row & ~above)
+    return transpose_masks(upper), upper
 
 
 def _component_extensions(lower, upper):
@@ -436,23 +442,31 @@ def is_monotone(table, domain: Poset, codomain: Poset) -> MonotoneMap:
     """Validate a raw element table as a monotone map and wrap it.
 
     For each codomain point c it forms the preimage of the up-set of c,
-    closing along the codomain's generating edges with the codomain sorted
-    by up-set size.  The map is monotone exactly when every up-set of the
-    domain lies in the preimage of the up-set of its image; otherwise
-    NotMonotone carries the first pair x <= y, in identifier order, whose
-    images are not ordered.
+    closing along the codomain's generating edges in its ``order``.  The
+    map is monotone exactly when every generating successor of each domain
+    point lies in the preimage of the up-set of its image.  Only a map that
+    fails is scanned row by row over the domain's up-sets, so NotMonotone
+    carries the first pair x <= y, in identifier order, whose images are
+    not ordered.
     """
     image = _total_image(table, domain, codomain)
     pre = [0] * len(codomain)
     for i, c in enumerate(image):
         pre[c] |= 1 << i
-    up = codomain.up_masks
-    for c in sorted(range(len(codomain)), key=lambda c: up[c].bit_count()):
-        for d in bits(codomain.gen_masks[c]):
-            pre[c] |= pre[d]
+    gen = codomain.gen_masks
+    for c in codomain.order:
+        acc = pre[c]
+        rest = gen[c]
+        while rest:
+            low = rest & -rest
+            acc |= pre[low.bit_length() - 1]
+            rest ^= low
+        pre[c] = acc
+    if not any(row & ~pre[c] for row, c in zip(domain.gen_masks, image)):
+        return MonotoneMap(domain, codomain, image)
     for i, row in enumerate(domain.up_masks):
         missing = row & ~pre[image[i]]
         if missing:
             j = (missing & -missing).bit_length() - 1
             raise NotMonotone(domain.elements[i], domain.elements[j])
-    return MonotoneMap(domain, codomain, image)
+    raise RuntimeError("monotone check rejected a map that the row scan accepts")

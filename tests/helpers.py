@@ -33,8 +33,13 @@ LETTERS = "abcdefgh"
 
 def closed_poset(elements, up):
     """The poset with the given closed up-sets, built without the library's
-    closure: down-sets by transposing, every strict relation a generator."""
-    return Poset(elements, up, transpose_masks(up), [row & ~(1 << i) for i, row in enumerate(up)])
+    closure: every strict relation a generator, elements listed by up-set
+    size, and the cached rows filled with ``up`` and its transpose."""
+    gen = [row & ~(1 << i) for i, row in enumerate(up)]
+    poset = Poset(elements, gen, sorted(range(len(up)), key=lambda i: up[i].bit_count()))
+    poset._up_masks = tuple(up)
+    poset._down_masks = tuple(transpose_masks(up))
+    return poset
 
 
 def restrict(poset, indices):
@@ -83,6 +88,50 @@ def assert_generated(poset):
         assert not row >> i & 1, f"self-loop at {poset.elements[i]}"
     assert list(poset.up_masks) == closure_rows(poset.gen_masks)
     assert list(poset.down_masks) == transpose_masks(poset.up_masks)
+
+
+def climbing_cover_masks(poset):
+    """Lower and upper cover masks from the closed rows: the maximal
+    elements strictly below each element, found by climbing to a maximal
+    one and dropping its down-set."""
+    up, down = poset.up_masks, poset.down_masks
+    lower = []
+    for i in range(len(poset)):
+        rest = down[i] ^ (1 << i)
+        covers = 0
+        while rest:
+            j = rest.bit_length() - 1
+            while above := (up[j] & rest) ^ (1 << j):
+                j = above.bit_length() - 1
+            covers |= 1 << j
+            rest &= ~down[j]
+        lower.append(covers)
+    return lower, transpose_masks(lower)
+
+
+def closure_is_down_closed(poset, mask):
+    """Down-closure by the closed rows: no member has anything outside the
+    mask below it."""
+    return all(not poset.down_masks[i] & ~mask for i in bits(mask))
+
+
+def closure_ideal_masks(poset):
+    """Every ideal mask in canonical order, grown size by size by one
+    complement point whose closed down-set meets the complement in itself."""
+    down = poset.down_masks
+    full = (1 << len(poset)) - 1
+    out = [0]
+    layer = [0]
+    while layer:
+        grown = set()
+        for m in layer:
+            comp = full & ~m
+            for i in bits(comp):
+                if down[i] & comp == 1 << i:
+                    grown.add(m | 1 << i)
+        layer = sorted(grown, key=lambda mask: tuple(bits(mask)))
+        out += layer
+    return out
 
 
 def brute_closure_pairs(elements, pairs):

@@ -29,6 +29,7 @@ from dualfix import (
     lift_hom,
     phi_components,
 )
+from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
     brute_components_witness,
     brute_preorder_pairs,
@@ -335,6 +336,26 @@ class TestFixpointsViaDuality:
         lat = ideal_lattice(two_chain)
         hom = hom_from_dual(fx.phi, lat, lat)
         assert hom.table == {"{}": "{}", "{p}": "{}", "{p,q}": "{p,q}"}
+
+    def test_the_poset_path_leaves_the_base_unclosed(self):
+        # The fixpoints command's three modes read only generating edges of
+        # the base; the class poset closes its up-sets at most.
+        rng = random.Random(107)
+        for _ in range(40):
+            p = random_poset(rng, rng.randrange(1, 16))
+            doc = {"elements": list(p.elements), "leq": [list(pair) for pair in p.covers()]}
+            table = random_monotone_between(rng, p, p).table
+            for mode in ("quotient", "count", "list"):
+                base = poset_from_obj(doc)
+                fx = fixpoints_via_duality(is_monotone(table, base, base))
+                if mode == "quotient":
+                    quotient_to_obj(fx.quotient)
+                elif mode == "count":
+                    fx.count()
+                else:
+                    list(fx.iter_members())
+                assert base._up_masks is None and base._down_masks is None
+                assert fx.quotient.class_poset._down_masks is None
 
     def test_empty_poset_has_single_fixpoint(self):
         base = build_poset([], [])

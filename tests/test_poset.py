@@ -25,10 +25,15 @@ from dualfix import (
     principal_ideal,
 )
 from dualfix.bitgraph import bits, transpose_masks
+from dualfix.poset import _cover_masks
 from helpers import (
+    assert_generated,
     brute_closure_pairs,
     brute_ideal_sets,
     brute_is_monotone,
+    climbing_cover_masks,
+    closure_ideal_masks,
+    closure_is_down_closed,
     labeled_posets,
     noniso_posets,
     noniso_posets_upto,
@@ -123,7 +128,7 @@ class TestBuildPoset:
 
     def test_unsorted_identifiers_are_rejected(self):
         with pytest.raises(ValueError):
-            Poset(["b", "a"], [0b01, 0b10], [0b01, 0b10], [0, 0])
+            Poset(["b", "a"], [0, 0], [0, 1])
 
     def test_covers_regenerate_the_poset(self):
         rng = random.Random(13)
@@ -398,6 +403,48 @@ class TestIsMonotone:
         ident = MonotoneMap.identity(two_chain)
         assert phi.after(ident) == phi
         assert ident.after(phi) == phi
+
+
+def _small_generated_posets(seed):
+    """Every labeled poset of at most 5 elements, rebuilt from its covers
+    and from noisy generating pairs, so the closed rows are not cached."""
+    rng = random.Random(seed)
+    for n in range(6):
+        for closed in labeled_posets(n):
+            for pairs in (closed.covers(), noisy_pairs(rng, closed)):
+                yield closed, build_poset(list(closed.elements), pairs)
+
+
+def _reversed_ids(p, pairs):
+    """p rebuilt from ``pairs`` with its identifiers renamed so that
+    identifier order runs against the old one."""
+    rename = dict(zip(p.elements, reversed(p.elements)))
+    return build_poset(list(p.elements), [(rename[x], rename[y]) for x, y in pairs])
+
+
+class TestGeneratorReaders:
+    def test_closures_are_computed_on_first_read_and_equal_the_eager_closure(self):
+        for closed, p in _small_generated_posets(37):
+            assert p._up_masks is None and p._down_masks is None
+            assert_generated(p)
+            assert p.up_masks == closed.up_masks
+            assert p.down_masks == closed.down_masks
+            assert p.up_masks is p.up_masks
+
+    def test_cover_masks_match_the_climbing_oracle(self):
+        for closed, p in _small_generated_posets(41):
+            assert _cover_masks(p) == climbing_cover_masks(closed)
+        for rng, p in noisy_random_posets(43, 300, 16):
+            pairs = noisy_pairs(rng, p)
+            for q in (build_poset(list(p.elements), pairs), _reversed_ids(p, pairs)):
+                assert _cover_masks(q) == climbing_cover_masks(q)
+
+    def test_down_closure_and_ideal_stream_match_the_closure(self):
+        for closed, p in _small_generated_posets(47):
+            for mask in range(1 << len(p)):
+                assert p.is_down_closed(mask) == closure_is_down_closed(closed, mask)
+            assert list(iter_ideal_masks(p)) == closure_ideal_masks(closed)
+            assert p._up_masks is None and p._down_masks is None
 
 
 class TestEnumerationHelpers:
