@@ -1,4 +1,9 @@
-"""Digraph plumbing on successor bitmasks: SCC and reachability."""
+"""Digraph plumbing on successor bitmasks: topological order, SCC and
+reachability."""
+
+from itertools import compress
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def bits(mask):
@@ -7,6 +12,16 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def select(seq, mask):
+    """Iterate the items of seq at the set bit positions of mask, ascending.
+
+    The selectors are the binary digits of mask, reversed and read as 0/1
+    bytes, so the scan runs in C: cheaper than :func:`bits` once a mask has
+    more than a few bits set, dearer on a wide mask with one or two.
+    """
+    return compress(seq, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def mask_of(indices):
@@ -22,6 +37,47 @@ def transpose_masks(rows):
         for j in bits(row):
             out[j] |= 1 << i
     return out
+
+
+def topo_order(adj):
+    """Every vertex after all vertices it reaches, or None on a cycle.
+
+    An iterative depth-first search with three states per vertex (new, on
+    the current path, finished) lists vertices as they finish; an edge into
+    a vertex still on the path is a back edge and closes a cycle, so the
+    search stops there.  Edges into vertices finished before a vertex is
+    entered are masked off its row at once.  ``adj`` must hold no
+    self-loops.
+    """
+    state = bytearray(len(adj))  # 0 new, 1 on the current path, 2 finished
+    done = 0
+    order = []
+    stack = []
+    for root in range(len(adj)):
+        if state[root]:
+            continue
+        state[root] = 1
+        v, rest = root, adj[root] & ~done
+        while True:
+            if rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                seen = state[w]
+                if not seen:
+                    state[w] = 1
+                    stack.append((v, rest))
+                    v, rest = w, adj[w] & ~done
+                elif seen == 1:
+                    return None
+            else:
+                state[v] = 2
+                done |= 1 << v
+                order.append(v)
+                if not stack:
+                    break
+                v, rest = stack.pop()
+    return order
 
 
 def tarjan_scc(adj):
@@ -81,8 +137,8 @@ def tarjan_scc(adj):
 def dag_reach(adj, order):
     """Reflexive-transitive reachability rows of an acyclic digraph.
 
-    ``order`` must list every vertex after all vertices it reaches (e.g. the
-    singleton components from tarjan_scc, flattened).
+    ``order`` must list every vertex after all vertices it reaches, as
+    :func:`topo_order` returns it.
     """
     reach = [0] * len(adj)
     for v in order:

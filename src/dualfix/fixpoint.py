@@ -6,20 +6,25 @@ base, so the whole fix-point lattice is read off without ever iterating the
 endomorphism or materializing its lattice.  The number of fix-points is the
 quotient's ideal count, which ``count_ideals`` computes without listing them.
 
-There is one quotient construction, ``coequalizer_general``: one
-strongly-connected-component pass over the base's generating edges plus
-both directions of the map edges, which always yields a partial order.
+There is one quotient construction, ``coequalizer_general``, which always
+yields a partial order.  It finds the connected components of the map
+graph in one walk along the map and maps the base's generating edges onto
+them.  For a monotone map those components are the classes and the
+contracted edges are acyclic, so one depth-first sweep orders them and no
+strongly-connected-component pass runs; only a cycle, which a map that is
+not monotone can close, calls Tarjan's algorithm to merge components.
 ``phi_components`` is a check on it: it returns that quotient when its
 classes are exactly the connected components of the undirected map graph,
-and raises QuotientNotAntisymmetric when some class holds two of them,
-which only a map that is not monotone can cause.
+and raises QuotientNotAntisymmetric when some class holds two of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .bitgraph import bits, tarjan_scc
+from .bitgraph import bits, select, tarjan_scc, topo_order
 from .duality import dual_map
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
 from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound
@@ -75,39 +80,68 @@ def _endo_base(phi: MonotoneMap) -> Poset:
 
 
 def _canonical_classes(base, groups):
-    """Order classes by least member; return (names, member_masks, class_idx)."""
-    ordered = sorted(groups, key=lambda g: g[0])
-    names = []
+    """Order classes by name; return (names, member_masks, class_idx, classes).
+
+    Each group is an ascending list of base indices and its class is named
+    ``[x]`` after its least member x.  Names sort like the class poset's
+    identifiers, which need not be the order of the least members:
+    ``"[c10]" < "[c1]"`` although ``"c1" < "c10"``.
+    """
+    elements = base.elements
+    named = sorted(zip([f"[{elements[group[0]]}]" for group in groups], groups))
+    class_idx = [0] * len(elements)
     masks = []
-    class_idx = [0] * len(base)
-    for ci, group in enumerate(ordered):
-        names.append(f"[{base.elements[group[0]]}]")
+    for ci, (_, group) in enumerate(named):
         mask = 0
         for v in group:
             mask |= 1 << v
             class_idx[v] = ci
         masks.append(mask)
-    return names, tuple(masks), class_idx
+    names = [name for name, _ in named]
+    classes = tuple(tuple(map(elements.__getitem__, group)) for _, group in named)
+    return names, tuple(masks), class_idx, classes
 
 
-def _with_map_edges(phi: MonotoneMap, rows) -> list:
-    """Successor masks ``rows`` plus every map edge x -> phi(x), both ways."""
-    adj = list(rows)
-    for i, j in enumerate(phi.image):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
+def _map_components(image):
+    """Connected components of the undirected graph of x -> image[x], each
+    an ascending list of points, listed by least member.
+
+    The graph is functional, so a walk along the map from each unlabeled x
+    ends on a labeled point, whose component it joins, or closes a cycle
+    of its own, which makes x the least member of a new component.  Every
+    point is walked once.
+    """
+    n = len(image)
+    comp = [-1] * n
+    count = 0
+    for x in range(n):
+        if comp[x] >= 0:
+            continue
+        walk = []
+        y = x
+        while comp[y] == -1:
+            comp[y] = -2  # on the current walk
+            walk.append(y)
+            y = image[y]
+        c = comp[y]
+        if c < 0:
+            c = count
+            count += 1
+        for y in walk:
+            comp[y] = c
+    groups = [[] for _ in range(count)]
+    for x in range(n):
+        groups[comp[x]].append(x)
+    return groups
 
 
 def phi_components(phi: MonotoneMap) -> QuotientPoset:
     """The coequalizer, checked to be the quotient by map components.
 
-    The connected components of the undirected map graph are the strongly
-    connected parts of the map edges taken both ways.  Each lies inside one
-    class of ``coequalizer_general``, and the base order pushed onto the
-    components is antisymmetric exactly when no class holds two of them,
-    that is when there are as many components as classes; then the two
-    quotients coincide and the coequalizer is returned.
+    The connected components of the undirected map graph each lie inside
+    one class of ``coequalizer_general``, and the base order pushed onto
+    the components is antisymmetric exactly when no class holds two of
+    them; then the two quotients coincide and the coequalizer is returned.
     Otherwise QuotientNotAntisymmetric names, among the components sorted
     by least member, the first one that shares a class with an earlier one,
     after the earliest component of that class.
@@ -122,13 +156,32 @@ def _check_components(phi: MonotoneMap, quotient: QuotientPoset):
     when some class of the coequalizer ``quotient`` of phi holds two
     connected components of the undirected map graph."""
     names = phi.domain.elements
-    comps = tarjan_scc(_with_map_edges(phi, [0] * len(names)))
     first = {}
-    for least in sorted(min(comp) for comp in comps):
+    for group in _map_components(phi.image):
+        least = group[0]
         c = quotient._class_idx[least]
         if c in first:
             raise QuotientNotAntisymmetric(f"[{names[first[c]]}]", f"[{names[least]}]")
         first[c] = least
+
+
+def _contract(gen_masks, class_idx, member_masks):
+    """Successor masks of the classes: the edges leaving each class, mapped
+    onto the classes they enter.  Each target class costs one step, however
+    many edges enter it."""
+    leaving = [0] * len(member_masks)
+    for v, succ in enumerate(gen_masks):
+        leaving[class_idx[v]] |= succ
+    gen = []
+    for c, rest in enumerate(leaving):
+        rest &= ~member_masks[c]
+        row = 0
+        while rest:
+            d = class_idx[(rest & -rest).bit_length() - 1]
+            row |= 1 << d
+            rest &= ~member_masks[d]
+        gen.append(row)
+    return gen
 
 
 def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
@@ -136,23 +189,36 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
 
     Classes are the strongly connected parts of that preorder (x and y
     identified when each reaches the other); the class order is its
-    condensation, which is a partial order by construction.  One Tarjan
-    pass over the base's generating edges plus both directions of the map
-    edges finds the classes; the base edges between classes generate the
-    class order, with the emission order as its ``order``.
+    condensation, which is a partial order by construction.  Each connected
+    component of the map graph lies in one class, so the components are
+    found in one walk along the map and the base's generating edges are
+    mapped onto them; when the map is the identity and the names keep the
+    base's order, the class order takes the base's edges and ``order`` as
+    they are.  For a monotone map the contracted edges are acyclic, so the
+    components are the classes and one depth-first sweep orders them.  A
+    cycle, which only a map that is not monotone can close, goes to a
+    Tarjan pass over the component graph, and the components of each
+    strongly connected part are merged.
     """
     base = _endo_base(phi)
-    comps = tarjan_scc(_with_map_edges(phi, base.gen_masks))
-    names, member_masks, class_idx = _canonical_classes(base, [sorted(c) for c in comps])
-    gen = [0] * len(names)
-    for v, succ in enumerate(base.gen_masks):
-        c = class_idx[v]
-        row = 0
-        for w in bits(succ):
-            row |= 1 << class_idx[w]
-        gen[c] |= row & ~(1 << c)
-    class_poset = _generated_poset(names, gen, [class_idx[comp[0]] for comp in comps])
-    classes = tuple(base.ids_from(mask) for mask in member_masks)
+    n = len(base)
+    if phi.image == tuple(range(n)):
+        groups = [[v] for v in range(n)]
+    else:
+        groups = _map_components(phi.image)
+    names, member_masks, class_idx, classes = _canonical_classes(base, groups)
+    if class_idx == list(range(n)):
+        gen, order = base.gen_masks, base.order
+    else:
+        gen = _contract(base.gen_masks, class_idx, member_masks)
+        order = topo_order(gen)
+    if order is None:
+        parts = tarjan_scc(gen)
+        merged = [list(bits(reduce(or_, [member_masks[c] for c in part]))) for part in parts]
+        names, member_masks, class_idx, classes = _canonical_classes(base, merged)
+        gen = _contract(base.gen_masks, class_idx, member_masks)
+        order = [class_idx[group[0]] for group in merged]
+    class_poset = _generated_poset(names, gen, order)
     return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
 
 
@@ -177,10 +243,7 @@ class FixpointLattice:
         base = self.quotient.base
         masks = self.quotient.member_masks
         for qmask in iter_ideal_masks(self.quotient.class_poset):
-            union = 0
-            for c in bits(qmask):
-                union |= masks[c]
-            yield OrderIdeal(base, union)
+            yield OrderIdeal(base, reduce(or_, select(masks, qmask), 0))
 
     def count(self, max_count=None) -> int:
         return count_ideals(self.quotient.class_poset, max_count)

@@ -8,9 +8,11 @@ index order equals identifier order), and subsets are int bitmasks.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
-from .bitgraph import bits, dag_reach, mask_of, tarjan_scc, transpose_masks
+from .bitgraph import bits, dag_reach, mask_of, select, tarjan_scc, topo_order, transpose_masks
 from .errors import (
     AntisymmetryViolation,
     DuplicateElement,
@@ -100,15 +102,16 @@ class Poset:
         return mask_of(self.index(x) for x in members)
 
     def ids_from(self, mask: int) -> tuple:
-        return tuple(self.elements[i] for i in bits(mask))
+        return tuple(select(self.elements, mask))
 
     def is_down_closed(self, mask: int) -> bool:
         """True iff no generating edge enters ``mask`` from outside it."""
-        return not any(row & mask for i, row in enumerate(self.gen_masks) if not mask >> i & 1)
+        outside = ((1 << len(self.elements)) - 1) & ~mask
+        return not reduce(or_, select(self.gen_masks, outside), 0) & mask
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
-        _, upper = _cover_masks(self)
+        upper = _upper_covers(self)
         return [(self.elements[i], self.elements[j]) for i in range(len(self)) for j in bits(upper[i])]
 
 
@@ -116,10 +119,12 @@ def build_poset(elements, pairs) -> Poset:
     """Build a poset from elements and generating (lesser, greater) pairs.
 
     The stored relation is the reflexive-transitive closure of ``pairs``;
-    pairs need not be covering pairs and reflexive pairs are harmless.  A
-    closure cycle between distinct elements means the input is a preorder
-    and raises AntisymmetryViolation.  The edges without self-loops are
-    kept as ``gen_masks``, with Tarjan's emission order as ``order``.
+    pairs need not be covering pairs and reflexive pairs are harmless.  The
+    edges without self-loops are kept as ``gen_masks``, and one depth-first
+    sweep over them lists the elements in ``order``.  When that sweep meets
+    a cycle the input is a preorder: only then does a Tarjan pass find the
+    strongly connected parts, and AntisymmetryViolation names the two least
+    elements of the first part with more than one element.
     """
     seen = set()
     for x in elements:
@@ -137,12 +142,14 @@ def build_poset(elements, pairs) -> Poset:
         i, j = index[lo], index[hi]
         if i != j:
             adj[i] |= 1 << j
-    comps = tarjan_scc(adj)
-    for comp in comps:
-        if len(comp) > 1:
-            a, b = sorted(comp)[:2]
-            raise AntisymmetryViolation(ids[a], ids[b])
-    return _generated_poset(ids, adj, [c[0] for c in comps])
+    order = topo_order(adj)
+    if order is None:
+        for comp in tarjan_scc(adj):
+            if len(comp) > 1:
+                a, b = sorted(comp)[:2]
+                raise AntisymmetryViolation(ids[a], ids[b])
+        raise RuntimeError("the order sweep met a cycle that the Tarjan pass does not find")
+    return _generated_poset(ids, adj, order)
 
 
 def _generated_poset(elements, gen, order) -> Poset:
@@ -267,9 +274,15 @@ def count_ideals(poset: Poset, max_count=None) -> int:
 
 
 def _cover_masks(poset):
-    """Lower and upper cover masks, read off the generators: every upper
-    cover of i is a generating successor of i, and a generating successor
-    is a cover unless it lies strictly above another one."""
+    """Lower and upper cover masks."""
+    upper = _upper_covers(poset)
+    return transpose_masks(upper), upper
+
+
+def _upper_covers(poset):
+    """Upper cover masks, read off the generators: every upper cover of i
+    is a generating successor of i, and a generating successor is a cover
+    unless it lies strictly above another one."""
     up = poset.up_masks
     upper = []
     for row in poset.gen_masks:
@@ -280,7 +293,7 @@ def _cover_masks(poset):
             above |= up[low.bit_length() - 1] ^ low
             rest ^= low
         upper.append(row & ~above)
-    return transpose_masks(upper), upper
+    return upper
 
 
 def _component_extensions(lower, upper):

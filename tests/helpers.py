@@ -271,12 +271,11 @@ def closure_coequalizer(phi):
                 if comp_of[w] != ci:
                     r |= reach[comp_of[w]]
         reach[ci] = r
-    names, member_masks, class_idx = _canonical_classes(base, [sorted(c) for c in comps])
+    names, member_masks, class_idx, classes = _canonical_classes(base, [sorted(c) for c in comps])
     canon = [class_idx[comp[0]] for comp in comps]
     up = [0] * len(comps)
     for e, r in enumerate(reach):
         up[canon[e]] = sum(1 << canon[e2] for e2 in bits(r))
-    classes = tuple(base.ids_from(mask) for mask in member_masks)
     return QuotientPoset(base, classes, closed_poset(names, up), member_masks, class_idx)
 
 
@@ -318,7 +317,7 @@ def union_find_components(phi):
     uf = UnionFind(n)
     for i in range(n):
         uf.union(i, phi.image[i])
-    names, member_masks, class_idx = _canonical_classes(base, list(uf.groups().values()))
+    names, member_masks, class_idx, classes = _canonical_classes(base, list(uf.groups().values()))
     m = len(names)
     cadj = [0] * m
     for i in range(n):
@@ -333,7 +332,6 @@ def union_find_components(phi):
             raise QuotientNotAntisymmetric(names[a], names[b])
     gen = [row & ~(1 << c) for c, row in enumerate(cadj)]
     class_poset = _generated_poset(names, gen, [c[0] for c in comps])
-    classes = tuple(base.ids_from(mask) for mask in member_masks)
     return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
 
 

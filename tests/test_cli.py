@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import dualfix.bitgraph
 import dualfix.fixpoint
 import dualfix.lattice
+import dualfix.poset
 from dualfix import NotDistributive, lattice_from_order
 from dualfix.cli import EXIT_INTERNAL, _parser, main
 from dualfix.jsonio import poset_from_obj
@@ -303,6 +305,80 @@ class TestFixpoints:
         )
         assert code == 2
         assert json.loads(err)["error"] == "NotMonotone"
+
+
+class TestClassNamesSortUnlikeIdentifiers:
+    # "[c10]" < "[c1]" although "c1" < "c10"; these used to exit 1
+    ODD = {"elements": ["c1", "c10", "c2"], "leq": [["c1", "c2"]]}
+    IDENTITY = {"map": {"c1": "c1", "c10": "c10", "c2": "c2"}}
+    CHAIN = {"elements": ["b", "x1", "x10"], "leq": [["b", "x1"], ["x1", "x10"]]}
+
+    def test_poset_side(self, capsys, write_json, tmp_path):
+        args = ["--poset", write_json("p.json", self.ODD), "--map", write_json("m.json", self.IDENTITY)]
+        code, out, _ = run(capsys, "fixpoints", *args, "--quotient")
+        assert code == 0
+        assert json.loads(out) == {
+            "classes": {"[c10]": ["c10"], "[c1]": ["c1"], "[c2]": ["c2"]},
+            "leq": [["[c1]", "[c2]"]],
+        }
+        assert run(capsys, "fixpoints", *args, "--count") == (0, "6\n", "")
+        code, out, _ = run(capsys, "fixpoints", *args, "--list")
+        assert code == 0
+        assert out.splitlines() == ["[]", '["c10"]', '["c1"]', '["c1","c10"]', '["c1","c2"]', '["c1","c10","c2"]']
+        code, out, _ = run(capsys, "compare", *args, "--artifact", str(tmp_path / "cex.json"))
+        assert (code, json.loads(out)) == (0, {"agree": True, "classes": 3, "fixpoints": 6})
+        code, out, _ = run(capsys, "dot", "quotient", args[3], "--poset", args[1])
+        assert code == 0
+        assert 'label="[c10]";' in out
+
+    def test_lattice_side(self, capsys, write_json):
+        args = [
+            "--lattice", write_json("l.json", self.CHAIN),
+            "--hom", write_json("h.json", {"map": {"b": "b", "x1": "x1", "x10": "x10"}}),
+        ]
+        code, out, _ = run(capsys, "fixpoints", *args, "--quotient")
+        assert code == 0
+        assert json.loads(out) == {"classes": {"[x10]": ["x10"], "[x1]": ["x1"]}, "leq": [["[x1]", "[x10]"]]}
+        assert run(capsys, "fixpoints", *args, "--count") == (0, "3\n", "")
+        assert run(capsys, "fixpoints", *args, "--list") == (0, '"b"\n"x1"\n"x10"\n', "")
+
+
+class TestAcceptedInputsRunNoTarjanPass:
+    # Tarjan's algorithm only names witnesses: build_poset, the quotient and
+    # everything between them accept without it.
+    GRID = {
+        "elements": ["g00", "g01", "g10", "g11", "g20", "g21"],
+        "leq": [["g00", "g01"], ["g10", "g11"], ["g20", "g21"], ["g00", "g10"], ["g10", "g20"], ["g01", "g11"], ["g11", "g21"]],
+    }
+    ROW_FLOOR = {"map": {"g00": "g00", "g01": "g00", "g10": "g10", "g11": "g10", "g20": "g20", "g21": "g20"}}
+
+    @pytest.fixture(autouse=True)
+    def refuse_tarjan(self, monkeypatch):
+        def refuse(adj):
+            raise AssertionError("tarjan_scc ran on an accepted input")
+
+        for module in (dualfix.bitgraph, dualfix.poset, dualfix.fixpoint):
+            if hasattr(module, "tarjan_scc"):
+                monkeypatch.setattr(module, "tarjan_scc", refuse)
+
+    @pytest.mark.parametrize("mode", ["--list", "--count", "--quotient"])
+    def test_poset_and_map(self, capsys, write_json, mode):
+        args = ["--poset", write_json("p.json", self.GRID)]
+        for table in (self.ROW_FLOOR, {"map": {x: x for x in self.GRID["elements"]}}):
+            code, _, err = run(capsys, "fixpoints", *args, "--map", write_json("m.json", table), mode)
+            assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("mode", ["--list", "--count", "--quotient"])
+    def test_lattice_and_hom(self, capsys, write_json, mode):
+        code, out, _ = run(
+            capsys, "dualmap", "--poset", write_json("p.json", self.GRID), "--map", write_json("m.json", self.ROW_FLOOR)
+        )
+        assert code == 0
+        doc = json.loads(out)
+        lattice = write_json("l.json", doc["lattice"])
+        for hom in (doc["hom"], {"map": {x: x for x in doc["lattice"]["elements"]}}):
+            code, _, err = run(capsys, "fixpoints", "--lattice", lattice, "--hom", write_json("h.json", hom), mode)
+            assert (code, err) == (0, "")
 
 
 class TestDualAndDualmap:

@@ -15,6 +15,7 @@ from dualfix import (
     bruteforce_fixpoints,
     build_poset,
     coequalizer_general,
+    count_ideals,
     dual_map,
     enumerate_ideals,
     fixpoints_via_duality,
@@ -247,10 +248,100 @@ class TestCoequalizerGeneral:
             image = [rng.randrange(len(base)) for _ in base.elements]
             self._assert_matches_closure_construction(MonotoneMap(base, base, image))
 
+    def test_matches_the_closure_construction_on_every_table_small(self):
+        # every table, monotone or not, on every poset of at most 4 elements:
+        # the non-monotone ones close cycles between map components
+        for p in noniso_posets_upto(4):
+            base = build_poset(list(p.elements), p.covers())
+            for image in product(range(len(base)), repeat=len(base)):
+                self._assert_matches_closure_construction(MonotoneMap(base, base, image))
+
+    def test_matches_the_closure_construction_with_identifiers_either_way(self):
+        rng = random.Random(101)
+        merged = 0
+        for _ in range(200):
+            p = random_poset(rng, rng.randrange(0, 20))
+            rename = dict(zip(p.elements, reversed(p.elements)))
+            flipped = build_poset(list(p.elements), [(rename[x], rename[y]) for x, y in p.covers()])
+            for base in (p, flipped):
+                self._assert_matches_closure_construction(random_monotone_between(rng, base, base))
+                phi = MonotoneMap(base, base, [rng.randrange(len(base)) for _ in base.elements])
+                self._assert_matches_closure_construction(phi)
+                try:
+                    phi_components(phi)
+                except QuotientNotAntisymmetric:
+                    merged += 1
+        assert merged > 20
+
     def test_agreement_with_components_exhaustive_small(self):
         for base in noniso_posets_upto(3):
             for phi in monotone_selfmaps(base):
                 assert phi_components(phi) == coequalizer_general(phi)
+
+
+ODD_NAMES = {"elements": ["c1", "c10", "c2"], "leq": [["c1", "c2"]]}
+
+
+class TestClassNamesSortUnlikeIdentifiers:
+    # "[c10]" < "[c1]" although "c1" < "c10": the classes are ordered by
+    # name, so the class poset's identifiers stay sorted.
+
+    def test_poset_side(self):
+        base = poset_from_obj(ODD_NAMES)
+        quo = coequalizer_general(MonotoneMap.identity(base))
+        assert quo.class_poset.elements == ("[c10]", "[c1]", "[c2]")
+        assert quo.classes == (("c10",), ("c1",), ("c2",))
+        assert quo.class_name_of("c10") == "[c10]"
+        assert quotient_to_obj(quo) == {
+            "classes": {"[c10]": ["c10"], "[c1]": ["c1"], "[c2]": ["c2"]},
+            "leq": [["[c1]", "[c2]"]],
+        }
+        fx = fixpoints_via_duality(MonotoneMap.identity(base))
+        assert fx.count() == 6
+        assert [list(m.members) for m in fx.iter_members()] == [
+            [], ["c10"], ["c1"], ["c1", "c10"], ["c1", "c2"], ["c1", "c10", "c2"],
+        ]
+
+    def test_lattice_side(self):
+        lat = lattice_from_order(poset_from_obj({"elements": ["b", "x1", "x10"], "leq": [["b", "x1"], ["x1", "x10"]]}))
+        hom = is_homomorphism({x: x for x in lat.elements}, lat, lat)
+        quo = hom_quotient(hom)
+        assert quotient_to_obj(quo) == {"classes": {"[x10]": ["x10"], "[x1]": ["x1"]}, "leq": [["[x1]", "[x10]"]]}
+        got = [algorithm1(hom, quo.class_poset.ids_from(m), quotient=quo) for m in iter_ideal_masks(quo.class_poset)]
+        assert got == ["b", "x1", "x10"]
+
+    def test_counts_match_the_brute_force_with_identifiers_below_the_bracket(self):
+        # identifiers over digits, '-' and ' ', which sort below ']', so that
+        # prefixes of one another are frequent
+        rng = random.Random(151)
+        alphabet = "a0-1 9"
+        for _ in range(80):
+            n = rng.randrange(0, 7)
+            ids = set()
+            while len(ids) < n:
+                ids.add("".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 4))))
+            ids = sorted(ids)
+            shuffled = rng.sample(ids, n)
+            pairs = [(shuffled[i], shuffled[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            base = build_poset(ids, pairs)
+            lat = ideal_lattice(base)
+            for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
+                hom = hom_from_dual(phi, lat, lat)
+                brute = bruteforce_fixpoints(hom)
+                fx = fixpoints_via_duality(phi)
+                assert fx.count() == len(brute)
+                assert sorted(m.name for m in fx.iter_members()) == sorted(brute)
+                # the same endomorphism with lattice elements renamed to such
+                # identifiers, through hom_quotient
+                names = set()
+                while len(names) < len(lat):
+                    names.add("".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 5))))
+                rename = dict(zip(lat.elements, sorted(names, key=lambda _: rng.random())))
+                renamed = lattice_from_order(build_poset(
+                    sorted(names), [(rename[x], rename[y]) for x, y in lat.order.covers()]
+                ))
+                h = is_homomorphism({rename[x]: rename[y] for x, y in hom.table.items()}, renamed, renamed)
+                assert count_ideals(hom_quotient(h).class_poset) == len(brute)
 
 
 class TestFixpointsViaDuality:
