@@ -134,17 +134,21 @@ def tarjan_scc(adj):
     return comps
 
 
-def dag_reach(adj, order):
+def dag_reach(adj, order, rows=None):
     """Reflexive-transitive reachability rows of an acyclic digraph.
 
     ``order`` must list every vertex after all vertices it reaches, as
-    :func:`topo_order` returns it.
+    :func:`topo_order` returns it.  Given ``rows``, each vertex gets the
+    union of ``rows`` over all vertices it reaches instead.
     """
-    reach = [0] * len(adj)
+    reach = [1 << v for v in range(len(adj))] if rows is None else list(rows)
     for v in order:
-        r = 1 << v
-        for w in bits(adj[v] & ~(1 << v)):
-            r |= reach[w]
+        r = reach[v]
+        rest = adj[v] & ~(1 << v)
+        while rest:
+            low = rest & -rest
+            r |= reach[low.bit_length() - 1]
+            rest ^= low
         reach[v] = r
     return reach
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bitgraph import bits
 from .errors import NoMinimum
-from .lattice import LatticeHom, birkhoff_eta, ideal_lattice, is_homomorphism
+from .lattice import LatticeHom, _least_by_differences, birkhoff_eta, ideal_lattice, is_homomorphism
 from .poset import MonotoneMap, is_monotone
 
 
@@ -23,17 +23,15 @@ def dual_map(hom: LatticeHom) -> MonotoneMap:
     yields a unique least candidate; NoMinimum flags a map that merely
     pretends to be one.
 
-    The dual is read off by differences, with no loop over pairs: y is new
-    at x when y is in f(down-set of x) but not in f(down-set of x less x).
-    For a homomorphism, y is in f(down-set of x) exactly when phi(y) <= x,
-    and f of the strict down-set is the union of f over the principal
-    ideals in it, so y is new exactly at phi(y).  The result is taken when
-    every y is new at exactly one x and each f(down-set of x) is what is
-    new at x plus f(down-set of w) over the generating predecessors w of x:
-    by induction over the order, y is then in f(down-set of x) exactly when
-    the x it is new at is <= x, so that x is the least candidate.  Any
-    other map runs the candidate loop, which names the first y without a
-    least candidate.
+    The dual is read off by differences, with no loop over pairs, by
+    :func:`~dualfix.lattice._least_by_differences`, the rule that
+    ``is_homomorphism`` accepts with: y is new at x when y is in
+    f(down-set of x) but not in f(down-set of x less x).  For a
+    homomorphism, y is in f(down-set of x) exactly when phi(y) <= x, and f
+    of the strict down-set is the union of f over the principal ideals in
+    it, so y is new exactly at phi(y); when the rule takes the result, the
+    x each y is new at is its least candidate.  Any other map runs the
+    candidate loop, which names the first y without a least candidate.
     """
     dom, cod = hom.domain, hom.codomain
     p, q = dom.ideal_base, cod.ideal_base
@@ -47,23 +45,6 @@ def dual_map(hom: LatticeHom) -> MonotoneMap:
     if least is None:
         least = _least_candidates(images, p, q)
     return is_monotone({q.elements[y]: p.elements[x] for y, x in enumerate(least)}, q, p)
-
-
-def _least_by_differences(images, strict_images, p, q):
-    """Per y of Q the x of P it is new at, or None unless every y is new at
-    exactly one x and the images are generated from what is new."""
-    least = [None] * len(q)
-    below = [0] * len(p)
-    for x, (img, strict) in enumerate(zip(images, strict_images)):
-        for y in bits(img & ~strict):
-            if least[y] is not None:
-                return None
-            least[y] = x
-        for w in bits(p.gen_masks[x]):
-            below[w] |= img
-    if None in least or any(img != img & ~strict | low for img, strict, low in zip(images, strict_images, below)):
-        return None
-    return least
 
 
 def _least_candidates(images, p, q):

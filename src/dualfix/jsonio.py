@@ -44,17 +44,18 @@ def poset_from_obj(obj) -> Poset:
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)):
             raise ParseError(f'"leq" entry {p!r} is not a [lesser, greater] pair')
-    return build_poset(elements, [tuple(p) for p in pairs])
+    return build_poset(elements, pairs)
 
 
 def table_from_obj(obj) -> dict:
     if not isinstance(obj, dict):
         raise ParseError("map document must be a JSON object")
     table = obj.get("map")
-    if not isinstance(table, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in table.items()
-    ):
+    if not isinstance(table, dict):
         raise ParseError('"map" must be an object of string-to-string entries')
+    for k, v in table.items():
+        if not (isinstance(k, str) and isinstance(v, str)):
+            raise ParseError('"map" must be an object of string-to-string entries')
     return table
 
 

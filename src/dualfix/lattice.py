@@ -4,9 +4,10 @@ Every validated lattice is stored as its Birkhoff representation: a poset B
 (the join-irreducibles, or the base of an ideal lattice) and, per element,
 the bitmask of the order ideal of B it corresponds to, so meet is ``&`` and
 join is ``|``.  Validation checks that representation directly, in at most
-O(n·|B|) mask steps instead of a pair or triple scan; the identifier-order
-scans that name a witness run only once that check has failed.  The pair
-scan is quadratic; the triple scan visits only the rows a at or above a
+O(n·|B|) mask steps instead of a pair or triple scan, and a homomorphism is
+accepted by reading its dual map on the bases; the identifier-order scans
+that name a witness run only once such a check has failed.  The pair scan
+is quadratic; the triple scan visits only the rows a at or above a
 join-irreducible that is not join-prime, since no other row can hold a
 failing triple, and keeps no meet or join table.
 
@@ -367,9 +368,10 @@ class LatticeHom(_TableMap):
 def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> LatticeHom:
     """Validate a raw element table as a lattice homomorphism and wrap it.
 
-    Checks bottom, then top, then accepts through :func:`_preserves_laws`.
-    Only a table that fails it is scanned pair by pair in identifier order,
-    so NotHom carries the first broken law and its witnesses.
+    Checks bottom, then top, then accepts through :func:`_preserves_laws`,
+    which reads the table's dual map.  Only a table that fails it is scanned
+    pair by pair in identifier order, so NotHom carries the first broken law
+    and its witnesses.
     """
     image = _total_image(table, domain.order, codomain.order)
     if image[domain.bot_idx] != codomain.bot_idx:
@@ -385,47 +387,62 @@ def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> La
 def _preserves_laws(image, domain, codomain) -> bool:
     """Whether an image that keeps bottom and top preserves meet and join.
 
-    With F(a) the image's mask over the codomain base, it checks for every
-    a above bottom and one maximal base point x in a that
-    F(a) = F(a - x) | F(down-set of x), and for every a below top and one
-    minimal point x outside a that F(a) = F(a + x) & F(B - up-set of x).
-    Both hold for a homomorphism.  Conversely, by induction on |a| from
-    F(bottom) = 0, the first makes F(a) the union of F(down-set of x) over
-    x in a, which is additive in a, so F preserves joins; dually, from
-    F(top) = all, the second makes F preserve meets.  Finding x walks the
-    base order, so the cost is at most O(n·height(B)) mask steps.
+    One push along the domain order's generating edges gives, per element,
+    the union of its predecessors' ideals and of their images f (masks over
+    the codomain base).  The predecessors include the lower covers, so
+    their ideals make up the element's own unless it is the down-set of a
+    base point x, which they leave out.  It accepts when every other
+    element has f(a) = the union, and :func:`_least_by_differences` reads a
+    map phi off f and the unions at the down-sets, so that f(down-set of x)
+    = phi^-1(down-set of x).  Every other element is bottom or the join of
+    its lower covers, so by induction f = phi^-1, which preserves meet,
+    join, bottom and top.  A homomorphism passes: the union at the
+    down-set of x is then f(down-set of x less x), and f is the preimage
+    map of its dual.  No mask is looked up.
     """
-    base = domain.ideal_base
-    up, down = base.up_masks, base.down_masks
-    full = (1 << len(base)) - 1
-    index = domain.ideal_index
+    masks = domain.element_masks
     f = [codomain.element_masks[i] for i in image]
-    for a, mask in enumerate(domain.element_masks):
-        if mask:
-            x = _maximal(mask, up)
-            if f[a] != f[index(mask ^ 1 << x)] | f[index(down[x])]:
-                return False
-        if mask != full:
-            x = _minimal(full & ~mask, down)
-            if f[a] != f[index(mask | 1 << x)] & f[index(full & ~up[x])]:
-                return False
-    return True
+    below, joined = [0] * len(f), [0] * len(f)
+    for w, succ in enumerate(domain.order.gen_masks):
+        ideal, img = masks[w], f[w]
+        while succ:
+            low = succ & -succ
+            a = low.bit_length() - 1
+            below[a] |= ideal
+            joined[a] |= img
+            succ ^= low
+    principal = [0] * len(domain.ideal_base)
+    for a, (ideal, lower) in enumerate(zip(masks, below)):
+        if ideal != lower:
+            principal[(ideal ^ lower).bit_length() - 1] = a
+        elif f[a] != joined[a]:
+            return False
+    return _least_by_differences([f[a] for a in principal], [joined[a] for a in principal], domain.ideal_base, codomain.ideal_base) is not None
 
 
-def _maximal(mask, up):
-    """A maximal element of a nonempty mask, climbing from its highest bit."""
-    j = mask.bit_length() - 1
-    while above := (up[j] & mask) ^ (1 << j):
-        j = above.bit_length() - 1
-    return j
+def _least_by_differences(images, strict_images, p, q):
+    """Per y of Q the x of P it is new at, or None unless every y is new at
+    exactly one x and the images are generated from what is new.
 
-
-def _minimal(mask, down):
-    """A minimal element of a nonempty mask, descending from its lowest bit."""
-    j = (mask & -mask).bit_length() - 1
-    while below := (down[j] & mask) ^ (1 << j):
-        j = (below & -below).bit_length() - 1
-    return j
+    y is new at x when it is in ``images[x]`` but not in
+    ``strict_images[x]``.  The images are generated from what is new when
+    each is what is new at x plus the images of the generating
+    predecessors of x; then, by induction over the order, y is in
+    ``images[x]`` exactly when the x it is new at is at or below x, whatever
+    the strict images hold.
+    """
+    least = [None] * len(q)
+    below = [0] * len(p)
+    for x, (img, strict) in enumerate(zip(images, strict_images)):
+        for y in bits(img & ~strict):
+            if least[y] is not None:
+                return None
+            least[y] = x
+        for w in bits(p.gen_masks[x]):
+            below[w] |= img
+    if None in least or any(img != img & ~strict | low for img, strict, low in zip(images, strict_images, below)):
+        return None
+    return least
 
 
 def _raise_hom_witness(image, domain, codomain):

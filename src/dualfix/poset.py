@@ -440,6 +440,14 @@ class MonotoneMap(_TableMap):
 
 
 def _total_image(table, domain, codomain):
+    """Image indices of a table, read in one pass when it has one entry
+    per domain element; else the ordered scans name the first fault."""
+    if len(table) == len(domain):
+        index = codomain.index
+        try:
+            return [index(table[x]) for x in domain.elements]
+        except (KeyError, UnknownElement):
+            pass
     for key in table:
         if key not in domain:
             raise UnknownElement(key, "not in the domain")
@@ -466,15 +474,7 @@ def is_monotone(table, domain: Poset, codomain: Poset) -> MonotoneMap:
     pre = [0] * len(codomain)
     for i, c in enumerate(image):
         pre[c] |= 1 << i
-    gen = codomain.gen_masks
-    for c in codomain.order:
-        acc = pre[c]
-        rest = gen[c]
-        while rest:
-            low = rest & -rest
-            acc |= pre[low.bit_length() - 1]
-            rest ^= low
-        pre[c] = acc
+    pre = dag_reach(codomain.gen_masks, codomain.order, pre)
     if not any(row & ~pre[c] for row, c in zip(domain.gen_masks, image)):
         return MonotoneMap(domain, codomain, image)
     for i, row in enumerate(domain.up_masks):

@@ -385,6 +385,42 @@ def brute_lattice_witness(order):
                     raise NotDistributive(order.elements[a], order.elements[b], order.elements[c])
 
 
+def climbing_preserves_laws(image, domain, codomain):
+    """Whether an image that keeps bottom and top preserves meet and join,
+    by one join and one meet check per element against the base.
+
+    With F(a) the image's mask over the codomain base, it checks for every
+    a above bottom and one maximal base point x in a that
+    F(a) = F(a - x) | F(down-set of x), and for every a below top and one
+    minimal point x outside a that F(a) = F(a + x) & F(B - up-set of x).
+    Both hold for a homomorphism.  Conversely, by induction on |a| from
+    F(bottom) = 0, the first makes F(a) the union of F(down-set of x) over
+    x in a, which is additive in a, so F preserves joins; dually, from
+    F(top) = all, the second makes F preserve meets.  x is found by
+    climbing the closed base order from the highest (lowest) bit.
+    """
+    base = domain.ideal_base
+    up, down = base.up_masks, base.down_masks
+    full = (1 << len(base)) - 1
+    index = domain.ideal_index
+    f = [codomain.element_masks[i] for i in image]
+    for a, mask in enumerate(domain.element_masks):
+        if mask:
+            x = mask.bit_length() - 1
+            while above := (up[x] & mask) ^ (1 << x):
+                x = above.bit_length() - 1
+            if f[a] != f[index(mask ^ 1 << x)] | f[index(down[x])]:
+                return False
+        if mask != full:
+            rest = full & ~mask
+            x = (rest & -rest).bit_length() - 1
+            while below := (down[x] & rest) ^ (1 << x):
+                x = (below & -below).bit_length() - 1
+            if f[a] != f[index(mask | 1 << x)] & f[index(full & ~up[x])]:
+                return False
+    return True
+
+
 def inclusion_rows(masks):
     """Up rows of a family of sets under inclusion, by the pairwise scan."""
     return [sum(1 << j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dualfix import AntisymmetryViolation, build_poset
-from dualfix.bitgraph import bits, select, tarjan_scc, topo_order
+from dualfix.bitgraph import bits, dag_reach, select, tarjan_scc, topo_order
 
 from helpers import closure_rows
 
@@ -57,6 +57,23 @@ class TestTopoOrder:
         assert topo_order([0b10, 0b100, 0]) == [2, 1, 0]
         assert topo_order([0b10, 0b1]) is None
         assert topo_order([0b10, 0b100, 0b10]) is None
+
+
+class TestDagReach:
+    def test_rows_against_the_naive_closure(self):
+        rng = random.Random(13)
+        for adj in random_digraphs(9, 300):
+            order = topo_order(adj)
+            if order is None:
+                continue
+            reach = closure_rows(adj)
+            assert dag_reach(adj, order) == reach
+            rows = [rng.getrandbits(40) for _ in adj]
+            want = [0] * len(adj)
+            for v in range(len(adj)):
+                for w in bits(reach[v]):
+                    want[v] |= rows[w]
+            assert dag_reach(adj, order, rows) == want
 
 
 class TestSelect:

@@ -1,6 +1,6 @@
 """The CLI's exit codes, stdout and stderr on a fixed corpus, byte for byte.
 
-``golden_cli.json`` holds about 200 invocations, each with its input files,
+``golden_cli.json`` holds about 300 invocations, each with its input files,
 argv and recorded result: ``fixpoints`` in every mode on both sides,
 ``compare``, ``dot``, ``dual``, ``dualmap``, ``validate``, malformed
 documents and usage errors.  The test replays each one in process, from a
@@ -163,7 +163,60 @@ def build_corpus():
     add("output-file", files, "fixpoints", "--poset", "p.json", "--map", "m.json", "-o", "out.txt")
     add("codomain", {"p.json": chain, "c.json": {"elements": ["r"], "leq": []}, "m.json": {"map": {"p": "r", "q": "r"}}},
         "validate", "map", "m.json", "--poset", "p.json", "--codomain", "c.json")
+    _add_hom_law_cases(add)
     return cases
+
+
+def _add_hom_law_cases(add):
+    """Homs that keep bottom and top, so that only the meet and join laws
+    decide them, on the ideal lattices of an antichain (2×2), a chain and an
+    ordinal sum of posets, under shuffled names and under names that run
+    against the order.  Per lattice: the identity, a hom induced by a random
+    monotone map, x ↦ top above bottom (keeps joins, breaks meets unless the
+    lattice is a chain), x ↦ bottom below top (keeps meets, breaks joins
+    unless a chain) and two swapped inner images.  Its own seed keeps the
+    inputs of the cases before it."""
+    from dualfix import build_poset, hom_from_dual
+    from dualfix.jsonio import poset_to_obj
+    from helpers import random_monotone_between
+
+    rng = random.Random(20261019)
+    bases = {
+        "square": build_poset(["a", "b"], []),
+        "chain": build_poset(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]),
+        "sum": build_poset(list("abcdxyz"), [("a", "c"), ("b", "c"), ("c", "d"), ("d", "x"), ("d", "z"), ("x", "y")]),
+    }
+    for name, base in bases.items():
+        for naming in ("shuffled", "reversed"):
+            hom = hom_from_dual(random_monotone_between(rng, base, base))
+            order = hom.domain.order
+            fresh = [f"M{i:02d}" for i in range(len(order))]
+            if naming == "shuffled":
+                rng.shuffle(fresh)
+                ranked = order.elements
+            else:
+                # each element named before everything below it
+                ranked = sorted(order.elements, key=lambda x: -order.down_masks[order.index(x)].bit_count())
+            rename = dict(zip(ranked, fresh))
+            doc = poset_to_obj(order)
+            lat = {"elements": sorted(fresh), "leq": [[rename[x], rename[y]] for x, y in doc["leq"]]}
+            bot, top = rename[hom.domain.bot], rename[hom.domain.top]
+            inner = sorted(x for x in fresh if x not in (bot, top))
+            a, b = rng.sample(inner, 2)
+            swap = {x: x for x in fresh}
+            swap[a], swap[b] = b, a
+            tables = {
+                "identity": {x: x for x in fresh},
+                "induced": {rename[x]: rename[y] for x, y in hom.table.items()},
+                "up": {x: bot if x == bot else top for x in fresh},
+                "down": {x: top if x == top else bot for x in fresh},
+                "swap": swap,
+            }
+            for kind, table in tables.items():
+                files = {"l.json": lat, "h.json": {"map": dict(sorted(table.items()))}}
+                tag = f"law-{name}-{naming}-{kind}"
+                add(f"{tag}-validate-hom", files, "validate", "hom", "h.json", "--lattice", "l.json")
+                add(f"{tag}-fixpoints--count", files, "fixpoints", "--lattice", "l.json", "--hom", "h.json", "--count")
 
 
 def run_case(case, directory):

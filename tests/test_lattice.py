@@ -34,6 +34,7 @@ from helpers import (
     assert_generated,
     brute_join_irreducibles,
     brute_lattice_witness,
+    climbing_preserves_laws,
     inclusion_rows,
     labeled_posets,
     noniso_posets_upto,
@@ -515,6 +516,109 @@ def _ordinal_sum(parts, rng):
         prev_top = [rename[x] for i, x in enumerate(p.elements) if p.up_masks[i] == 1 << i]
         offset += len(p)
     return build_poset(names, pairs)
+
+
+def _renamed(order, rng, against_order):
+    """The order under fresh names: shuffled, or with every element named
+    before everything below it, so that identifier order runs against the
+    order."""
+    fresh = [f"w{k:03d}" for k in range(len(order))]
+    if against_order:
+        ranked = sorted(range(len(order)), key=lambda i: -order.down_masks[i].bit_count())
+    else:
+        ranked = range(len(order))
+        rng.shuffle(fresh)
+    rename = {order.elements[i]: fresh[k] for k, i in enumerate(ranked)}
+    return build_poset(fresh, [(rename[x], rename[y]) for x, y in order.covers()])
+
+
+def _chain(n):
+    return build_poset([f"k{i}" for i in range(n)], [(f"k{i}", f"k{i + 1}") for i in range(n - 1)])
+
+
+def _induced_image(lat, phi):
+    """The image of the hom whose dual is ``phi``, a monotone self-map of
+    the base given by its image indices: each ideal goes to its preimage."""
+    out = []
+    for mask in lat.element_masks:
+        out.append(lat.ideal_index(sum(1 << y for y, x in enumerate(phi) if mask >> x & 1)))
+    return out
+
+
+def _hom_outcome(table, dom, cod):
+    """None when is_homomorphism accepts the table, else the NotHom law and
+    witness."""
+    try:
+        is_homomorphism(table, dom, cod)
+    except NotHom as exc:
+        return exc.payload["law"], exc.payload["witness"]
+    return None
+
+
+class TestDualHomAcceptAgainstClimbingOracle:
+    """Differential: the accept by the dual map against the climbing check
+    it replaced and against the pair scan, on chains and ordinal sums under
+    shuffled names and names that run against the order, and on tables that
+    keep bottom and top but break only meets or only joins."""
+
+    @staticmethod
+    def _lattices(rng):
+        orders = [ideal_lattice(build_poset(["a", "b"], [])).order]
+        orders += [ideal_lattice(_chain(n)).order for n in (1, 2, 4, 7)]
+        for _ in range(8):
+            parts = [ideal_lattice(random_poset(rng, rng.randrange(0, 4))).order for _ in range(rng.randrange(2, 4))]
+            orders.append(_ordinal_sum(parts, rng))
+        return [lattice_from_order(_renamed(order, rng, against)) for order in orders for against in (False, True)]
+
+    @staticmethod
+    def _images(lat, rng):
+        n, bot, top = len(lat), lat.bot_idx, lat.top_idx
+        base = lat.ideal_base
+        images = [list(range(n)), [bot if a == bot else top for a in range(n)], [top if a == top else bot for a in range(n)]]
+        for _ in range(3):
+            induced = _induced_image(lat, random_monotone_between(rng, base, base).image)
+            images.append(induced)
+            inner = [a for a in range(n) if a not in (bot, top)]
+            if inner:
+                changed = list(induced)
+                changed[rng.choice(inner)] = rng.randrange(n)
+                images.append(changed)
+                shuffled = [rng.randrange(n) for _ in range(n)]
+                shuffled[bot], shuffled[top] = bot, top
+                images.append(shuffled)
+        return images
+
+    def test_chains_and_ordinal_sums(self, monkeypatch):
+        rng = random.Random(137)
+        outcomes = set()
+        for lat in self._lattices(rng):
+            for image in self._images(lat, rng):
+                accepted = _preserves_laws(image, lat, lat)
+                assert accepted == climbing_preserves_laws(image, lat, lat) == _pair_scan_accepts(image, lat, lat)
+                table = {x: lat.elements[i] for x, i in zip(lat.elements, image)}
+                got = _hom_outcome(table, lat, lat)
+                with monkeypatch.context() as patch:
+                    patch.setattr("dualfix.lattice._preserves_laws", climbing_preserves_laws)
+                    assert got == _hom_outcome(table, lat, lat)
+                outcomes.add(None if got is None else got[0])
+        assert outcomes == {None, "meet", "join"}
+
+    def test_boolean_square_breaks_one_law(self, two_antichain):
+        lat = ideal_lattice(two_antichain)
+        for middle, law in (("{a,b}", "meet"), ("{}", "join")):
+            table = {"{}": "{}", "{a}": middle, "{b}": middle, "{a,b}": "{a,b}"}
+            image = [lat.index(table[x]) for x in lat.elements]
+            assert not _preserves_laws(image, lat, lat) and not climbing_preserves_laws(image, lat, lat)
+            with pytest.raises(NotHom) as exc:
+                is_homomorphism(table, lat, lat)
+            assert exc.value.payload["law"] == law
+
+
+def test_hom_validation_reads_no_base_up_sets():
+    base = random_poset(random.Random(139), 6)
+    lat = ideal_lattice(base)
+    is_homomorphism({x: x for x in lat.elements}, lat, lat)
+    assert base._up_masks is None
 
 
 M3 = build_poset(["0", "a", "b", "c", "1"], [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])

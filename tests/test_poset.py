@@ -340,6 +340,13 @@ class TestIsMonotone:
         with pytest.raises(UnknownElement):
             is_monotone({"p": "q", "q": "q", "zz": "p"}, two_chain, two_chain)
 
+    def test_foreign_key_named_before_an_unknown_image(self, two_chain):
+        # one entry per domain element, but not the domain's: the foreign
+        # key is the witness, as in a table of any other size
+        with pytest.raises(UnknownElement) as exc:
+            is_monotone({"p": "zz", "r": "q"}, two_chain, two_chain)
+        assert exc.value.payload["witness"] == ["r"]
+
     def test_matches_definitional_check(self):
         # every self-map table on small posets, validated both ways
         for p in noniso_posets(3):
