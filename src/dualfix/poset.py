@@ -257,20 +257,46 @@ def _lex_key(mask):
 def count_ideals(poset: Poset, max_count=None) -> int:
     """Exact number of order ideals, without enumerating them.
 
-    The count is the product over the connected components of the cover
-    graph.  Each component is counted by a frontier DP over a linear
-    extension that takes the smallest-index ready element first: a state is
-    the in/out pattern of the processed elements that still have an
-    unprocessed upper cover, and an element may join only if all of its
-    lower covers are in.  With ``max_count`` set, raises SizeBoundExceeded
-    as soon as the total provably exceeds it, like :func:`iter_ideal_masks`.
+    Reads only the generating edges.  A set of elements is an ideal exactly
+    when it holds every generating predecessor of each of its members, since
+    the order is their reflexive-transitive closure.  Each isolated point
+    doubles the count.  The other elements are counted by a frontier DP over
+    a linear extension that lists one connected component after another and
+    takes the smallest-index ready element first; an element is ready once
+    all its generating predecessors are listed.  A state records which of
+    the processed elements that still have an unprocessed generating
+    successor are in the ideal, and an element may join only if all its
+    generating predecessors are in.  A redundant edge only keeps an element
+    on the frontier longer.  The states after each step count the ideals of
+    the processed prefix.
+
+    Twins, elements with the same nonempty generating-successor set S,
+    share one bit of the state that holds the conjunction of their
+    memberships.  This is exact:
+
+    * every later element that needs one twin lies in S, so it needs all
+      of them, and only the conjunction decides whether it may join;
+    * the twins' bit retires after the last element of S is processed,
+      which is the same step for all of them;
+    * each twin precedes every element of S in the extension, so when the
+      next twin arrives its class's bit has neither retired nor been
+      reused, and it joins as the conjunction of the old bit with its own;
+    * merging states only adds their weights, so the weights still sum to
+      the ideal count of the processed prefix.
+
+    That prefix is down-closed, so its count never exceeds the final one,
+    and with ``max_count`` set the DP raises SizeBoundExceeded as soon as
+    the total provably exceeds it, like :func:`iter_ideal_masks`.  The same
+    bound caps the live states, since each stands for at least one ideal.
     """
-    lower, upper = _cover_masks(poset)
-    total = 1
-    for order in _component_extensions(lower, upper):
-        limit = None if max_count is None else max_count // total
-        total *= _count_component(order, lower, upper, limit, max_count)
-    return total
+    succ = poset.gen_masks
+    pred = transpose_masks(succ)
+    order, isolated = _generating_extension(succ, pred)
+    total = 1 << isolated
+    if max_count is not None and total > max_count:
+        raise SizeBoundExceeded(max_count, "order ideal count")
+    limit = None if max_count is None else max_count // total
+    return total * _count_along(order, succ, pred, limit, max_count)
 
 
 def _cover_masks(poset):
@@ -296,69 +322,95 @@ def _upper_covers(poset):
     return upper
 
 
-def _component_extensions(lower, upper):
-    """Per connected component of the cover graph, its linear extension that
-    takes the smallest-index ready element first."""
+def _generating_extension(succ, pred):
+    """The linear extension that lists each connected component of the
+    generating edges in turn, smallest-index ready element first, and the
+    number of isolated points it leaves out."""
+    order = []
+    isolated = 0
     seen = 0
-    for start in range(len(lower)):
+    for start in range(len(succ)):
         if seen >> start & 1:
+            continue
+        if not succ[start] | pred[start]:
+            isolated += 1
             continue
         comp = todo = 1 << start
         while todo:
             reach = 0
             for v in bits(todo):
-                reach |= lower[v] | upper[v]
+                reach |= succ[v] | pred[v]
             todo = reach & ~comp
             comp |= todo
         seen |= comp
-        pending = {v: lower[v].bit_count() for v in bits(comp)}
-        ready = [v for v, k in pending.items() if k == 0]  # ascending: a heap
-        order = []
+        pending = {v: pred[v].bit_count() for v in bits(comp)}
+        ready = [v for v, k in pending.items() if not k]  # ascending: a heap
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in bits(upper[v]):
+            for w in bits(succ[v]):
                 pending[w] -= 1
                 if not pending[w]:
                     heapq.heappush(ready, w)
-        yield order
+    return order, isolated
 
 
-def _count_component(order, lower, upper, limit, max_count):
-    """Ideals of one component by the frontier DP.
-
-    Each frontier element holds a bit position of the state, reused once it
-    leaves, so a state is as wide as the frontier and not as the poset.
-    After each step the states count the ideals of the processed prefix,
-    which is down-closed, so that sum never exceeds the final count and
-    passing ``limit`` proves the total over the cap.  It also bounds the
-    live states, since each one stands for at least one of those ideals.
-    """
-    unseen_up = {v: upper[v].bit_count() for v in order}
-    slot = {}
+def _count_along(order, succ, pred, limit, max_count):
+    """Ideals of the listed elements by the frontier DP of
+    :func:`count_ideals`, one state bit per twin class, reused once the
+    class retires."""
+    slot = {}  # generating-successor mask -> the state bit of its twins
+    bit_of = [0] * len(succ)
     free = []
+    width = 0
+    done = 0
     states = {0: 1}
     for v in order:
+        done |= 1 << v
         need = retire = 0
-        for u in bits(lower[v]):
-            b = 1 << slot[u]
+        rest = pred[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            b = bit_of[u]
+            if need & b:
+                continue  # a twin of a predecessor already read
             need |= b
-            unseen_up[u] -= 1
-            if not unseen_up[u]:
+            if not succ[u] & ~done:
                 retire |= b
-                heapq.heappush(free, slot.pop(u))
-        bit_v = 0
-        if upper[v]:
-            slot[v] = heapq.heappop(free) if free else len(slot)
-            bit_v = 1 << slot[v]
-        keep = ~retire
-        grown = {}
-        for s, c in states.items():
-            t = s & keep
-            grown[t] = grown.get(t, 0) + c
-            if s & need == need:
-                t |= bit_v
-                grown[t] = grown.get(t, 0) + c
+                heapq.heappush(free, b.bit_length() - 1)
+        row = succ[v]
+        twin = 0
+        fresh = 0
+        if row:
+            b = slot.get(row)
+            if b is None:
+                if free:
+                    b = 1 << heapq.heappop(free)
+                else:
+                    b = 1 << width
+                    width += 1
+                slot[row] = fresh = b
+            else:
+                twin = b
+            bit_of[v] = b
+        if retire or twin:
+            keep = ~retire
+            out_keep = keep & ~twin
+            grown = {}
+            get = grown.get
+            for s, c in states.items():
+                t = s & out_keep
+                grown[t] = get(t, 0) + c
+                if s & need == need:
+                    t = s & keep | fresh
+                    grown[t] = get(t, 0) + c
+        else:  # every state keeps its key when v stays out
+            grown = dict(states)
+            for s, c in states.items():
+                if s & need == need:
+                    grown[s | fresh] = c if fresh else c + c
         if limit is not None and sum(grown.values()) > limit:
             raise SizeBoundExceeded(max_count, "order ideal count")
         states = grown

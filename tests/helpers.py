@@ -5,6 +5,7 @@ against: they work from the definitions by exhaustive search and never call
 the code paths they check.
 """
 
+import heapq
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -16,6 +17,7 @@ from dualfix import (
     Poset,
     QuotientNotAntisymmetric,
     QuotientPoset,
+    SizeBoundExceeded,
     build_poset,
     is_monotone,
     iter_ideal_masks,
@@ -23,7 +25,7 @@ from dualfix import (
 )
 from dualfix.bitgraph import bits, tarjan_scc, transpose_masks
 from dualfix.fixpoint import _canonical_classes
-from dualfix.poset import _generated_poset
+from dualfix.poset import _cover_masks, _generated_poset
 
 LETTERS = "abcdefgh"
 
@@ -132,6 +134,88 @@ def closure_ideal_masks(poset):
         layer = sorted(grown, key=lambda mask: tuple(bits(mask)))
         out += layer
     return out
+
+
+def covers_count_ideals(poset, max_count=None):
+    """Exact ideal count by the cover-graph frontier DP: the product over
+    the components of the cover graph, each counted over its
+    smallest-index-ready extension with one state bit per frontier element.
+    Reads the closed up-sets through the covers."""
+    lower, upper = _cover_masks(poset)
+    total = 1
+    for order in _component_extensions(lower, upper):
+        limit = None if max_count is None else max_count // total
+        total *= _count_component(order, lower, upper, limit, max_count)
+    return total
+
+
+def _component_extensions(lower, upper):
+    """Per connected component of the cover graph, its linear extension that
+    takes the smallest-index ready element first."""
+    seen = 0
+    for start in range(len(lower)):
+        if seen >> start & 1:
+            continue
+        comp = todo = 1 << start
+        while todo:
+            reach = 0
+            for v in bits(todo):
+                reach |= lower[v] | upper[v]
+            todo = reach & ~comp
+            comp |= todo
+        seen |= comp
+        pending = {v: lower[v].bit_count() for v in bits(comp)}
+        ready = [v for v, k in pending.items() if k == 0]  # ascending: a heap
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in bits(upper[v]):
+                pending[w] -= 1
+                if not pending[w]:
+                    heapq.heappush(ready, w)
+        yield order
+
+
+def _count_component(order, lower, upper, limit, max_count):
+    """Ideals of one component by the frontier DP.
+
+    Each frontier element holds a bit position of the state, reused once it
+    leaves, so a state is as wide as the frontier and not as the poset.
+    After each step the states count the ideals of the processed prefix,
+    which is down-closed, so that sum never exceeds the final count and
+    passing ``limit`` proves the total over the cap.  It also bounds the
+    live states, since each one stands for at least one of those ideals.
+    """
+    unseen_up = {v: upper[v].bit_count() for v in order}
+    slot = {}
+    free = []
+    states = {0: 1}
+    for v in order:
+        need = retire = 0
+        for u in bits(lower[v]):
+            b = 1 << slot[u]
+            need |= b
+            unseen_up[u] -= 1
+            if not unseen_up[u]:
+                retire |= b
+                heapq.heappush(free, slot.pop(u))
+        bit_v = 0
+        if upper[v]:
+            slot[v] = heapq.heappop(free) if free else len(slot)
+            bit_v = 1 << slot[v]
+        keep = ~retire
+        grown = {}
+        for s, c in states.items():
+            t = s & keep
+            grown[t] = grown.get(t, 0) + c
+            if s & need == need:
+                t |= bit_v
+                grown[t] = grown.get(t, 0) + c
+        if limit is not None and sum(grown.values()) > limit:
+            raise SizeBoundExceeded(max_count, "order ideal count")
+        states = grown
+    return sum(states.values())
 
 
 def brute_closure_pairs(elements, pairs):
@@ -562,6 +646,60 @@ def random_poset(rng, n, prefix="e"):
         if rng.random() < p
     ]
     return build_poset(ids, pairs)
+
+
+def antichain_shape(k):
+    """Elements and generating pairs of a k-element antichain."""
+    return [str(i) for i in range(k)], []
+
+
+def grid_shape(rows, cols):
+    """Elements and covering pairs of the product of a rows-chain and a
+    cols-chain."""
+    elements = [f"{r}x{c}" for r in range(rows) for c in range(cols)]
+    pairs = [(f"{r}x{c}", f"{r + 1}x{c}") for r in range(rows - 1) for c in range(cols)]
+    pairs += [(f"{r}x{c}", f"{r}x{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    return elements, pairs
+
+
+def ordinal_sum(*shapes):
+    """The ordinal sum of shapes, each below the next: every maximal element
+    of one shape is paired with every minimal element of the next."""
+    elements, pairs, tops = [], [], []
+    for k, (elems, rel) in enumerate(shapes):
+        name = {x: f"{k}.{x}" for x in elems}
+        elements += name.values()
+        pairs += [(name[x], name[y]) for x, y in rel]
+        uppers = {y for _, y in rel}
+        lowers = {x for x, _ in rel}
+        pairs += [(t, name[x]) for t in tops for x in elems if x not in uppers]
+        tops = [name[x] for x in elems if x not in lowers]
+    return elements, pairs
+
+
+def layered_shape(layers, width):
+    """The ordinal sum of ``layers`` antichains of ``width`` elements."""
+    return ordinal_sum(*[antichain_shape(width)] * layers)
+
+
+def fresh_names(poset, rng, naming, prefix="n"):
+    """A renaming of the poset's elements to fresh names: ``shuffled`` at
+    random, or ``reversed`` so that each element is named before everything
+    below it."""
+    fresh = [f"{prefix}{i:03d}" for i in range(len(poset))]
+    if naming == "shuffled":
+        rng.shuffle(fresh)
+        ranked = poset.elements
+    else:
+        ranked = sorted(poset.elements, key=lambda x: -poset.down_masks[poset.index(x)].bit_count())
+    return dict(zip(ranked, fresh))
+
+
+def renamed_shape(shape, rng, naming, prefix="n"):
+    """The shape's elements and pairs under :func:`fresh_names`."""
+    elements, pairs = shape
+    rename = fresh_names(build_poset(elements, pairs), rng, naming, prefix)
+    return sorted(rename.values()), [(rename[x], rename[y]) for x, y in pairs]
 
 
 def random_monotone_between(rng, domain, codomain):

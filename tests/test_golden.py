@@ -164,6 +164,7 @@ def build_corpus():
     add("codomain", {"p.json": chain, "c.json": {"elements": ["r"], "leq": []}, "m.json": {"map": {"p": "r", "q": "r"}}},
         "validate", "map", "m.json", "--poset", "p.json", "--codomain", "c.json")
     _add_hom_law_cases(add)
+    _add_twin_count_cases(add)
     return cases
 
 
@@ -217,6 +218,90 @@ def _add_hom_law_cases(add):
                 tag = f"law-{name}-{naming}-{kind}"
                 add(f"{tag}-validate-hom", files, "validate", "hom", "h.json", "--lattice", "l.json")
                 add(f"{tag}-fixpoints--count", files, "fixpoints", "--lattice", "l.json", "--hom", "h.json", "--count")
+
+
+def _add_twin_count_cases(add):
+    """``--count`` on posets whose elements share generating successors:
+    ordinal sums of antichains, layered posets and an antichain below a
+    grid, under shuffled names and under names that run against the order.
+    The poset side adds three redundant closed pairs to each and counts
+    under the identity, two random monotone maps and, where it is monotone,
+    the map that sends every maximal element to the first one, which keeps
+    many fix-points; the explicit side takes the ideal lattice of a smaller
+    shape, renamed the same two ways, with the identity and the homs those
+    maps induce.  Its own seed keeps the inputs of the cases before it."""
+    from dualfix import build_poset, hom_from_dual
+    from dualfix.jsonio import poset_to_obj
+    from helpers import (
+        antichain_shape,
+        fresh_names,
+        grid_shape,
+        layered_shape,
+        ordinal_sum,
+        random_monotone_between,
+        renamed_shape,
+    )
+
+    rng = random.Random(20261020)
+    posets = {
+        "osum-anti": ordinal_sum(antichain_shape(4), antichain_shape(3), antichain_shape(5)),
+        "layered": layered_shape(4, 3),
+        "anti-grid": ordinal_sum(antichain_shape(4), grid_shape(3, 3)),
+        "grid-anti-anti": ordinal_sum(grid_shape(2, 3), antichain_shape(3), antichain_shape(2)),
+    }
+    for name, shape in posets.items():
+        for naming in ("shuffled", "reversed"):
+            elements, pairs = renamed_shape(shape, rng, naming)
+            poset = build_poset(elements, pairs)
+            closed = [(x, y) for x in poset for y in poset if x != y and poset.leq(x, y)]
+            pairs += rng.sample(closed, 3)
+            doc = {"elements": elements, "leq": [list(pair) for pair in pairs]}
+            tables = {"identity": {x: x for x in elements}}
+            for k in range(2):
+                tables[f"monotone{k}"] = random_monotone_between(rng, poset, poset).table
+            if (tops := _tops_collapsed(poset)) is not None:
+                tables["tops"] = tops.table
+            for kind, table in tables.items():
+                files = {"p.json": doc, "m.json": {"map": table}}
+                add(f"twin-{name}-{naming}-{kind}-fixpoints--count", files,
+                    "fixpoints", "--poset", "p.json", "--map", "m.json", "--count")
+    lattices = {
+        "osum-anti": ordinal_sum(antichain_shape(2), antichain_shape(3), antichain_shape(2)),
+        "layered": layered_shape(3, 2),
+        "anti-grid": ordinal_sum(antichain_shape(2), grid_shape(2, 2)),
+    }
+    for name, shape in lattices.items():
+        base = build_poset(*shape)
+        for naming in ("shuffled", "reversed"):
+            homs = {"identity": None}
+            for k in range(2):
+                homs[f"induced{k}"] = hom_from_dual(random_monotone_between(rng, base, base))
+            if (tops := _tops_collapsed(base)) is not None:
+                homs["tops"] = hom_from_dual(tops)
+            order = homs["induced0"].domain.order
+            rename = fresh_names(order, rng, naming, "L")
+            lat = {"elements": sorted(rename.values()),
+                   "leq": [[rename[x], rename[y]] for x, y in poset_to_obj(order)["leq"]]}
+            for kind, hom in homs.items():
+                table = {x: x for x in lat["elements"]} if hom is None else {
+                    rename[x]: rename[y] for x, y in hom.table.items()}
+                files = {"l.json": lat, "h.json": {"map": dict(sorted(table.items()))}}
+                add(f"twin-{name}-{naming}-{kind}-lattice-fixpoints--count", files,
+                    "fixpoints", "--lattice", "l.json", "--hom", "h.json", "--count")
+
+
+def _tops_collapsed(poset):
+    """x ↦ x except that every maximal element goes to the first one, or
+    None when that map is not monotone or is the identity."""
+    from dualfix import NotMonotone, is_monotone
+
+    tops = [x for i, x in enumerate(poset.elements) if not poset.gen_masks[i]]
+    if len(tops) < 2:
+        return None
+    try:
+        return is_monotone({x: tops[0] if x in tops else x for x in poset.elements}, poset, poset)
+    except NotMonotone:
+        return None
 
 
 def run_case(case, directory):

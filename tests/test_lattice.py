@@ -614,6 +614,17 @@ class TestDualHomAcceptAgainstClimbingOracle:
             assert exc.value.payload["law"] == law
 
 
+def test_accepting_a_lattice_leaves_its_base_unclosed():
+    # _birkhoff accepts by counting the ideals of J, which reads only J's
+    # generating edges.
+    rng = random.Random(149)
+    for _ in range(30):
+        p = random_poset(rng, rng.randrange(0, 7))
+        order = ideal_lattice(p).order
+        lat = lattice_from_order(build_poset(list(order.elements), order.covers()))
+        assert lat.ideal_base._up_masks is None and lat.ideal_base._down_masks is None
+
+
 def test_hom_validation_reads_no_base_up_sets():
     base = random_poset(random.Random(139), 6)
     lat = ideal_lattice(base)

@@ -27,6 +27,7 @@ from dualfix import (
 from dualfix.bitgraph import bits, transpose_masks
 from dualfix.poset import _cover_masks
 from helpers import (
+    antichain_shape,
     assert_generated,
     brute_closure_pairs,
     brute_ideal_sets,
@@ -34,11 +35,16 @@ from helpers import (
     climbing_cover_masks,
     closure_ideal_masks,
     closure_is_down_closed,
+    covers_count_ideals,
+    grid_shape,
     labeled_posets,
+    layered_shape,
     noniso_posets,
     noniso_posets_upto,
+    ordinal_sum,
     random_monotone_between,
     random_poset,
+    renamed_shape,
     scan_monotone_witness,
 )
 
@@ -258,14 +264,52 @@ def _random_posets(seed, count, max_size):
     return [random_poset(rng, rng.randrange(0, max_size + 1)) for _ in range(count)]
 
 
+def _twin_heavy_posets(seed):
+    """Ordinal sums of antichains, layered posets and antichains summed with
+    grids, some with isolated points beside them, each under shuffled names
+    and names that run against the order, from its covers and from noisy
+    redundant pairs."""
+    rng = random.Random(seed)
+    shapes = [
+        ordinal_sum(antichain_shape(5), antichain_shape(4)),
+        ordinal_sum(antichain_shape(3), antichain_shape(1), antichain_shape(4), antichain_shape(2)),
+        layered_shape(4, 3),
+        layered_shape(3, 5),
+        ordinal_sum(antichain_shape(4), grid_shape(3, 3)),
+        ordinal_sum(grid_shape(2, 3), antichain_shape(4), antichain_shape(2)),
+        ordinal_sum(antichain_shape(3), grid_shape(2, 2), antichain_shape(3)),
+    ]
+    elements, pairs = layered_shape(3, 3)
+    shapes.append((elements + ["iso0", "iso1"], pairs))
+    for shape in shapes:
+        for naming in ("shuffled", "reversed"):
+            elements, pairs = renamed_shape(shape, rng, naming)
+            p = build_poset(elements, pairs)
+            yield p
+            yield build_poset(elements, noisy_pairs(rng, p))
+
+
 class TestCountIdeals:
     def test_matches_walk_exhaustively(self):
         for p in noniso_posets_upto(5):
-            assert count_ideals(p) == _walk_count(p)
+            assert count_ideals(p) == covers_count_ideals(p) == _walk_count(p)
 
     def test_matches_walk_on_random_posets(self):
         for p in _random_posets(23, 500, 12):
             assert count_ideals(p) == _walk_count(p)
+        for rng, p in noisy_random_posets(29, 500, 12):
+            pairs = noisy_pairs(rng, p)
+            for q in (build_poset(list(p.elements), pairs), _reversed_ids(p, pairs)):
+                assert count_ideals(q) == covers_count_ideals(q) == _walk_count(q)
+
+    def test_matches_walk_on_twin_heavy_posets(self):
+        for p in _twin_heavy_posets(53):
+            assert count_ideals(p) == covers_count_ideals(p) == _walk_count(p)
+
+    def test_counting_closes_nothing(self):
+        for p in _twin_heavy_posets(59):
+            count_ideals(p, max_count=10**6)
+            assert p._up_masks is None and p._down_masks is None
 
     def test_closed_forms_beyond_enumeration(self):
         rows = cols = 20
@@ -276,9 +320,13 @@ class TestCountIdeals:
         anti = build_poset([f"a{k:04d}" for k in range(1000)], [])
         assert count_ideals(anti) == 2**1000
         assert count_ideals(build_poset([], [])) == 1
+        # an ordinal sum of antichains has one ideal per proper subset of
+        # one summand above all of the summands below it, plus the top
+        assert count_ideals(build_poset(*ordinal_sum(antichain_shape(16), antichain_shape(16)))) == 2 * 2**16 - 1
+        assert count_ideals(build_poset(*layered_shape(30, 12))) == 30 * (2**12 - 1) + 1
 
     def test_count_cap_is_exact(self):
-        for p in noniso_posets_upto(4) + _random_posets(31, 50, 9):
+        for p in noniso_posets_upto(4) + _random_posets(31, 50, 9) + list(_twin_heavy_posets(61)):
             fx = fixpoints_via_duality(MonotoneMap.identity(p))
             total = _walk_count(p)
             for cap in (1, total - 1, total, total + 1):

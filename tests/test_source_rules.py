@@ -50,3 +50,27 @@ def test_the_quotient_layer_reads_no_closed_rows():
         if isinstance(node, ast.Attribute) and node.attr in ("up_masks", "down_masks")
     ]
     assert found == []
+
+
+def test_counting_reads_no_closed_rows():
+    # count_ideals, and every function of poset.py that it calls, works
+    # from generating edges only.
+    tree = ast.parse((SRC / "poset.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, reached = ["count_ideals"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+                todo.append(node.func.id)
+    assert {"count_ideals", "_generating_extension", "_count_along"} <= reached
+    found = [
+        f"poset.py:{node.lineno}"
+        for name in sorted(reached)
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Attribute) and node.attr in ("up_masks", "down_masks")
+    ]
+    assert found == []
