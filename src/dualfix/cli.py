@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 from math import isqrt
 
@@ -58,6 +61,29 @@ def _positive(text):
     if value <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
+
+
+@contextmanager
+def _overwrite(path):
+    """A UTF-8 text file that writes ``path`` from its first byte and, on
+    exit, cuts a regular file to the bytes written.
+
+    Truncating on open makes ext4 flush the new data at close
+    (``auto_da_alloc``), and the next open waits on that flush.  The bytes
+    left are those a truncating open leaves: the answer, a stopped run's
+    partial output, or nothing.  Targets that are not regular files, such
+    as ``/dev/null``, cannot be truncated and are not cut.
+    """
+    fh = os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
+    try:
+        yield fh
+    finally:
+        try:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+        finally:
+            fh.close()
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +295,7 @@ def cmd_compare(cfg, out) -> int:
         "dual_fixpoints": dual,
         "bruteforce_fixpoints": brute,
     }
-    with open(cfg.artifact, "w", encoding="utf-8") as fh:
+    with _overwrite(cfg.artifact) as fh:
         fh.write(_dumps(artifact) + "\n")
     print(
         _dumps({"agree": False, "quotients_agree": quotients_agree, "fixpoints_agree": fixpoints_agree, "artifact": cfg.artifact}),
@@ -459,17 +485,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = sys.stdout
-    opened = None
-    if cfg.output:
-        try:
-            opened = open(cfg.output, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        out = opened
+    # -o is opened before the command runs, so an unopenable path exits 1
+    # before any work.
+    target = _overwrite(cfg.output) if cfg.output else nullcontext(sys.stdout)
     try:
-        return _COMMANDS[cfg.command](cfg, out)
+        with target as out:
+            return _COMMANDS[cfg.command](cfg, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -482,9 +503,6 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 if __name__ == "__main__":

@@ -223,6 +223,16 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
     is an up-set, so a point is minimal in it exactly when none of its
     generating predecessors is.  With ``max_count`` set, raises
     SizeBoundExceeded as soon as the total provably exceeds it.
+
+    A size class is sorted, in descending order, by the mask's binary digits
+    read from bit 0 up (``bin(mask)[:1:-1]``), which gives that order, since
+    indices follow identifier order.  Of two distinct sets A and B of equal
+    size, let i be the lowest element of their symmetric difference, say in
+    A; A comes first lexicographically, since below i both hold the same
+    members.  Their digit strings agree below index i, and A's reads ``1``
+    at i.  B's string reaches index i, for otherwise B would lie within A's
+    members below i and be smaller than A; so it reads ``0`` there, and A's
+    string is the larger.
     """
     pred = transpose_masks(poset.gen_masks)
     n = len(poset)
@@ -245,13 +255,9 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
                         raise SizeBoundExceeded(max_count, "order ideal count")
         if not grown:
             return
-        layer = sorted(grown, key=_lex_key)
+        layer = sorted(grown, key=lambda mask: bin(mask)[:1:-1], reverse=True)
         count += len(layer)
         yield from layer
-
-
-def _lex_key(mask):
-    return tuple(bits(mask))
 
 
 def count_ideals(poset: Poset, max_count=None) -> int:

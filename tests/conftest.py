@@ -2,6 +2,10 @@ import json
 
 import pytest
 
+# The shared oracles assert too; rewriting them keeps those checks under
+# ``python -O``, which strips the asserts of modules pytest does not rewrite.
+pytest.register_assert_rewrite("helpers")
+
 from dualfix import build_poset
 
 

@@ -117,6 +117,30 @@ def closure_is_down_closed(poset, mask):
     return all(not poset.down_masks[i] & ~mask for i in bits(mask))
 
 
+def lex_key(mask):
+    """Canonical sort key of a set within its size class: the tuple of its
+    member indices."""
+    return tuple(bits(mask))
+
+
+def lex_key_ideal_masks(poset):
+    """Every ideal mask in canonical order, grown size by size by one
+    complement point none of whose generating predecessors is in the
+    complement, each size class sorted by :func:`lex_key`."""
+    pred = transpose_masks(poset.gen_masks)
+    full = (1 << len(poset)) - 1
+    out = [0]
+    layer = [0]
+    while layer:
+        grown = set()
+        for m in layer:
+            comp = full & ~m
+            grown.update(m | 1 << i for i in bits(comp) if not pred[i] & comp)
+        layer = sorted(grown, key=lex_key)
+        out += layer
+    return out
+
+
 def closure_ideal_masks(poset):
     """Every ideal mask in canonical order, grown size by size by one
     complement point whose closed down-set meets the complement in itself."""
@@ -131,7 +155,7 @@ def closure_ideal_masks(poset):
             for i in bits(comp):
                 if down[i] & comp == 1 << i:
                     grown.add(m | 1 << i)
-        layer = sorted(grown, key=lambda mask: tuple(bits(mask)))
+        layer = sorted(grown, key=lex_key)
         out += layer
     return out
 

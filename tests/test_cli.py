@@ -487,6 +487,134 @@ class TestCompare:
         assert "classes" in saved["coequalizer"]
 
 
+SEVEN_CHAIN = {"elements": [f"c{k}" for k in range(7)], "leq": [[f"c{k}", f"c{k + 1}"] for k in range(6)]}
+SEVEN_IDENTITY = {"map": {f"c{k}": f"c{k}" for k in range(7)}}
+NOT_MONOTONE = {"map": {"p": "q", "q": "p"}}
+
+
+class TestOutputFile:
+    """``-o`` and ``--artifact`` write over the target in place and cut a
+    regular file to the bytes written."""
+
+    def test_dev_null(self, capsys, write_json):
+        code, out, err = run(
+            capsys,
+            "fixpoints",
+            "--poset", write_json("p.json", SEVEN_CHAIN),
+            "--map", write_json("m.json", SEVEN_IDENTITY),
+            "-o", os.devnull,
+        )
+        assert (code, out, err) == (0, "", "")
+
+    def test_pipe_in_a_fresh_process(self, write_json):
+        env = dict(os.environ, PYTHONPATH=str(Path(dualfix.__file__).parents[1]))
+        argv = ["fixpoints", "--poset", write_json("p.json", TWO_CHAIN), "--map", write_json("m.json", COLLAPSE)]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "dualfix.cli", *argv, "-o", "/dev/stdout"], capture_output=True, text=True, env=env
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, '[]\n["p","q"]\n', "")
+
+    def test_short_answer_over_a_longer_file(self, capsys, write_json, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("9" * 10_000 + "\n")
+        code, out, _ = run(
+            capsys,
+            "fixpoints",
+            "--poset", write_json("p.json", TWO_CHAIN),
+            "--map", write_json("m.json", COLLAPSE),
+            "--count",
+            "-o", str(target),
+        )
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == b"2\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["fixpoints", "--poset", "P", "--map", "missing.json"], 1),
+            (["fixpoints", "--poset", "P", "--map", "BAD"], 2),
+            (["fixpoints", "--poset", "P"], 1),
+        ],
+    )
+    def test_failed_request_leaves_an_empty_file(self, capsys, write_json, tmp_path, argv, expected):
+        files = {"P": write_json("p.json", TWO_CHAIN), "BAD": write_json("bad.json", NOT_MONOTONE)}
+        target = tmp_path / "out.txt"
+        target.write_text("old answer\n")
+        code, out, err = run(capsys, *[files.get(a, a) for a in argv], "-o", str(target))
+        assert (code, out) == (expected, "")
+        assert err
+        assert target.read_bytes() == b""
+
+    @pytest.mark.parametrize("mode", ["--list", "--count", "--quotient"])
+    @pytest.mark.parametrize("side", ["poset", "lattice"])
+    def test_bytes_equal_stdout(self, capsys, write_json, tmp_path, mode, side):
+        if side == "poset":
+            inputs = ["--poset", write_json("p.json", SEVEN_CHAIN), "--map", write_json("m.json", SEVEN_IDENTITY)]
+        else:
+            square = {"elements": ["0", "a", "b", "1"], "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+            ident = {"map": {x: x for x in square["elements"]}}
+            inputs = ["--lattice", write_json("l.json", square), "--hom", write_json("h.json", ident)]
+        code, expected, _ = run(capsys, "fixpoints", *inputs, mode)
+        assert code == 0 and expected
+        target = tmp_path / "out.txt"
+        target.write_text("x" * (3 * len(expected)))
+        code, out, _ = run(capsys, "fixpoints", *inputs, mode, "-o", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == expected.encode("utf-8")
+
+    def test_output_naming_its_own_input(self, capsys, write_json):
+        # The input is read intact, since the output is not truncated when
+        # it is opened, and the answer then replaces it.
+        poset = write_json("p.json", TWO_CHAIN)
+        mapping = write_json("m.json", COLLAPSE)
+        code, out, err = run(capsys, "fixpoints", "--poset", poset, "--map", mapping, "--quotient", "-o", mapping)
+        assert (code, out, err) == (0, "", "")
+        code, expected, _ = run(capsys, "fixpoints", "--poset", poset, "--map", write_json("m2.json", COLLAPSE), "--quotient")
+        assert code == 0
+        assert Path(mapping).read_text(encoding="utf-8") == expected
+
+    def test_a_run_that_stops_partway_leaves_its_partial_output(self, capsys, write_json, tmp_path, monkeypatch):
+        original = dualfix.fixpoint.FixpointLattice.iter_members
+
+        def first_then_fail(self):
+            members = original(self)
+            yield next(members)
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(dualfix.fixpoint.FixpointLattice, "iter_members", first_then_fail)
+        target = tmp_path / "out.txt"
+        target.write_text("x" * 1000)
+        code, _, err = run(
+            capsys,
+            "fixpoints",
+            "--poset", write_json("p.json", TWO_CHAIN),
+            "--map", write_json("m.json", COLLAPSE),
+            "-o", str(target),
+        )
+        assert (code, err) == (EXIT_INTERNAL, "error: internal: stopped\n")
+        assert target.read_bytes() == b"[]\n"
+
+    def test_artifact_over_a_longer_file(self, capsys, write_json, tmp_path, monkeypatch):
+        class NoMembers:
+            def iter_members(self):
+                return iter(())
+
+        monkeypatch.setattr(dualfix.fixpoint, "FixpointLattice", lambda phi, quotient: NoMembers())
+        artifact = tmp_path / "cex.json"
+        artifact.write_text("x" * 10_000)
+        code, _, _ = run(
+            capsys,
+            "compare",
+            "--poset", write_json("p.json", TWO_CHAIN),
+            "--map", write_json("m.json", COLLAPSE),
+            "--artifact", str(artifact),
+        )
+        assert code == 3
+        text = artifact.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text)["dual_fixpoints"] == []
+
+
 class TestDot:
     def test_poset_hasse(self, capsys, write_json):
         code, out, _ = run(capsys, "dot", "poset", write_json("p.json", TWO_CHAIN))

@@ -39,6 +39,7 @@ from helpers import (
     grid_shape,
     labeled_posets,
     layered_shape,
+    lex_key_ideal_masks,
     noniso_posets,
     noniso_posets_upto,
     ordinal_sum,
@@ -500,6 +501,14 @@ class TestGeneratorReaders:
                 assert p.is_down_closed(mask) == closure_is_down_closed(closed, mask)
             assert list(iter_ideal_masks(p)) == closure_ideal_masks(closed)
             assert p._up_masks is None and p._down_masks is None
+
+    def test_ideal_stream_matches_the_member_tuple_sort(self):
+        for _, p in _small_generated_posets(53):
+            assert list(iter_ideal_masks(p)) == lex_key_ideal_masks(p)
+        for rng, p in noisy_random_posets(59, 200, 14):
+            pairs = noisy_pairs(rng, p)
+            for q in (build_poset(list(p.elements), pairs), _reversed_ids(p, pairs)):
+                assert list(iter_ideal_masks(q)) == lex_key_ideal_masks(q)
 
 
 class TestEnumerationHelpers:

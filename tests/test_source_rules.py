@@ -74,3 +74,47 @@ def test_counting_reads_no_closed_rows():
         if isinstance(node, ast.Attribute) and node.attr in ("up_masks", "down_masks")
     ]
     assert found == []
+
+
+def _mode(node, names):
+    """The mode of a call to a function in ``names``: ``"r"`` when left out,
+    ``"?"`` when not a literal, None for any other call.  ``os.open`` takes
+    flags, not a mode, and is never matched."""
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name not in names or ast.unparse(func) == "os.open":
+        return None
+    mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), node.args[1] if len(node.args) > 1 else None)
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else "?"
+
+
+def test_no_open_truncates_its_file():
+    # Truncating a file on open makes ext4 flush it at close.  Output is
+    # written over the old bytes and trimmed instead (cli._overwrite).
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and set("w?") & set(_mode(node, ("open",)) or ""):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_files_are_written_only_through_the_overwrite_helper():
+    # Every file the package writes is opened by cli._overwrite.
+    found = []
+    for path, tree in _trees():
+        helper = set()
+        if path.name == "cli.py":
+            (overwrite,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_overwrite"]
+            helper = {id(node) for node in ast.walk(overwrite)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in helper:
+                continue
+            mode = _mode(node, ("open", "fdopen"))
+            if mode is not None and not set(mode) <= set("rbt") or getattr(node.func, "attr", None) in ("write_text", "write_bytes"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
