@@ -6,10 +6,13 @@ the bitmask of the order ideal of B it corresponds to, so meet is ``&`` and
 join is ``|``.  Validation checks that representation directly, in at most
 O(n·|B|) mask steps instead of a pair or triple scan, and a homomorphism is
 accepted by reading its dual map on the bases; the identifier-order scans
-that name a witness run only once such a check has failed.  The pair scan
-is quadratic; the triple scan visits only the rows a at or above a
-join-irreducible that is not join-prime, since no other row can hold a
-failing triple, and keeps no meet or join table.
+that name a witness run only once such a check has failed.  Both visit
+only what can fail: a lattice is recognised by the meets of each element
+with the meet-irreducibles, so the pair scan runs only on an order that is
+no lattice, and over incomparable pairs; the triple scan visits only the
+pairs (b, c) whose join splits a join-irreducible j ≤ a that is not
+join-prime, since no other triple can fail, and keeps no meet or join
+table.
 
 Explicit lattices exist for validation and small-scale oracles; production
 fix-point computation stays on the poset side, so the element count is
@@ -19,8 +22,11 @@ capped (BIRKHOFF_MAX_LATTICE overrides the default of 4096).
 from __future__ import annotations
 
 import os
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import and_, invert, or_
 
-from .bitgraph import bits, transpose_masks
+from .bitgraph import bits, select, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
 from .poset import OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _total_image, count_ideals, iter_ideal_masks
 
@@ -130,9 +136,9 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
     rejection, every pair must have a unique greatest lower bound and least
     upper bound (witnessed by NotALattice otherwise), and meet must
     distribute over join (NotDistributive carries the witness triple), both
-    checked in identifier order.  The triple scan skips rows that cannot
-    fail (see :func:`_raise_lattice_witness`), so the witness is the first
-    failing triple of the full scan, found without running it.
+    checked in identifier order.  Both scans skip what cannot fail (see
+    :func:`_raise_lattice_witness`), so the witness is the first failure
+    of the full scans, found without running them.
     """
     bound = explicit_lattice_bound(max_size)
     n = len(order)
@@ -217,49 +223,126 @@ def _raise_lattice_witness(order: Poset):
     first triple (a, b, c) where a ∧ (b ∨ c) differs from (a ∧ b) ∨ (a ∧ c),
     both in identifier order.
 
-    The triple scan skips, without changing its witness, every row a that
-    provably holds no failing triple.  In a finite lattice a ∧ (b ∨ c) is
-    the join of the join-irreducibles j ≤ a with j ≤ b ∨ c.  When such a j
-    is join-prime, j ≤ b or j ≤ c, so j ≤ (a ∧ b) ∨ (a ∧ c); so a row can
-    fail only if some join-irreducible at or below a is not join-prime.  An
-    element j is join-irreducible when its strict down-set is some element's
-    down-set (that of its one lower cover), and join-prime when the
-    elements not above j are, since a down-set of a lattice is closed under
-    joins exactly when it is principal.  Each test is one lookup.
+    Both scans visit only what can fail, in the same order, so the witness
+    is the first failure of the full scans.  Two comparable elements always
+    have both bounds, the lesser and the greater, so the pair scan visits
+    incomparable pairs only, and runs only when :func:`_is_lattice` finds
+    the order is no lattice.  The triple scan raises the first triple
+    that :func:`_failing_triples` yields.
     """
     n = len(order)
     elements = order.elements
     up, down = order.up_masks, order.down_masks
+    full = (1 << n) - 1
     # In a lattice glb(i,j) is the unique element whose down-set equals
     # down(i) & down(j); same for lub with up-sets.
     by_down = {m: k for k, m in enumerate(down)}
     by_up = {m: k for k, m in enumerate(up)}
-    for i in range(n):
-        di, ui = down[i], up[i]
-        for j in range(i, n):
-            if di & down[j] not in by_down:
-                raise NotALattice(elements[i], elements[j], "greatest lower bound")
-            if ui & up[j] not in by_up:
-                raise NotALattice(elements[i], elements[j], "least upper bound")
-    nonprime = _nonprime_irreducibles(order, by_down)
-    for a in range(n):
-        if not down[a] & nonprime:
-            continue
-        # meet_up[x] is the up-set of a ∧ x, and meet_up_of maps the up-set
-        # of x to it.  The up-set of a join is the intersection of the
-        # up-sets, which gives both sides as up-sets without a table.
-        meet_up = [up[by_down[down[a] & d]] for d in down]
-        meet_up_of = dict(zip(up, meet_up))
-        for b in range(n):
-            ub, ab = up[b], meet_up[b]
-            for c, (uc, ac) in enumerate(zip(up, meet_up)):
-                if meet_up_of[ub & uc] != ab & ac:
-                    raise NotDistributive(elements[a], elements[b], elements[c])
+    if not _is_lattice(order, by_down, by_up):
+        for i, (di, ui) in enumerate(zip(down, up)):
+            for j in bits((full ^ (di | ui)) >> i << i):
+                if di & down[j] not in by_down:
+                    raise NotALattice(elements[i], elements[j], "greatest lower bound")
+                if ui & up[j] not in by_up:
+                    raise NotALattice(elements[i], elements[j], "least upper bound")
+    for a, b, cs in _failing_triples(order, _nonprime_irreducibles(order, by_down), by_down, by_up):
+        for c in cs:
+            raise NotDistributive(elements[a], elements[b], elements[c])
+
+
+def _is_lattice(order: Poset, by_down, by_up) -> bool:
+    """Whether the order is a lattice: whether some element is above all,
+    and every element x has a greatest lower bound with every
+    meet-irreducible m (one with one upper cover) it is not comparable to;
+    ``by_down`` and ``by_up`` hold every element's down-set and up-set.
+
+    A lattice passes.  Conversely, call y good when it has a meet with
+    every x, and go down from the top, which is good.  Every other y has
+    an upper cover.  With one, y is meet-irreducible, so good.  With more,
+    two of them, y1 and y2, lie above y, so they are good and y1 ∧ y2
+    exists.  It lies between y and y1 and is not y1, or else y < y1 ≤ y2
+    and y2 would not cover y; so it is y.
+    Then down(x) & down(y) is down(x ∧ y1) & down(y2), the down-set of
+    (x ∧ y1) ∧ y2, and y is good.  So all meets exist, and the meet of the
+    common upper bounds of two elements, the top among them, is their
+    least upper bound.  m is meet-irreducible when its strict up-set is
+    some element's up-set.  Each row runs in C.
+    """
+    n = len(order)
+    up, down = order.up_masks, order.down_masks
+    if (1 << n) - 1 not in by_down:
+        return False
+    irr = 0
+    for m in range(n):
+        if up[m] ^ 1 << m in by_up:
+            irr |= 1 << m
+    has = by_down.__contains__
+    return all(all(map(has, map(d.__and__, select(down, irr & ~(d | u))))) for d, u in zip(down, up))
+
+
+def _failing_triples(order: Poset, nonprime, by_down, by_up):
+    """Yield (a, b, cs) with a, then b, ascending, and cs an iterator of
+    the c, ascending, with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c) in a lattice;
+    every such triple comes up.  ``nonprime`` is the mask of the
+    join-irreducibles that are not join-prime, and ``by_down`` and
+    ``by_up`` hold every element's down-set and up-set.
+
+    The left side is above the right, and every element is the join of
+    the join-irreducibles below it.  So the triple fails exactly when some
+    join-irreducible j ≤ a with j ≤ b ∨ c is not below the right side;
+    then j ≰ b and j ≰ c, or else j ≤ a ∧ b or a ∧ c, so j is not
+    join-prime, and b and c split j.  That relation is symmetric, and it
+    stays true as c grows outside up(j), so b splits j with some c exactly
+    when it does with some maximal m outside up(j).  Now j ≤ b ∨ m exactly
+    when every common upper bound of b and m is above j, that is when b
+    is below none of up(m) ∖ up(j).  So the splitters of j, the b that
+    split j with some c, are the elements outside up(j) and outside the
+    down-closure of up(m) ∖ up(j) for some such m.  Row a takes b and c
+    from the splitters of its j, and tests each c by four lookups, in C.  When b and c are both below a, both sides are b ∨ c: so c
+    is not below a when b is, and a row yields nothing when every element
+    outside up(j) for some such j is below a.
+    """
+    n = len(order)
+    up, down = order.up_masks, order.down_masks
+    full = (1 << n) - 1
+    elements = range(n)
+
+    @lru_cache(maxsize=None)
+    def splitters(j):
+        # m is maximal outside up(j) when its up-set meets that set in m alone
+        out = full & ~up[j]
+        tops = compress(select(elements, out), map((1).__eq__, map(int.bit_count, map(out.__and__, select(up, out)))))
+        return out & ~reduce(and_, [reduce(or_, select(down, up[m] & out)) for m in tops], full)
+
+    for a, da in enumerate(down):
+        js = da & nonprime
+        if js and full & ~(reduce(and_, select(up, js)) | da):
+            pool = reduce(or_, map(splitters, bits(js)))
+            # per element, its j and the j not below it; per c in the pool,
+            # and in the pool but not below a: c and the up-set of a ∧ c
+            below, beside = list(map(js.__and__, down)), list(map(js.__and__, map(invert, down)))
+            rows = []
+            for m in (pool, pool & ~da):
+                meets = list(map(up.__getitem__, map(by_down.__getitem__, map(da.__and__, select(down, m)))))
+                rows.append((list(select(elements, m)), list(select(up, m)), meets))
+            for b in bits(pool):
+                cs, ups, meets = rows[da >> b & 1]
+                ub, uab = up[b], up[by_down[da & down[b]]]
+                # a j below b ∨ c and not below (a ∧ b) ∨ (a ∧ c)
+                left = map(below.__getitem__, map(by_up.__getitem__, map(ub.__and__, ups)))
+                right = map(beside.__getitem__, map(by_up.__getitem__, map(uab.__and__, meets)))
+                yield a, b, compress(cs, map(and_, left, right))
 
 
 def _nonprime_irreducibles(order: Poset, by_down) -> int:
     """Mask of the join-irreducibles of a lattice that are not join-prime;
-    ``by_down`` holds every element's down-set."""
+    ``by_down`` holds every element's down-set.
+
+    An element j is join-irreducible when its strict down-set is some
+    element's down-set (that of its one lower cover), and join-prime when
+    the elements not above j are, since a down-set of a lattice is closed
+    under joins exactly when it is principal.  Each test is one lookup.
+    """
     up, down = order.up_masks, order.down_masks
     full = (1 << len(order)) - 1
     out = 0

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -24,6 +24,8 @@ from dualfix import (
 )
 from dualfix.lattice import (
     _birkhoff,
+    _failing_triples,
+    _is_lattice,
     _nonprime_irreducibles,
     _preserves_laws,
     _raise_hom_witness,
@@ -637,26 +639,29 @@ N5 = build_poset(["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"),
 
 
 class TestWitnessScanAgainstTables:
-    """Differential: the row-pruned witness scan against the n×n tables on
+    """Differential: the pruned witness scans against the n×n tables on
     non-distributive lattices whose skipped rows come first."""
 
     def test_gadgets_above_below_and_between_ideal_lattices(self):
         # the ideal lattices' rows are skipped; shuffled names put some of
-        # them before the gadget's rows
-        rng = random.Random(131)
+        # them before the gadget's rows, and names that run against the
+        # order put the gadget's rows before the rows below it
         skipped_first = 0
-        for _ in range(12):
-            lo = ideal_lattice(random_poset(rng, rng.randrange(1, 5))).order
-            hi = ideal_lattice(random_poset(rng, rng.randrange(1, 5))).order
-            for gadget in (M3, N5):
-                for parts in ([lo, gadget], [gadget, lo], [lo, gadget, hi]):
-                    order = _ordinal_sum(parts, rng)
-                    got = _witness(_raise_lattice_witness, order)
-                    assert got is not None and got[0] is NotDistributive
-                    assert got == _witness(brute_lattice_witness, order)
-                    assert _birkhoff(order) is None
-                    nonprime = _nonprime_irreducibles(order, {d: k for k, d in enumerate(order.down_masks)})
-                    skipped_first += not order.down_masks[0] & nonprime
+        for seed in (131, 163, 173, 181, 191):
+            rng = random.Random(seed)
+            for _ in range(12):
+                lo = ideal_lattice(random_poset(rng, rng.randrange(1, 5))).order
+                hi = ideal_lattice(random_poset(rng, rng.randrange(1, 5))).order
+                for gadget in (M3, N5):
+                    for parts in ([lo, gadget], [gadget, lo], [lo, gadget, hi]):
+                        shuffled = _ordinal_sum(parts, rng)
+                        for order in (shuffled, _renamed(shuffled, rng, True)):
+                            got = _witness(_raise_lattice_witness, order)
+                            assert got is not None and got[0] is NotDistributive
+                            assert got == _witness(brute_lattice_witness, order)
+                            assert _birkhoff(order) is None
+                            nonprime = _nonprime_irreducibles(order, {d: k for k, d in enumerate(order.down_masks)})
+                            skipped_first += not order.down_masks[0] & nonprime
         assert skipped_first > 0
 
 
@@ -703,3 +708,147 @@ class TestRowPruneLemma:
                         for c in range(m):
                             assert meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
         assert lattices > 0 and skipped > 0 and flagged > 0
+
+
+def _brute_failing_triples(order):
+    """Every (a, b, c) of a lattice where a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c),
+    read off the brute tables."""
+    m = len(order)
+    join = [[_brute_join(order, b, c) for c in range(m)] for b in range(m)]
+    meet = [[_brute_meet(order, b, c) for c in range(m)] for b in range(m)]
+    return {
+        (a, b, c)
+        for a in range(m)
+        for b in range(m)
+        for c in range(m)
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
+    }
+
+
+class TestWitnessPruneLemmas:
+    """On every bounded poset of at most seven elements: the meet pass over
+    the meet-irreducibles recognises exactly the lattices, and on every
+    lattice the pruned triple scan yields exactly the failing triples of
+    the brute tables, in identifier order."""
+
+    def test_bounded_posets_up_to_seven_elements(self):
+        lattices = failing = 0
+        for n in range(6):
+            for inner in labeled_posets(n):
+                order = _bounded(inner)
+                up, down = order.up_masks, order.down_masks
+                by_down = {d: k for k, d in enumerate(down)}
+                is_lattice = (_witness(brute_lattice_witness, order) or (None,))[0] is not NotALattice
+                assert _is_lattice(order, by_down, {u: k for k, u in enumerate(up)}) == is_lattice
+                if not is_lattice:
+                    continue
+                lattices += 1
+                by_up = {u: k for k, u in enumerate(up)}
+                nonprime = _nonprime_irreducibles(order, by_down)
+                got = [(a, b, c) for a, b, cs in _failing_triples(order, nonprime, by_down, by_up) for c in cs]
+                assert got == sorted(_brute_failing_triples(order))
+                failing += len(got)
+        assert lattices > 0 and failing > 0
+
+    def test_random_bounded_posets_of_up_to_eleven_elements(self):
+        rng = random.Random(199)
+        outcomes = set()
+        for _ in range(300):
+            order = _bounded(random_poset(rng, rng.randrange(0, 10)))
+            witness = _witness(brute_lattice_witness, order)
+            by_down = {d: k for k, d in enumerate(order.down_masks)}
+            by_up = {u: k for k, u in enumerate(order.up_masks)}
+            assert _is_lattice(order, by_down, by_up) == ((witness or (None,))[0] is not NotALattice)
+            assert _witness(_raise_lattice_witness, order) == witness
+            outcomes.add(witness and witness[0])
+        assert outcomes == {None, NotALattice, NotDistributive}
+
+
+class TestNotALatticeAgainstTables:
+    """Differential: the NotALattice path against the table-based oracle on
+    orders that a local check or a meet check alone does not reject."""
+
+    def test_order_that_fails_only_the_ideal_count(self):
+        # u and v have no greatest lower bound, yet the only minimal element
+        # is least and every element with two lower covers is their least
+        # upper bound, so _birkhoff rejects it only by the count of ideals
+        covers = [("0", "x"), ("0", "y"), ("x", "k1"), ("x", "k3"), ("y", "k2"), ("y", "k4")]
+        covers += [("k1", "u"), ("k2", "u"), ("k3", "v"), ("k4", "v"), ("u", "1"), ("v", "1")]
+        order = build_poset(["0", "1", "x", "y", "k1", "k2", "k3", "k4", "u", "v"], covers)
+        up, down = order.up_masks, order.down_masks
+        lower = [0] * len(order)
+        for lo, hi in covers:
+            lower[order.index(hi)] |= 1 << order.index(lo)
+        assert [a for a in range(len(order)) if down[a] == 1 << a] == [order.index("0")]
+        for a in range(len(order)):
+            if lower[a].bit_count() > 1:
+                common = (1 << len(order)) - 1
+                for c in bits(lower[a]):
+                    common &= up[c]
+                assert common == up[a]
+        assert _birkhoff(order) is None
+        assert not _is_lattice(order, {d: k for k, d in enumerate(down)}, {u: k for k, u in enumerate(up)})
+        got = _witness(_raise_lattice_witness, order)
+        assert got == _witness(brute_lattice_witness, order)
+        assert got[0] is NotALattice
+
+    def test_order_with_every_meet_and_two_maximal_elements(self):
+        # every two elements have a greatest lower bound, but b and c have
+        # no upper bound, so the witness is a pair without a least one
+        order = build_poset(["0", "a", "b", "c"], [("0", "a"), ("a", "c"), ("0", "b")])
+        down = order.down_masks
+        by_down = {d: k for k, d in enumerate(down)}
+        assert all(dx & dy in by_down for dx in down for dy in down)
+        assert not _is_lattice(order, by_down, {u: k for k, u in enumerate(order.up_masks)})
+        got = _witness(_raise_lattice_witness, order)
+        assert got == _witness(brute_lattice_witness, order)
+        assert got == (NotALattice, ("'a', 'b' have no least upper bound",))
+
+
+def _m3_with_boolean(k, below):
+    """An M3 named z0 za zb zc zt and the Boolean lattice 2^k, whose
+    elements are named by bit strings that sort first.  Below: zt lies
+    under the Boolean bottom (2^k + 5 elements).  Above: z0 is the
+    Boolean top (2^k + 4 elements)."""
+    names = [f"b{m:0{k}b}" for m in range(1 << k)]
+    pairs = [(names[m], names[m | 1 << i]) for m in range(1 << k) for i in range(k) if not m >> i & 1]
+    if below:
+        pairs.append(("zt", names[0]))
+    else:
+        pairs = [(x, "z0" if y == names[-1] else y) for x, y in pairs]
+        names.pop()
+    pairs += [(p, q) for x in ("za", "zb", "zc") for p, q in (("z0", x), (x, "zt"))]
+    return build_poset(names + ["z0", "za", "zb", "zc", "zt"], pairs)
+
+
+class TestWitnessAtScale:
+    """An M3 below or above a Boolean lattice, with the M3's names last,
+    rejects with the witness (za, zb, zc) in closed form.
+
+    By the lemma of :func:`_failing_triples`, a failing triple (a, b, c)
+    has a join-irreducible j ≤ a that is not join-prime with j ≰ b, j ≰ c
+    and j ≤ b ∨ c.  Only the atoms za, zb, zc of the M3 are such j.  Every
+    element other than the atoms is above j or at most z0, and a join of
+    elements at most z0 and atoms other than j does not reach j; so b and c
+    are the two atoms other than j, and b ∨ c is zt.  If a is above b and
+    c, both sides are b ∨ c, so a is an atom above j: a is j.  The failing
+    triples are the six orderings of (za, zb, zc): every Boolean row holds
+    none, and in row za the first failing pair is (zb, zc).  The pruned
+    scan takes at most three b per row, where the full scan takes n.
+    """
+
+    @pytest.mark.parametrize("k, below, n", [(8, True, 261), (10, False, 1028)])
+    def test_m3_and_boolean(self, k, below, n):
+        order = _m3_with_boolean(k, below)
+        assert len(order) == n
+        with pytest.raises(NotDistributive) as exc:
+            lattice_from_order(order)
+        assert exc.value.payload["witness"] == ["za", "zb", "zc"]
+        by_down = {d: i for i, d in enumerate(order.down_masks)}
+        by_up = {u: i for i, u in enumerate(order.up_masks)}
+        nonprime = _nonprime_irreducibles(order, by_down)
+        assert nonprime == sum(1 << order.index(x) for x in ("za", "zb", "zc"))
+        rows = [(a, b, list(cs)) for a, b, cs in _failing_triples(order, nonprime, by_down, by_up)]
+        assert len(rows) <= 3 * n
+        failing = [tuple(order.elements[i] for i in (a, b, c)) for a, b, cs in rows for c in cs]
+        assert failing == sorted(permutations(["za", "zb", "zc"]))
