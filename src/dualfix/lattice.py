@@ -22,7 +22,7 @@ capped (BIRKHOFF_MAX_LATTICE overrides the default of 4096).
 from __future__ import annotations
 
 import os
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from itertools import compress
 from operator import and_, invert, or_
 
@@ -245,7 +245,7 @@ def _raise_lattice_witness(order: Poset):
                     raise NotALattice(elements[i], elements[j], "greatest lower bound")
                 if ui & up[j] not in by_up:
                     raise NotALattice(elements[i], elements[j], "least upper bound")
-    for a, b, cs in _failing_triples(order, _nonprime_irreducibles(order, by_down), by_down, by_up):
+    for a, b, cs in _failing_triples(order, by_down, by_up):
         for c in cs:
             raise NotDistributive(elements[a], elements[b], elements[c])
 
@@ -261,9 +261,8 @@ def _is_lattice(order: Poset, by_down, by_up) -> bool:
     an upper cover.  With one, y is meet-irreducible, so good.  With more,
     two of them, y1 and y2, lie above y, so they are good and y1 ∧ y2
     exists.  It lies between y and y1 and is not y1, or else y < y1 ≤ y2
-    and y2 would not cover y; so it is y.
-    Then down(x) & down(y) is down(x ∧ y1) & down(y2), the down-set of
-    (x ∧ y1) ∧ y2, and y is good.  So all meets exist, and the meet of the
+    and y2 would not cover y; so it is y.  Then down(x) & down(y) is
+    down(x ∧ y1) & down(y2), the down-set of (x ∧ y1) ∧ y2, and y is good.  So all meets exist, and the meet of the
     common upper bounds of two elements, the top among them, is their
     least upper bound.  m is meet-irreducible when its strict up-set is
     some element's up-set.  Each row runs in C.
@@ -280,12 +279,11 @@ def _is_lattice(order: Poset, by_down, by_up) -> bool:
     return all(all(map(has, map(d.__and__, select(down, irr & ~(d | u))))) for d, u in zip(down, up))
 
 
-def _failing_triples(order: Poset, nonprime, by_down, by_up):
+def _failing_triples(order: Poset, by_down, by_up):
     """Yield (a, b, cs) with a, then b, ascending, and cs an iterator of
     the c, ascending, with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c) in a lattice;
-    every such triple comes up.  ``nonprime`` is the mask of the
-    join-irreducibles that are not join-prime, and ``by_down`` and
-    ``by_up`` hold every element's down-set and up-set.
+    every such triple comes up.  ``by_down`` and ``by_up`` hold every
+    element's down-set and up-set.
 
     The left side is above the right, and every element is the join of
     the join-irreducibles below it.  So the triple fails exactly when some
@@ -298,16 +296,18 @@ def _failing_triples(order: Poset, nonprime, by_down, by_up):
     is below none of up(m) ∖ up(j).  So the splitters of j, the b that
     split j with some c, are the elements outside up(j) and outside the
     down-closure of up(m) ∖ up(j) for some such m.  Row a takes b and c
-    from the splitters of its j, and tests each c by four lookups, in C.  When b and c are both below a, both sides are b ∨ c: so c
-    is not below a when b is, and a row yields nothing when every element
-    outside up(j) for some such j is below a.
+    from the splitters of its j, and tests each c by four lookups, in C.
+    When b and c are both below a, both sides are b ∨ c: so c is not below
+    a when b is, and a row yields nothing when every element outside up(j)
+    for some such j is below a.
     """
     n = len(order)
     up, down = order.up_masks, order.down_masks
     full = (1 << n) - 1
     elements = range(n)
+    nonprime = _nonprime_irreducibles(order, by_down)
 
-    @lru_cache(maxsize=None)
+    @cache
     def splitters(j):
         # m is maximal outside up(j) when its up-set meets that set in m alone
         out = full & ~up[j]

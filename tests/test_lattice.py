@@ -744,8 +744,7 @@ class TestWitnessPruneLemmas:
                     continue
                 lattices += 1
                 by_up = {u: k for k, u in enumerate(up)}
-                nonprime = _nonprime_irreducibles(order, by_down)
-                got = [(a, b, c) for a, b, cs in _failing_triples(order, nonprime, by_down, by_up) for c in cs]
+                got = [(a, b, c) for a, b, cs in _failing_triples(order, by_down, by_up) for c in cs]
                 assert got == sorted(_brute_failing_triples(order))
                 failing += len(got)
         assert lattices > 0 and failing > 0
@@ -846,9 +845,8 @@ class TestWitnessAtScale:
         assert exc.value.payload["witness"] == ["za", "zb", "zc"]
         by_down = {d: i for i, d in enumerate(order.down_masks)}
         by_up = {u: i for i, u in enumerate(order.up_masks)}
-        nonprime = _nonprime_irreducibles(order, by_down)
-        assert nonprime == sum(1 << order.index(x) for x in ("za", "zb", "zc"))
-        rows = [(a, b, list(cs)) for a, b, cs in _failing_triples(order, nonprime, by_down, by_up)]
+        assert _nonprime_irreducibles(order, by_down) == sum(1 << order.index(x) for x in ("za", "zb", "zc"))
+        rows = [(a, b, list(cs)) for a, b, cs in _failing_triples(order, by_down, by_up)]
         assert len(rows) <= 3 * n
         failing = [tuple(order.elements[i] for i in (a, b, c)) for a, b, cs in rows for c in cs]
         assert failing == sorted(permutations(["za", "zb", "zc"]))
