@@ -33,9 +33,13 @@ def mask_of(indices):
 
 def transpose_masks(rows):
     out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            out[j] |= 1 << i
+    bit = 1
+    for row in rows:
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+        bit <<= 1
     return out
 
 

@@ -17,9 +17,11 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from . import fixpoint as fixpoint_mod
+from .bitgraph import select
 from .duality import dual_map, hom_from_dual
 from .errors import InvalidInput, NotMonotone, QuotientNotAntisymmetric, SizeBoundExceeded
 from .jsonio import (
@@ -32,7 +34,7 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import MonotoneMap, build_poset, count_ideals, is_monotone, iter_ideal_masks
+from .poset import MonotoneMap, OrderIdeal, build_poset, count_ideals, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,8 +243,11 @@ def cmd_fixpoints(cfg, out) -> int:
             raise UsageError("fix-points need a self-map: codomain must equal domain")
         fx = fixpoint_mod.fixpoints_via_duality(loaded)
         if cfg.mode == "list":
+            # Each name encoded once, as json.dumps encodes a string under
+            # ensure_ascii, so every line matches _dumps of the member list.
+            enc = list(map(encode_basestring_ascii, fx.quotient.base.elements))
             for member in fx.iter_members():
-                print(_dumps(list(member.members)), file=out)
+                out.write("[" + ",".join(select(enc, member.mask)) + "]\n")
         elif cfg.mode == "count":
             print(fx.count(), file=out)
         else:
@@ -253,9 +258,9 @@ def cmd_fixpoints(cfg, out) -> int:
             raise UsageError("fix-points need an endomorphism: codomain must equal domain")
         quo = fixpoint_mod.hom_quotient(hom)
         if cfg.mode == "list":
-            for qmask in iter_ideal_masks(quo.class_poset):
-                names = quo.class_poset.ids_from(qmask)
-                print(_dumps(fixpoint_mod.algorithm1(hom, names, quotient=quo)), file=out)
+            cp = quo.class_poset
+            for qmask in iter_ideal_masks(cp):
+                print(_dumps(fixpoint_mod.algorithm1(hom, OrderIdeal(cp, qmask), quotient=quo)), file=out)
         elif cfg.mode == "count":
             print(count_ideals(quo.class_poset), file=out)
         else:

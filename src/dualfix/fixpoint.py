@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .bitgraph import bits, select, tarjan_scc, topo_order
+from .bitgraph import bits, tarjan_scc, topo_order
 from .duality import dual_map
 from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
 from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound
-from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, count_ideals, iter_ideal_masks
+from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk, count_ideals
 
 
 class QuotientPoset:
@@ -226,10 +226,11 @@ class FixpointLattice:
     """All fix-points of the endomorphism induced by a monotone self-map.
 
     Members are the unions of quotient-ideal classes, streamed in the
-    canonical ideal order of the quotient; each one is re-checked to be
-    down-closed in the base on emission.  The member count equals the
-    quotient's ideal count, so ``count`` takes it from the frontier DP of
-    ``count_ideals`` and never builds the members.
+    canonical ideal order of the quotient, each union carried along the
+    ideal walk; each one is re-checked to be down-closed in the base on
+    emission.  The member count equals the quotient's ideal count, so
+    ``count`` takes it from the frontier DP of ``count_ideals`` and never
+    builds the members.
     """
 
     __slots__ = ("phi", "quotient", "_members")
@@ -241,9 +242,8 @@ class FixpointLattice:
 
     def iter_members(self):
         base = self.quotient.base
-        masks = self.quotient.member_masks
-        for qmask in iter_ideal_masks(self.quotient.class_poset):
-            yield OrderIdeal(base, reduce(or_, select(masks, qmask), 0))
+        for _, _, union in _ideal_walk(self.quotient.class_poset, rows=self.quotient.member_masks):
+            yield OrderIdeal(base, union)
 
     def count(self, max_count=None) -> int:
         return count_ideals(self.quotient.class_poset, max_count)

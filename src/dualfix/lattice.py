@@ -28,7 +28,7 @@ from operator import and_, invert, or_
 
 from .bitgraph import bits, select, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _total_image, count_ideals, iter_ideal_masks
+from .poset import OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _ideal_walk, _total_image, count_ideals
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -362,25 +362,22 @@ def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:
     poset side.
     """
     bound = explicit_lattice_bound(max_size)
-    masks = list(iter_ideal_masks(base, max_count=bound))
-    items = sorted((OrderIdeal(base, m).name, m) for m in masks)
+    walk = list(_ideal_walk(base, max_count=bound))
+    items = sorted((OrderIdeal(base, m).name, m) for m, _, _ in walk)
     names = [nm for nm, _ in items]
     emasks = [m for _, m in items]
     index = {m: i for i, m in enumerate(emasks)}
-    # An ideal is covered by itself plus one minimal point of its complement;
-    # inclusion is the closure of those covers.  The masks come in ascending
-    # size, so their reverse lists every ideal after all ideals above it.
-    down = base.down_masks
-    full = (1 << len(base)) - 1
+    # An ideal is covered by itself plus one minimal point of its complement,
+    # which the walk lists; inclusion is the closure of those covers.  The
+    # walk comes in ascending size, so its reverse lists every ideal after
+    # all ideals above it.
     covers = [0] * len(emasks)
-    for i, m in enumerate(emasks):
-        comp = full & ~m
+    for m, mins, _ in walk:
         row = 0
-        for x in bits(comp):
-            if down[x] & comp == 1 << x:
-                row |= 1 << index[m | 1 << x]
-        covers[i] = row
-    order = _generated_poset(names, covers, [index[m] for m in reversed(masks)])
+        for x in bits(mins):
+            row |= 1 << index[m | 1 << x]
+        covers[index[m]] = row
+    order = _generated_poset(names, covers, [index[m] for m, _, _ in reversed(walk)])
     # The ideals of a poset, ordered by inclusion, are its Birkhoff
     # representation by definition: nothing is left to validate.
     return FiniteLattice(order, base, emasks)

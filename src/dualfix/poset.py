@@ -30,14 +30,15 @@ class Poset:
     lists every element after all elements it reaches along them.  Layers
     that only walk the order (the monotone check, the quotient, covers,
     ideal streaming) run on the generators in O(n + generating edges)
-    steps.  The closed rows ``up_masks[i]`` = {j | i <= j} and
-    ``down_masks[i]`` = {j | j <= i} are computed on first read and cached;
-    equality and hashing compare the closed up-sets, not the generators.
+    steps.  The generating predecessors ``pred_masks`` and the closed rows
+    ``up_masks[i]`` = {j | i <= j} and ``down_masks[i]`` = {j | j <= i} are
+    computed on first read and cached; equality and hashing compare the
+    closed up-sets, not the generators.
     Every instance in the package comes from :func:`_generated_poset`; use
     :func:`build_poset` to construct one from pairs.
     """
 
-    __slots__ = ("elements", "gen_masks", "order", "_up_masks", "_down_masks", "_index")
+    __slots__ = ("elements", "gen_masks", "order", "_pred_masks", "_up_masks", "_down_masks", "_index")
 
     def __init__(self, elements, gen_masks, order):
         # Trusted constructor: the caller guarantees acyclic strict
@@ -48,9 +49,17 @@ class Poset:
             raise ValueError("poset elements must be in sorted identifier order")
         self.gen_masks = tuple(gen_masks)
         self.order = tuple(order)
+        self._pred_masks = None
         self._up_masks = None
         self._down_masks = None
         self._index = {x: i for i, x in enumerate(self.elements)}
+
+    @property
+    def pred_masks(self) -> tuple:
+        """The generating edges transposed: the predecessors of each i."""
+        if self._pred_masks is None:
+            self._pred_masks = tuple(transpose_masks(self.gen_masks))
+        return self._pred_masks
 
     @property
     def up_masks(self) -> tuple:
@@ -61,7 +70,7 @@ class Poset:
     @property
     def down_masks(self) -> tuple:
         if self._down_masks is None:
-            self._down_masks = tuple(dag_reach(transpose_masks(self.gen_masks), reversed(self.order)))
+            self._down_masks = tuple(dag_reach(self.pred_masks, reversed(self.order)))
         return self._down_masks
 
     def __len__(self):
@@ -105,8 +114,17 @@ class Poset:
         return tuple(select(self.elements, mask))
 
     def is_down_closed(self, mask: int) -> bool:
-        """True iff no generating edge enters ``mask`` from outside it."""
-        outside = ((1 << len(self.elements)) - 1) & ~mask
+        """True iff no generating edge enters ``mask`` from outside it.
+
+        Reads the smaller side: the generating predecessors of the members
+        when they are at most half the carrier, else the generating
+        successors of the points outside.
+        """
+        n = len(self.elements)
+        k = mask.bit_count()
+        if 2 * k <= n:
+            return not k or not reduce(or_, select(self.pred_masks, mask), 0) & ~mask
+        outside = ((1 << n) - 1) & ~mask
         return not reduce(or_, select(self.gen_masks, outside), 0) & mask
 
     def covers(self) -> list:
@@ -217,12 +235,16 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
     """Stream the bitmasks of every order ideal in canonical order.
 
     Canonical order: ascending cardinality, then lexicographic on the sorted
-    member identifiers.  Ideals of one size are produced by extending the
-    previous size by one minimal element of the complement, so memory tracks
-    the widest size class, not the full count.  The complement of an ideal
-    is an up-set, so a point is minimal in it exactly when none of its
-    generating predecessors is.  With ``max_count`` set, raises
-    SizeBoundExceeded as soon as the total provably exceeds it.
+    member identifiers.  Ideals of one size are produced by extending each
+    ideal m of the previous size by one minimal point x of its complement,
+    and the walk (:func:`_ideal_walk`) keeps the mask of those points per
+    ideal.  So an ideal costs one set probe per minimal point of its
+    complement, one step per generating successor of the x it is first
+    reached by, and its share of sorting its size class; nothing scans the
+    complement.  Memory is the widest size class with its minimal-point
+    masks, not the full count.  With ``max_count`` set, raises
+    SizeBoundExceeded as soon as the total provably exceeds it, before any
+    ideal of the size class that passes it is yielded.
 
     A size class is sorted, in descending order, by the mask's binary digits
     read from bit 0 up (``bin(mask)[:1:-1]``), which gives that order, since
@@ -234,29 +256,57 @@ def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
     members below i and be smaller than A; so it reads ``0`` there, and A's
     string is the larger.
     """
-    pred = transpose_masks(poset.gen_masks)
-    n = len(poset)
-    full = (1 << n) - 1
-    yield 0
-    count = 1
-    layer = [0]
-    while layer:
-        grown = set()
-        for m in layer:
-            comp = full & ~m
-            rest = comp
+    for mask, _, _ in _ideal_walk(poset, max_count):
+        yield mask
+
+
+def _ideal_walk(poset: Poset, max_count=None, rows=None):
+    """Yield (mask, mins, union) per order ideal, in the order and with the
+    cap of :func:`iter_ideal_masks`: ``mins`` is the mask of the minimal
+    points of its complement, and ``union`` the union of ``rows`` over its
+    members (0 without ``rows``).
+
+    The complement of an ideal is an up-set, so a point is minimal in it
+    exactly when none of its generating predecessors is; for the empty
+    ideal these are the points without one.  So mins(m | x) is mins(m)
+    less x, plus each generating successor w of x whose predecessors all
+    lie in m | x: any other point minimal in the smaller complement was
+    minimal before, since x is not among its predecessors.
+    """
+    succ = poset.gen_masks
+    pred = poset.pred_masks
+    if rows is None:
+        rows = [0] * len(succ)
+    room = float("inf") if max_count is None else max_count - 1
+    layer = [(0, ((1 << len(succ)) - 1) & ~reduce(or_, succ, 0), 0)]
+    yield layer[0]
+    while True:
+        grown = {}
+        for m, mins, union in layer:
+            rest = mins
             while rest:
                 low = rest & -rest
                 rest ^= low
-                i = low.bit_length() - 1
-                if not pred[i] & comp:  # minimal in the complement
-                    grown.add(m | low)
-                    if max_count is not None and count + len(grown) > max_count:
-                        raise SizeBoundExceeded(max_count, "order ideal count")
+                new = m | low
+                if new in grown:
+                    continue
+                x = low.bit_length() - 1
+                fresh = mins ^ low
+                out = succ[x]
+                while out:
+                    w = out & -out
+                    out ^= w
+                    if not pred[w.bit_length() - 1] & ~new:
+                        fresh |= w
+                grown[new] = (new, fresh, union | rows[x])
+                if len(grown) > room:
+                    raise SizeBoundExceeded(max_count, "order ideal count")
         if not grown:
             return
-        layer = sorted(grown, key=lambda mask: bin(mask)[:1:-1], reverse=True)
-        count += len(layer)
+        layer = grown.values()
+        if len(grown) > 1:
+            layer = sorted(layer, key=lambda item: bin(item[0])[:1:-1], reverse=True)
+        room -= len(grown)
         yield from layer
 
 
@@ -296,7 +346,7 @@ def count_ideals(poset: Poset, max_count=None) -> int:
     bound caps the live states, since each stands for at least one ideal.
     """
     succ = poset.gen_masks
-    pred = transpose_masks(succ)
+    pred = poset.pred_masks
     order, isolated = _generating_extension(succ, pred)
     total = 1 << isolated
     if max_count is not None and total > max_count:

@@ -6,14 +6,16 @@ the code paths they check.
 """
 
 import heapq
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from operator import or_
 
 from dualfix import (
     MonotoneMap,
     NotALattice,
     NoMinimum,
     NotDistributive,
+    OrderIdeal,
     Poset,
     QuotientNotAntisymmetric,
     QuotientPoset,
@@ -23,8 +25,9 @@ from dualfix import (
     iter_ideal_masks,
     principal_ideal,
 )
-from dualfix.bitgraph import bits, tarjan_scc, transpose_masks
+from dualfix.bitgraph import bits, select, tarjan_scc, transpose_masks
 from dualfix.fixpoint import _canonical_classes
+from dualfix.lattice import FiniteLattice
 from dualfix.poset import _cover_masks, _generated_poset
 
 LETTERS = "abcdefgh"
@@ -139,6 +142,46 @@ def lex_key_ideal_masks(poset):
         layer = sorted(grown, key=lex_key)
         out += layer
     return out
+
+
+def capped_prefix(masks, max_count):
+    """What a stream of ``masks``, in canonical order, yields when capped at
+    ``max_count``, and whether it then raises: every size class whose
+    running total stays within the cap, and nothing of the first class
+    that passes it."""
+    through = {}  # size -> running total through that size class
+    for k, m in enumerate(masks):
+        through[m.bit_count()] = k + 1
+    prefix = [m for m in masks if through[m.bit_count()] <= max_count]
+    return prefix, len(prefix) < len(masks)
+
+
+def union_member_masks(quotient):
+    """Member masks of the fix-point lattice of a quotient: per quotient
+    ideal, in canonical order, the union of its classes' member masks."""
+    masks = quotient.member_masks
+    return [reduce(or_, select(masks, q), 0) for q in lex_key_ideal_masks(quotient.class_poset)]
+
+
+def complement_scan_ideal_lattice(base):
+    """The ideal lattice of a poset, its covers found by scanning the
+    complement of each ideal for the points whose closed down-set meets the
+    complement in the point alone."""
+    masks = lex_key_ideal_masks(base)
+    items = sorted((OrderIdeal(base, m).name, m) for m in masks)
+    names = [nm for nm, _ in items]
+    emasks = [m for _, m in items]
+    index = {m: i for i, m in enumerate(emasks)}
+    down = base.down_masks
+    full = (1 << len(base)) - 1
+    covers = [0] * len(emasks)
+    for i, m in enumerate(emasks):
+        comp = full & ~m
+        for x in bits(comp):
+            if down[x] & comp == 1 << x:
+                covers[i] |= 1 << index[m | 1 << x]
+    order = _generated_poset(names, covers, [index[m] for m in reversed(masks)])
+    return FiniteLattice(order, base, emasks)
 
 
 def closure_ideal_masks(poset):

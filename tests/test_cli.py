@@ -10,7 +10,7 @@ import dualfix.bitgraph
 import dualfix.fixpoint
 import dualfix.lattice
 import dualfix.poset
-from dualfix import NotDistributive, lattice_from_order
+from dualfix import MonotoneMap, NotDistributive, lattice_from_order
 from dualfix.cli import EXIT_INTERNAL, _parser, main
 from dualfix.jsonio import poset_from_obj
 
@@ -242,6 +242,23 @@ class TestFixpoints:
         )
         assert code == 0
         assert out.splitlines() == ["[]", '["p","q"]']
+
+    def test_list_lines_are_the_json_of_each_member(self, capsys, write_json):
+        # names that JSON escapes: a quote, a backslash, a control
+        # character, non-ASCII text and a character outside the BMP
+        names = ['q"', "b\\s", "t\t", "caf\u00e9", "\u2603", "\U0001f600", "plain"]
+        obj = {"elements": names, "leq": [[names[0], names[1]], [names[2], names[3]]]}
+        code, out, _ = run(
+            capsys,
+            "fixpoints",
+            "--poset", write_json("p.json", obj),
+            "--map", write_json("m.json", {"map": {x: x for x in names}}),
+            "--list",
+        )
+        fx = dualfix.fixpoint.fixpoints_via_duality(MonotoneMap.identity(poset_from_obj(obj)))
+        expected = [json.dumps(list(m.members), sort_keys=True, separators=(",", ":")) for m in fx.iter_members()]
+        assert (code, out) == (0, "".join(line + "\n" for line in expected))
+        assert len(expected) == 3 * 3 * 2**3
 
     def test_count_dual_side(self, capsys, write_json):
         code, out, _ = run(

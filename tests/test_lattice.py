@@ -37,6 +37,7 @@ from helpers import (
     brute_join_irreducibles,
     brute_lattice_witness,
     climbing_preserves_laws,
+    complement_scan_ideal_lattice,
     inclusion_rows,
     labeled_posets,
     noniso_posets_upto,
@@ -131,6 +132,25 @@ class TestIdealLattice:
             gen = lat.order.gen_masks
             pairs = [(x, lat.elements[j]) for i, x in enumerate(lat.elements) for j in bits(gen[i])]
             assert build_poset(list(lat.elements), pairs) == lat.order
+
+    def test_walk_covers_match_the_complement_scan(self):
+        # covers read off the walk's minimal elements against the old
+        # construction, which scans each complement against the down-sets
+        rng = random.Random(43)
+        shapes = [(list(p.elements), p.covers()) for n in range(6) for p in labeled_posets(n)]
+        for _ in range(60):
+            p = random_poset(rng, rng.randrange(0, 10))
+            rename = dict(zip(p.elements, reversed(p.elements)))
+            shapes.append((list(p.elements), p.covers()))
+            shapes.append((list(p.elements), [(rename[x], rename[y]) for x, y in p.covers()]))
+        for elements, pairs in shapes:
+            base = build_poset(elements, pairs)
+            lat = ideal_lattice(base)
+            assert base._down_masks is None
+            old = complement_scan_ideal_lattice(base)
+            assert lat == old
+            assert (lat.order.elements, lat.order.gen_masks, lat.order.order) == (old.order.elements, old.order.gen_masks, old.order.order)
+            assert lat.element_masks == old.element_masks and lat.ideal_base is old.ideal_base
 
     def test_size_bound_exceeded(self):
         anti = build_poset([f"a{k}" for k in range(5)], [])

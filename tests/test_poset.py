@@ -32,9 +32,12 @@ from helpers import (
     brute_closure_pairs,
     brute_ideal_sets,
     brute_is_monotone,
+    capped_prefix,
     climbing_cover_masks,
     closure_ideal_masks,
     closure_is_down_closed,
+    closed_poset,
+    closure_rows,
     covers_count_ideals,
     grid_shape,
     labeled_posets,
@@ -47,6 +50,7 @@ from helpers import (
     random_poset,
     renamed_shape,
     scan_monotone_witness,
+    union_member_masks,
 )
 
 
@@ -471,6 +475,28 @@ def _small_generated_posets(seed):
                 yield closed, build_poset(list(closed.elements), pairs)
 
 
+def _generating_pairs(p):
+    """The generating edges of p as (lesser, greater) pairs, read without
+    closing them."""
+    return [(p.elements[i], p.elements[j]) for i, row in enumerate(p.gen_masks) for j in bits(row)]
+
+
+def _both_namings(seed, count, max_size):
+    """Every labeled poset of at most 5 elements rebuilt from noisy
+    generating pairs, then ``count`` seeded noisy random posets, each with
+    identifiers in order and reversed."""
+    rng = random.Random(seed)
+    for n in range(6):
+        for closed in labeled_posets(n):
+            pairs = noisy_pairs(rng, closed)
+            yield build_poset(list(closed.elements), pairs)
+            yield _reversed_ids(closed, pairs)
+    for rng, p in noisy_random_posets(seed + 1, count, max_size):
+        pairs = noisy_pairs(rng, p)
+        yield build_poset(list(p.elements), pairs)
+        yield _reversed_ids(p, pairs)
+
+
 def _reversed_ids(p, pairs):
     """p rebuilt from ``pairs`` with its identifiers renamed so that
     identifier order runs against the old one."""
@@ -497,10 +523,12 @@ class TestGeneratorReaders:
 
     def test_down_closure_and_ideal_stream_match_the_closure(self):
         for closed, p in _small_generated_posets(47):
-            for mask in range(1 << len(p)):
-                assert p.is_down_closed(mask) == closure_is_down_closed(closed, mask)
-            assert list(iter_ideal_masks(p)) == closure_ideal_masks(closed)
-            assert p._up_masks is None and p._down_masks is None
+            q = _reversed_ids(p, _generating_pairs(p))
+            for r, oracle in ((p, closed), (q, closed_poset(q.elements, closure_rows(q.gen_masks)))):
+                for mask in range(1 << len(r)):
+                    assert r.is_down_closed(mask) == closure_is_down_closed(oracle, mask)
+                assert list(iter_ideal_masks(r)) == closure_ideal_masks(oracle)
+                assert r._up_masks is None and r._down_masks is None
 
     def test_ideal_stream_matches_the_member_tuple_sort(self):
         for _, p in _small_generated_posets(53):
@@ -509,6 +537,27 @@ class TestGeneratorReaders:
             pairs = noisy_pairs(rng, p)
             for q in (build_poset(list(p.elements), pairs), _reversed_ids(p, pairs)):
                 assert list(iter_ideal_masks(q)) == lex_key_ideal_masks(q)
+
+    def test_capped_stream_stops_where_the_oracle_total_passes_the_cap(self):
+        for q in _both_namings(67, 160, 10):
+            full = lex_key_ideal_masks(q)
+            for cap in range(1, len(full) + 2):
+                got = []
+                try:
+                    for mask in iter_ideal_masks(q, max_count=cap):
+                        got.append(mask)
+                except SizeBoundExceeded:
+                    raised = True
+                else:
+                    raised = False
+                assert (got, raised) == capped_prefix(full, cap)
+
+    def test_members_are_the_unions_of_the_quotient_ideal_classes(self):
+        rng = random.Random(71)
+        for q in _both_namings(73, 200, 12):
+            for phi in (MonotoneMap.identity(q), random_monotone_between(rng, q, q)):
+                fx = fixpoints_via_duality(phi)
+                assert [m.mask for m in fx.iter_members()] == union_member_masks(fx.quotient)
 
 
 class TestEnumerationHelpers:
