@@ -16,9 +16,10 @@ import stat
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache
+from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii
 from math import isqrt
+from operator import or_
 
 from . import fixpoint as fixpoint_mod
 from .bitgraph import select
@@ -34,7 +35,7 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import MonotoneMap, OrderIdeal, build_poset, count_ideals, is_monotone, iter_ideal_masks
+from .poset import MonotoneMap, _ideal_walk, build_poset, count_ideals, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -258,9 +259,14 @@ def cmd_fixpoints(cfg, out) -> int:
             raise UsageError("fix-points need an endomorphism: codomain must equal domain")
         quo = fixpoint_mod.hom_quotient(hom)
         if cfg.mode == "list":
-            cp = quo.class_poset
-            for qmask in iter_ideal_masks(cp):
-                print(_dumps(fixpoint_mod.algorithm1(hom, OrderIdeal(cp, qmask), quotient=quo)), file=out)
+            # The fix-point of a quotient ideal is the join of the
+            # irreducibles in its classes: the union of their ideals, which
+            # the walk gathers per class.
+            lat = hom.domain
+            ideals = [lat.element_masks[lat.index(x)] for x in quo.base.elements]
+            rows = [reduce(or_, select(ideals, m), 0) for m in quo.member_masks]
+            for _, _, union in _ideal_walk(quo.class_poset, rows=rows):
+                out.write(encode_basestring_ascii(lat.elements[lat.ideal_index(union)]) + "\n")
         elif cfg.mode == "count":
             print(count_ideals(quo.class_poset), file=out)
         else:

@@ -3,13 +3,14 @@
 Every validated lattice is stored as its Birkhoff representation: a poset B
 (the join-irreducibles, or the base of an ideal lattice) and, per element,
 the bitmask of the order ideal of B it corresponds to, so meet is ``&`` and
-join is ``|``.  Validation checks that representation directly, in at most
-O(n·|B|) mask steps instead of a pair or triple scan, and a homomorphism is
-accepted by reading its dual map on the bases; the identifier-order scans
-that name a witness run only once such a check has failed.  Both visit
-only what can fail: a lattice is recognised by the meets of each element
-with the meet-irreducibles, so the pair scan runs only on an order that is
-no lattice, and over incomparable pairs; the triple scan visits only the
+join is ``|``.  Validation checks that representation on the order's
+covers, in a few mask steps per cover with no closure and no ideal count,
+instead of a pair or triple scan, and a homomorphism is accepted by
+reading its dual map on the bases; the identifier-order scans that name a
+witness run only once such a check has failed.  Both visit only what can
+fail: a lattice is recognised by the meets of each element with the
+meet-irreducibles, so the pair scan runs only on an order that is no
+lattice, and over incomparable pairs; the triple scan visits only the
 pairs (b, c) whose join splits a join-irreducible j ≤ a that is not
 join-prime, since no other triple can fail, and keeps no meet or join
 table.
@@ -157,64 +158,89 @@ def _birkhoff(order: Poset):
     """(J, masks) when the order is a distributive lattice, else None.
 
     J is the sub-poset of the elements with exactly one lower cover, and
-    masks[a] the set of those below a, built up over a linear extension as
-    the union of the lower covers' masks.  The order is accepted when every
-    minimal element is the least element, every element with two or more
-    lower covers is their least upper bound, and J has exactly n ideals.
-    By induction over the extension, the first two make every a the least
-    upper bound of masks[a], so a -> masks[a] reflects the order and is
-    injective; the count makes it onto the ideals of J, so the order is
-    isomorphic to the ideal lattice of J.  Conversely, in a finite
+    masks[a] the set of those at or below a, built over a linear extension
+    (the reverse of ``order.order``) as the union of the lower covers'
+    masks, plus a itself for a in J.  Alongside, gens[a] is the set of
+    maximal points of masks[a] in J: a itself for a in J, else the union
+    over the lower covers, less everything strictly below one of its
+    points.  Each j in J is generated from gens of its one lower cover,
+    whose down-closure is everything in J strictly below j; those are j's
+    lower covers in J, so J's generating edges are its cover relation.
+    The covers come from :func:`_cover_masks`, so an order given by its
+    covers is never closed.  The order is accepted when
+
+    (i) every element a outside J has exactly as many lower covers as
+        gens[a] has points, and each lower cover's mask is masks[a] less
+        one point;
+    (ii) the masks are pairwise distinct, tested on gens, since an ideal is
+         the down-closure of its maximal points (narrower keys than the
+         masks when names run against the order);
+    (iii) some mask is all of J.
+
+    Every mask is an ideal of J, and the map a -> masks[a] is monotone
+    along covers.  The lower covers of an ideal in the ideal lattice O(J)
+    are the ideal less one of its maximal points.  For a in J that is
+    masks[a] less a, the mask of its one lower cover; for other a, (i) and
+    (ii) give gens[a].bit_count() distinct lower covers whose masks are
+    masks[a] less a maximal point, which is all of them.  So every lower
+    cover in O(J) of an image is the image of a lower cover in P.  With
+    (iii) the image set is then closed downward from the full ideal, so it
+    is all of O(J), and by (ii) the map is a bijection.  Inclusion in O(J)
+    is the closure of its covers, each of which comes from a cover of P,
+    so the map reflects the order too: it is an order isomorphism onto
+    O(J), and the order is a distributive lattice.  Conversely, in a finite
     distributive lattice J is the set of join-irreducibles and the map is
     Birkhoff's isomorphism, so all three checks pass.
-
-    Alongside, gens[a] is a set of irreducibles whose down-closure in J is
-    masks[a]: a itself for a in J, else the union over the lower covers.
-    Each j in J is generated from the maximal members of gens of its one
-    lower cover, whose down-closure is everything in J strictly below j;
-    those are j's lower covers in J, so J's generating edges are its cover
-    relation.
     """
     n = len(order)
-    up, down = order.up_masks, order.down_masks
     lower, _ = _cover_masks(order)
     irr = [a for a in range(n) if lower[a].bit_count() == 1]
     rank = {j: k for k, j in enumerate(irr)}
-    extension = sorted(range(n), key=lambda a: down[a].bit_count())
-    full = (1 << n) - 1
     masks = [0] * n
     gens = [0] * n
     below = [0] * len(irr)
     strictly_below = [0] * len(irr)
-    for a in extension:
+    for a in reversed(order.order):
+        covers = lower[a]
+        if not covers:
+            continue  # a minimal element keeps the empty mask
+        c = covers.bit_length() - 1
+        k = rank.get(a)
+        if k is not None:
+            below[k] = gens[c]
+            strictly_below[k] = masks[c]
+            masks[a] = masks[c] | 1 << k
+            gens[a] = 1 << k
+            continue
+        size = masks[c].bit_count()
         mask = gen = 0
-        bounds = full
-        for c in bits(lower[a]):
+        rest = covers
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            if masks[c].bit_count() != size:
+                return None
             mask |= masks[c]
             gen |= gens[c]
-            bounds &= up[c]
-        if a in rank:
-            k = rank[a]
-            for i in bits(gen):
-                gen &= ~strictly_below[i]
-            below[k] = gen
-            strictly_below[k] = mask
-            mask |= 1 << k
-            gen = 1 << k
-        elif bounds != up[a]:
+            rest ^= low
+        drop = 0
+        rest = gen
+        while rest:
+            low = rest & -rest
+            drop |= strictly_below[low.bit_length() - 1]
+            rest ^= low
+        gen &= ~drop
+        if gen.bit_count() != covers.bit_count() or mask.bit_count() != size + 1:
             return None
         masks[a] = mask
         gens[a] = gen
+    if len(set(gens)) != n or (1 << len(irr)) - 1 not in masks:
+        return None
     base = _generated_poset(
         [order.elements[j] for j in irr],
         transpose_masks(below),
-        [rank[a] for a in reversed(extension) if a in rank],
+        [rank[a] for a in order.order if a in rank],
     )
-    try:
-        if count_ideals(base, max_count=n) != n:
-            return None
-    except SizeBoundExceeded:
-        return None
     return base, masks
 
 

@@ -129,7 +129,7 @@ class Poset:
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
-        upper = _upper_covers(self)
+        upper = _cover_masks(self)[1]
         return [(self.elements[i], self.elements[j]) for i in range(len(self)) for j in bits(upper[i])]
 
 
@@ -356,26 +356,50 @@ def count_ideals(poset: Poset, max_count=None) -> int:
 
 
 def _cover_masks(poset):
-    """Lower and upper cover masks."""
-    upper = _upper_covers(poset)
-    return transpose_masks(upper), upper
+    """Lower and upper cover masks, read off the generators: every upper
+    cover of i is a generating successor of i, and a generating successor
+    is a cover unless it lies strictly above another one.
 
-
-def _upper_covers(poset):
-    """Upper cover masks, read off the generators: every upper cover of i
-    is a generating successor of i, and a generating successor is a cover
-    unless it lies strictly above another one."""
-    up = poset.up_masks
-    upper = []
-    for row in poset.gen_masks:
-        above = 0
-        rest = row
+    One pass along ``order`` transposes the rows and gives each element
+    its height, the length of the longest generating path to a sink.  If
+    u < w then u reaches w through a generating path, so height(u) >
+    height(w).  So a row whose generating successors all have one height
+    holds no two comparable successors, and is all covers.  Only rows of
+    mixed height read the closed up-sets, and then the lower covers are
+    the upper ones transposed again.  A graded order given by its covers
+    closes nothing.
+    """
+    gen = poset.gen_masks
+    height = [0] * len(gen)
+    lower = [0] * len(gen)
+    mixed = []
+    for v in poset.order:
+        rest = gen[v]
+        bit = 1 << v
+        top, bottom = -1, len(gen)
         while rest:
             low = rest & -rest
-            above |= up[low.bit_length() - 1] ^ low
+            w = low.bit_length() - 1
+            lower[w] |= bit
+            h = height[w]
+            if h > top:
+                top = h
+            if h < bottom:
+                bottom = h
             rest ^= low
-        upper.append(row & ~above)
-    return upper
+        height[v] = top + 1
+        if bottom < top:
+            mixed.append(v)
+    upper = list(gen)
+    if mixed:
+        up = poset.up_masks
+        for v in mixed:
+            above = 0
+            for w in bits(gen[v]):
+                above |= up[w] ^ 1 << w
+            upper[v] &= ~above
+        lower = transpose_masks(upper)
+    return lower, upper
 
 
 def _generating_extension(succ, pred):

@@ -21,6 +21,7 @@ from dualfix import (
     QuotientPoset,
     SizeBoundExceeded,
     build_poset,
+    count_ideals,
     is_monotone,
     iter_ideal_masks,
     principal_ideal,
@@ -28,7 +29,7 @@ from dualfix import (
 from dualfix.bitgraph import bits, select, tarjan_scc, transpose_masks
 from dualfix.fixpoint import _canonical_classes
 from dualfix.lattice import FiniteLattice
-from dualfix.poset import _cover_masks, _generated_poset
+from dualfix.poset import _generated_poset
 
 LETTERS = "abcdefgh"
 
@@ -112,6 +113,57 @@ def climbing_cover_masks(poset):
             rest &= ~down[j]
         lower.append(covers)
     return lower, transpose_masks(lower)
+
+
+def closure_birkhoff(order):
+    """(J, masks) when the order is a distributive lattice, else None, by
+    the closed rows: J is the elements with exactly one lower cover and
+    masks[a] those below a, built over the extension by down-set size.  It
+    accepts when every minimal element is least, every element with two or
+    more lower covers is their least upper bound, and J has exactly n
+    ideals.  The first two make a -> masks[a] injective and order
+    reflecting; the count makes it onto the ideals of J."""
+    n = len(order)
+    up, down = order.up_masks, order.down_masks
+    lower, _ = climbing_cover_masks(order)
+    irr = [a for a in range(n) if lower[a].bit_count() == 1]
+    rank = {j: k for k, j in enumerate(irr)}
+    extension = sorted(range(n), key=lambda a: down[a].bit_count())
+    full = (1 << n) - 1
+    masks = [0] * n
+    gens = [0] * n
+    below = [0] * len(irr)
+    strictly_below = [0] * len(irr)
+    for a in extension:
+        mask = gen = 0
+        bounds = full
+        for c in bits(lower[a]):
+            mask |= masks[c]
+            gen |= gens[c]
+            bounds &= up[c]
+        if a in rank:
+            k = rank[a]
+            for i in bits(gen):
+                gen &= ~strictly_below[i]
+            below[k] = gen
+            strictly_below[k] = mask
+            mask |= 1 << k
+            gen = 1 << k
+        elif bounds != up[a]:
+            return None
+        masks[a] = mask
+        gens[a] = gen
+    base = _generated_poset(
+        [order.elements[j] for j in irr],
+        transpose_masks(below),
+        [rank[a] for a in reversed(extension) if a in rank],
+    )
+    try:
+        if count_ideals(base, max_count=n) != n:
+            return None
+    except SizeBoundExceeded:
+        return None
+    return base, masks
 
 
 def closure_is_down_closed(poset, mask):
@@ -208,7 +260,7 @@ def covers_count_ideals(poset, max_count=None):
     the components of the cover graph, each counted over its
     smallest-index-ready extension with one state bit per frontier element.
     Reads the closed up-sets through the covers."""
-    lower, upper = _cover_masks(poset)
+    lower, upper = climbing_cover_masks(poset)
     total = 1
     for order in _component_extensions(lower, upper):
         limit = None if max_count is None else max_count // total

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,20 @@ import dualfix.bitgraph
 import dualfix.fixpoint
 import dualfix.lattice
 import dualfix.poset
-from dualfix import MonotoneMap, NotDistributive, lattice_from_order
+from dualfix import (
+    MonotoneMap,
+    NotDistributive,
+    OrderIdeal,
+    algorithm1,
+    hom_from_dual,
+    hom_quotient,
+    is_homomorphism,
+    iter_ideal_masks,
+    lattice_from_order,
+)
 from dualfix.cli import EXIT_INTERNAL, _parser, main
-from dualfix.jsonio import poset_from_obj
+from dualfix.jsonio import map_to_obj, poset_from_obj, poset_to_obj
+from helpers import random_monotone_between, random_poset
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -259,6 +271,32 @@ class TestFixpoints:
         expected = [json.dumps(list(m.members), sort_keys=True, separators=(",", ":")) for m in fx.iter_members()]
         assert (code, out) == (0, "".join(line + "\n" for line in expected))
         assert len(expected) == 3 * 3 * 2**3
+
+    def test_list_explicit_side_matches_algorithm1_per_ideal(self, capsys, write_json):
+        # the CLI joins each quotient ideal's irreducibles from per-class
+        # rows; algorithm1 rebuilds each fix-point from the ideal itself
+        rng = random.Random(227)
+        lines = 0
+        for k in range(40):
+            base = random_poset(rng, rng.randrange(0, 7))
+            phi = MonotoneMap.identity(base) if k % 4 == 0 else random_monotone_between(rng, base, base)
+            induced = hom_from_dual(phi)
+            lattice_obj = poset_to_obj(induced.domain.order)
+            code, out, err = run(
+                capsys,
+                "fixpoints",
+                "--lattice", write_json("l.json", lattice_obj),
+                "--hom", write_json("h.json", map_to_obj(induced.table)),
+                "--list",
+            )
+            lat = lattice_from_order(poset_from_obj(lattice_obj))
+            hom = is_homomorphism(induced.table, lat, lat)
+            quo = hom_quotient(hom)
+            cp = quo.class_poset
+            expected = [json.dumps(algorithm1(hom, OrderIdeal(cp, m), quotient=quo)) for m in iter_ideal_masks(cp)]
+            assert (code, out, err) == (0, "".join(line + "\n" for line in expected), "")
+            lines += len(expected)
+        assert lines > 100
 
     def test_count_dual_side(self, capsys, write_json):
         code, out, _ = run(

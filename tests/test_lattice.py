@@ -37,6 +37,7 @@ from helpers import (
     brute_join_irreducibles,
     brute_lattice_witness,
     climbing_preserves_laws,
+    closure_birkhoff,
     complement_scan_ideal_lattice,
     inclusion_rows,
     labeled_posets,
@@ -474,6 +475,51 @@ class TestBirkhoffAcceptAgainstScans:
             assert self._check(ideal_lattice(random_poset(rng, rng.randrange(0, 7))).order) is None
 
 
+def _same_birkhoff(order):
+    """Whether _birkhoff accepts the order, after asserting that it agrees
+    with the closure-based oracle: both None, or the same J, elements and
+    generators, and the same masks."""
+    got, expected = _birkhoff(order), closure_birkhoff(order)
+    assert (got is None) == (expected is None), order.elements
+    if got is None:
+        return False
+    assert got[0].elements == expected[0].elements, order.elements
+    assert got[0].gen_masks == expected[0].gen_masks, order.elements
+    assert got[1] == expected[1], order.elements
+    return True
+
+
+class TestBirkhoffAgainstClosureOracle:
+    """Differential: the cover-based Birkhoff check against the closure
+    check with its ideal count."""
+
+    def test_every_labeled_poset_up_to_five_elements(self):
+        # labeled_posets generate from every strict relation; rebuilt from
+        # the covers alone they give the same order
+        orders = [p for n in range(6) for p in labeled_posets(n)]
+        accepted = [_same_birkhoff(p) for p in orders]
+        assert accepted == [_same_birkhoff(build_poset(list(p.elements), p.covers())) for p in orders]
+        assert 0 < sum(accepted) < len(orders)
+
+    def test_every_bounded_labeled_poset_up_to_seven_elements(self):
+        accepted = [_same_birkhoff(_bounded(p)) for n in range(6) for p in labeled_posets(n)]
+        assert 0 < sum(accepted) < len(accepted) == 4474
+
+    def test_ideal_lattices_renamed_with_redundant_edges(self):
+        rng = random.Random(211)
+        redundant = 0
+        for k in range(320):
+            order = _renamed(ideal_lattice(random_poset(rng, rng.randrange(0, 7))).order, rng, k % 2 == 1)
+            pairs = order.covers()
+            strict = [(x, y) for x in order for y in order if x != y and order.leq(x, y) and (x, y) not in pairs]
+            extra = rng.sample(strict, min(len(strict), rng.randrange(1, 4)))
+            redundant += bool(extra)
+            pairs += extra
+            rng.shuffle(pairs)
+            assert _same_birkhoff(build_poset(list(order.elements), pairs))
+        assert redundant > 200
+
+
 class TestFastHomAcceptAgainstPairScan:
     """Differential: the fast hom accept against the pair scan."""
 
@@ -637,14 +683,17 @@ class TestDualHomAcceptAgainstClimbingOracle:
 
 
 def test_accepting_a_lattice_leaves_its_base_unclosed():
-    # _birkhoff accepts by counting the ideals of J, which reads only J's
-    # generating edges.
+    # _birkhoff accepts from the covers and J's masks alone, so it closes
+    # neither J nor an order given by its covers: an ideal lattice is
+    # graded, so its covers come off the heights without a closure.
     rng = random.Random(149)
     for _ in range(30):
         p = random_poset(rng, rng.randrange(0, 7))
         order = ideal_lattice(p).order
-        lat = lattice_from_order(build_poset(list(order.elements), order.covers()))
+        given = build_poset(list(order.elements), order.covers())
+        lat = lattice_from_order(given)
         assert lat.ideal_base._up_masks is None and lat.ideal_base._down_masks is None
+        assert given._up_masks is None and given._down_masks is None
 
 
 def test_hom_validation_reads_no_base_up_sets():
@@ -790,7 +839,9 @@ class TestNotALatticeAgainstTables:
     def test_order_that_fails_only_the_ideal_count(self):
         # u and v have no greatest lower bound, yet the only minimal element
         # is least and every element with two lower covers is their least
-        # upper bound, so _birkhoff rejects it only by the count of ideals
+        # upper bound, so a closure-based check rejects it only by the count
+        # of ideals; _birkhoff rejects it by the masks of u's lower covers
+        # k1 and k2, each two points smaller than u's, not one
         covers = [("0", "x"), ("0", "y"), ("x", "k1"), ("x", "k3"), ("y", "k2"), ("y", "k4")]
         covers += [("k1", "u"), ("k2", "u"), ("k3", "v"), ("k4", "v"), ("u", "1"), ("v", "1")]
         order = build_poset(["0", "1", "x", "y", "k1", "k2", "k3", "k4", "u", "v"], covers)

@@ -560,6 +560,57 @@ class TestGeneratorReaders:
                 assert [m.mask for m in fx.iter_members()] == union_member_masks(fx.quotient)
 
 
+def _with_transitive_edges(rng, shape, share):
+    """The shape's pairs plus a ``share`` of its strict non-cover pairs, at
+    least one."""
+    elements, pairs = shape
+    p = build_poset(elements, pairs)
+    upper = climbing_cover_masks(p)[1]
+    extra = [(p.elements[i], p.elements[j]) for i, row in enumerate(p.up_masks) for j in bits(row & ~upper[i] & ~(1 << i))]
+    return elements, pairs + rng.sample(extra, max(1, round(len(extra) * share)))
+
+
+def _mixed_height_shapes(rng):
+    """Chains with skip edges, grids with diagonals, and ordinal sums with
+    transitive edges: every one has a generating edge that is no cover, so
+    a row whose generating successors lie at different heights."""
+    for n in range(3, 12):
+        names = [f"c{i:02d}" for i in range(n)]
+        chain = [(names[i], names[i + 1]) for i in range(n - 1)]
+        yield names, chain + [(names[i], names[i + 2]) for i in range(0, n - 2, 2)]
+        yield _with_transitive_edges(rng, (names, chain), 0.3)
+    for rows, cols in ((2, 2), (2, 5), (3, 3), (4, 3), (5, 4)):
+        elements, pairs = grid_shape(rows, cols)
+        diagonals = [(f"{r}x{c}", f"{r + 1}x{c + 1}") for r in range(rows - 1) for c in range(cols - 1)]
+        yield elements, pairs + rng.sample(diagonals, max(1, len(diagonals) // 2))
+    for _ in range(12):
+        parts = [rng.choice((antichain_shape(rng.randrange(1, 4)), grid_shape(2, rng.randrange(1, 4)))) for _ in range(3)]
+        yield _with_transitive_edges(rng, ordinal_sum(*parts), rng.choice((0.2, 0.5, 1.0)))
+
+
+class TestCoversFromHeights:
+    def test_mixed_height_rows_match_the_climbing_oracle(self):
+        shapes = list(_mixed_height_shapes(random.Random(211)))
+        mixed = 0
+        for elements, pairs in shapes:
+            p = build_poset(elements, pairs)
+            for q in (p, _reversed_ids(p, pairs)):
+                lower, upper = _cover_masks(q)
+                assert (lower, upper) == climbing_cover_masks(q)
+                mixed += upper != list(q.gen_masks)
+        assert mixed == 2 * len(shapes)
+
+    def test_covers_of_a_graded_cover_only_input_close_nothing(self):
+        rng = random.Random(223)
+        shapes = [grid_shape(4, 3), layered_shape(3, 3), antichain_shape(5), ordinal_sum(antichain_shape(2), grid_shape(2, 3))]
+        shapes += [renamed_shape(grid_shape(3, 5), rng, naming) for naming in ("shuffled", "reversed")]
+        for elements, pairs in shapes:
+            p = build_poset(elements, pairs)
+            covers = p.covers()
+            assert p._up_masks is None and p._down_masks is None
+            assert sorted(covers) == sorted(pairs)
+
+
 class TestEnumerationHelpers:
     def test_labeled_poset_counts(self):
         assert [len(labeled_posets(n)) for n in range(5)] == [1, 1, 3, 19, 219]
