@@ -35,7 +35,7 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import MonotoneMap, _ideal_walk, build_poset, count_ideals, is_monotone, iter_ideal_masks
+from .poset import MonotoneMap, _cover_masks, _ideal_walk, build_poset, count_ideals, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,7 +252,7 @@ def cmd_fixpoints(cfg, out) -> int:
         elif cfg.mode == "count":
             print(fx.count(), file=out)
         else:
-            print(_dumps(quotient_to_obj(fx.quotient)), file=out)
+            out.write(_quotient_json(fx.quotient) + "\n")
     else:
         hom = loaded
         if not hom.is_endo():
@@ -270,8 +270,29 @@ def cmd_fixpoints(cfg, out) -> int:
         elif cfg.mode == "count":
             print(count_ideals(quo.class_poset), file=out)
         else:
-            print(_dumps(quotient_to_obj(quo)), file=out)
+            out.write(_quotient_json(quo) + "\n")
     return EXIT_OK
+
+
+def _quotient_json(quo) -> str:
+    """``_dumps(quotient_to_obj(quo))``, joined from names encoded
+    once, as json.dumps encodes a string under ensure_ascii: the class
+    names and their members, which partition the base, and the covers of
+    the class poset from its upper cover masks.  The class names are the
+    class poset's identifiers, so they come sorted, as sort_keys lists
+    them."""
+    names = list(map(encode_basestring_ascii, quo.class_poset.elements))
+    classes = ",".join([
+        name + ":[" + ",".join(map(encode_basestring_ascii, members)) + "]"
+        for name, members in zip(names, quo.classes)
+    ])
+    leq = []
+    for lo, row in zip(names, _cover_masks(quo.class_poset)[1]):
+        while row:
+            low = row & -row
+            leq.append(f"[{lo},{names[low.bit_length() - 1]}]")
+            row ^= low
+    return '{"classes":{' + classes + '},"leq":[' + ",".join(leq) + "]}"
 
 
 def cmd_compare(cfg, out) -> int:

@@ -10,9 +10,11 @@ There is one quotient construction, ``coequalizer_general``, which always
 yields a partial order.  It finds the connected components of the map
 graph in one walk along the map and maps the base's generating edges onto
 them.  For a monotone map those components are the classes and the
-contracted edges are acyclic, so one depth-first sweep orders them and no
-strongly-connected-component pass runs; only a cycle, which a map that is
-not monotone can close, calls Tarjan's algorithm to merge components.
+contracted edges are acyclic, so the class indices from the largest down
+order them when every contracted edge ascends, one depth-first sweep
+orders them otherwise, and no strongly-connected-component pass runs;
+only a cycle, which a map that is not monotone can close, calls Tarjan's
+algorithm to merge components.
 ``phi_components`` is a check on it: it returns that quotient when its
 classes are exactly the connected components of the undirected map graph,
 and raises QuotientNotAntisymmetric when some class holds two of them.
@@ -167,12 +169,14 @@ def _check_components(phi: MonotoneMap, quotient: QuotientPoset):
 
 def _contract(gen_masks, class_idx, member_masks):
     """Successor masks of the classes: the edges leaving each class, mapped
-    onto the classes they enter.  Each target class costs one step, however
-    many edges enter it."""
+    onto the classes they enter, and whether every one of them ascends,
+    from a class to one of larger index.  Each target class costs one step,
+    however many edges enter it."""
     leaving = [0] * len(member_masks)
     for v, succ in enumerate(gen_masks):
         leaving[class_idx[v]] |= succ
     gen = []
+    ascending = True
     for c, rest in enumerate(leaving):
         rest &= ~member_masks[c]
         row = 0
@@ -180,8 +184,10 @@ def _contract(gen_masks, class_idx, member_masks):
             d = class_idx[(rest & -rest).bit_length() - 1]
             row |= 1 << d
             rest &= ~member_masks[d]
+        if row & ((1 << c) - 1):
+            ascending = False
         gen.append(row)
-    return gen
+    return gen, ascending
 
 
 def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
@@ -195,9 +201,11 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
     mapped onto them; when the map is the identity and the names keep the
     base's order, the class order takes the base's edges and ``order`` as
     they are.  For a monotone map the contracted edges are acyclic, so the
-    components are the classes and one depth-first sweep orders them.  A
-    cycle, which only a map that is not monotone can close, goes to a
-    Tarjan pass over the component graph, and the components of each
+    components are the classes.  When every contracted edge ascends, the
+    class indices from the largest down order them, as in
+    :func:`~dualfix.poset.build_poset`; otherwise one depth-first sweep
+    does.  A cycle, which only a map that is not monotone can close, goes
+    to a Tarjan pass over the component graph, and the components of each
     strongly connected part are merged.
     """
     base = _endo_base(phi)
@@ -210,13 +218,13 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
     if class_idx == list(range(n)):
         gen, order = base.gen_masks, base.order
     else:
-        gen = _contract(base.gen_masks, class_idx, member_masks)
-        order = topo_order(gen)
+        gen, ascending = _contract(base.gen_masks, class_idx, member_masks)
+        order = range(len(gen) - 1, -1, -1) if ascending else topo_order(gen)
     if order is None:
         parts = tarjan_scc(gen)
         merged = [list(bits(reduce(or_, [member_masks[c] for c in part]))) for part in parts]
         names, member_masks, class_idx, classes = _canonical_classes(base, merged)
-        gen = _contract(base.gen_masks, class_idx, member_masks)
+        gen, _ = _contract(base.gen_masks, class_idx, member_masks)
         order = [class_idx[group[0]] for group in merged]
     class_poset = _generated_poset(names, gen, order)
     return QuotientPoset(base, classes, class_poset, member_masks, class_idx)

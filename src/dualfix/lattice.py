@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from functools import cache, reduce
 from itertools import compress
-from operator import and_, invert, or_
+from operator import and_, invert, lt, or_
 
 from .bitgraph import bits, select, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
@@ -57,16 +57,19 @@ class FiniteLattice:
     so meet and join are intersection and union of masks.  For ideal
     lattices B is the poset the elements are ideals of; for lattices built
     from an order it is the sub-poset of join-irreducible elements,
-    generated by sparse edges found while validating, like every poset.
+    generated by sparse edges found while validating, like every poset;
+    then ``principal[x]`` is the index of the element that base point x
+    is, and None for ideal lattices.
     Instances come from the validating constructors below and are immutable.
     """
 
-    __slots__ = ("order", "bot_idx", "top_idx", "ideal_base", "element_masks", "_mask_index")
+    __slots__ = ("order", "bot_idx", "top_idx", "ideal_base", "element_masks", "principal", "_mask_index")
 
-    def __init__(self, order, ideal_base, element_masks):
+    def __init__(self, order, ideal_base, element_masks, principal=None):
         self.order = order
         self.ideal_base = ideal_base
         self.element_masks = tuple(element_masks)
+        self.principal = principal
         self._mask_index = {m: i for i, m in enumerate(self.element_masks)}
         self.bot_idx = self._mask_index[0]
         self.top_idx = self._mask_index[(1 << len(ideal_base)) - 1]
@@ -155,15 +158,15 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
 
 
 def _birkhoff(order: Poset):
-    """(J, masks) when the order is a distributive lattice, else None.
+    """(J, masks, irr) when the order is a distributive lattice, else None.
 
-    J is the sub-poset of the elements with exactly one lower cover, and
-    masks[a] the set of those at or below a, built over a linear extension
-    (the reverse of ``order.order``) as the union of the lower covers'
-    masks, plus a itself for a in J.  Alongside, gens[a] is the set of
-    maximal points of masks[a] in J: a itself for a in J, else the union
-    over the lower covers, less everything strictly below one of its
-    points.  Each j in J is generated from gens of its one lower cover,
+    J is the sub-poset of the elements with exactly one lower cover, irr
+    their indices in the order, ascending, and masks[a] the set of those at
+    or below a, built over a linear extension (the reverse of
+    ``order.order``) as the union of the lower covers' masks, plus a
+    itself for a in J.  Alongside, gens[a] is the set of maximal points of
+    masks[a] in J: a itself for a in J, else the union over the lower
+    covers, less everything strictly below one of its points.  Each j in J is generated from gens of its one lower cover,
     whose down-closure is everything in J strictly below j; those are j's
     lower covers in J, so J's generating edges are its cover relation.
     The covers come from :func:`_cover_masks`, so an order given by its
@@ -241,7 +244,7 @@ def _birkhoff(order: Poset):
         transpose_masks(below),
         [rank[a] for a in order.order if a in rank],
     )
-    return base, masks
+    return base, masks, tuple(irr)
 
 
 def _raise_lattice_witness(order: Poset):
@@ -422,9 +425,18 @@ def join_irreducibles(lat: FiniteLattice) -> Poset:
 def _irreducibles(lat: FiniteLattice):
     """join_irreducibles(lat), and per base point x the index in it of the
     element whose ideal is the down-set of x: the base's generators,
-    relabelled by that index."""
+    relabelled by that index.
+
+    A lattice read from an order knows those elements (``principal``),
+    and its base points are they, under their own names.  When their
+    indices ascend, as :func:`_birkhoff` lists them, the relabelling is the
+    identity and the base is J itself, so no down-set is closed."""
     base = lat.ideal_base
-    elems = [lat.ideal_index(down) for down in base.down_masks]
+    elems = lat.principal
+    if elems is None:
+        elems = [lat.ideal_index(down) for down in base.down_masks]
+    elif all(map(lt, elems, elems[1:])):
+        return base, range(len(elems))
     rank = {e: k for k, e in enumerate(sorted(elems))}
     pos = [rank[e] for e in elems]
     gen = [0] * len(pos)
@@ -469,6 +481,10 @@ class LatticeHom(_TableMap):
     __slots__ = ()
 
     __hash__ = None
+
+    @classmethod
+    def unchecked(cls, table, domain, codomain):
+        return cls(domain, codomain, _total_image(table, domain.order, codomain.order))
 
 
 def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> LatticeHom:

@@ -40,10 +40,11 @@ class Poset:
 
     __slots__ = ("elements", "gen_masks", "order", "_pred_masks", "_up_masks", "_down_masks", "_index")
 
-    def __init__(self, elements, gen_masks, order):
+    def __init__(self, elements, gen_masks, order, index=None):
         # Trusted constructor: the caller guarantees acyclic strict
-        # generators and an order that lists every element after all
-        # elements it reaches; only the sorted identifier order is checked.
+        # generators, an order that lists every element after all elements
+        # it reaches, and, if given, the index of each identifier; only the
+        # sorted identifier order is checked.
         self.elements = tuple(elements)
         if list(self.elements) != sorted(self.elements):
             raise ValueError("poset elements must be in sorted identifier order")
@@ -52,7 +53,7 @@ class Poset:
         self._pred_masks = None
         self._up_masks = None
         self._down_masks = None
-        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._index = {x: i for i, x in enumerate(self.elements)} if index is None else index
 
     @property
     def pred_masks(self) -> tuple:
@@ -138,11 +139,16 @@ def build_poset(elements, pairs) -> Poset:
 
     The stored relation is the reflexive-transitive closure of ``pairs``;
     pairs need not be covering pairs and reflexive pairs are harmless.  The
-    edges without self-loops are kept as ``gen_masks``, and one depth-first
-    sweep over them lists the elements in ``order``.  When that sweep meets
-    a cycle the input is a preorder: only then does a Tarjan pass find the
-    strongly connected parts, and AntisymmetryViolation names the two least
-    elements of the first part with more than one element.
+    edges without self-loops are kept as ``gen_masks``.  When every one of
+    them ascends, from a smaller identifier to a larger one, the indices
+    from the largest down are ``order``: each edge enters a larger index,
+    so that listing puts every vertex after all it reaches, and no cycle
+    can close, since no path returns to a smaller index.  Otherwise one
+    depth-first sweep over the edges lists the elements in ``order``.  When
+    that sweep meets a cycle the input is a preorder: only then does a
+    Tarjan pass find the strongly connected parts, and AntisymmetryViolation
+    names the two least elements of the first part with more than one
+    element.
     """
     seen = set()
     for x in elements:
@@ -151,15 +157,22 @@ def build_poset(elements, pairs) -> Poset:
         seen.add(x)
     ids = sorted(seen)
     index = {x: i for i, x in enumerate(ids)}
+    get = index.get
     adj = [0] * len(ids)
+    ascending = True
     for lo, hi in pairs:
-        if lo not in index:
+        i = get(lo)
+        if i is None:
             raise UnknownElement(lo, "in pairs")
-        if hi not in index:
+        j = get(hi)
+        if j is None:
             raise UnknownElement(hi, "in pairs")
-        i, j = index[lo], index[hi]
         if i != j:
             adj[i] |= 1 << j
+            if i > j:
+                ascending = False
+    if ascending:
+        return _generated_poset(ids, adj, range(len(ids) - 1, -1, -1), index)
     order = topo_order(adj)
     if order is None:
         for comp in tarjan_scc(adj):
@@ -167,15 +180,16 @@ def build_poset(elements, pairs) -> Poset:
                 a, b = sorted(comp)[:2]
                 raise AntisymmetryViolation(ids[a], ids[b])
         raise RuntimeError("the order sweep met a cycle that the Tarjan pass does not find")
-    return _generated_poset(ids, adj, order)
+    return _generated_poset(ids, adj, order, index)
 
 
-def _generated_poset(elements, gen, order) -> Poset:
+def _generated_poset(elements, gen, order, index=None) -> Poset:
     """The poset generated by acyclic strict edges ``gen``, with ``order``
     listing every vertex after all vertices it reaches: up-sets close along
     ``order``, down-sets along its reverse over the transposed edges, each
-    when first read."""
-    return Poset(elements, gen, order)
+    when first read.  ``index``, when given, maps each identifier to its
+    position in ``elements``."""
+    return Poset(elements, gen, order, index)
 
 
 class OrderIdeal:
@@ -572,13 +586,13 @@ class MonotoneMap(_TableMap):
 
 
 def _total_image(table, domain, codomain):
-    """Image indices of a table, read in one pass when it has one entry
-    per domain element; else the ordered scans name the first fault."""
+    """Image indices of a table between posets, read in one C-level pass
+    when it has one entry per domain element; else the ordered scans name
+    the first fault."""
     if len(table) == len(domain):
-        index = codomain.index
         try:
-            return [index(table[x]) for x in domain.elements]
-        except (KeyError, UnknownElement):
+            return list(map(codomain._index.__getitem__, map(table.__getitem__, domain.elements)))
+        except KeyError:
             pass
     for key in table:
         if key not in domain:

@@ -11,6 +11,8 @@ from itertools import combinations, permutations, product
 from operator import or_
 
 from dualfix import (
+    AntisymmetryViolation,
+    DuplicateElement,
     MonotoneMap,
     NotALattice,
     NoMinimum,
@@ -20,13 +22,14 @@ from dualfix import (
     QuotientNotAntisymmetric,
     QuotientPoset,
     SizeBoundExceeded,
+    UnknownElement,
     build_poset,
     count_ideals,
     is_monotone,
     iter_ideal_masks,
     principal_ideal,
 )
-from dualfix.bitgraph import bits, select, tarjan_scc, transpose_masks
+from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
 from dualfix.fixpoint import _canonical_classes
 from dualfix.lattice import FiniteLattice
 from dualfix.poset import _generated_poset
@@ -440,6 +443,52 @@ def brute_preorder_pairs(poset, phi):
     return brute_closure_pairs(poset.elements, pairs)
 
 
+def sweep_build_poset(elements, pairs):
+    """build_poset with the depth-first sweep always run: the same checks in
+    the same order, then ``topo_order`` on the strict edges, and the Tarjan
+    pass for the AntisymmetryViolation witness when it meets a cycle."""
+    seen = set()
+    for x in elements:
+        if x in seen:
+            raise DuplicateElement(x)
+        seen.add(x)
+    ids = sorted(seen)
+    index = {x: i for i, x in enumerate(ids)}
+    adj = [0] * len(ids)
+    for lo, hi in pairs:
+        if lo not in index:
+            raise UnknownElement(lo, "in pairs")
+        if hi not in index:
+            raise UnknownElement(hi, "in pairs")
+        i, j = index[lo], index[hi]
+        if i != j:
+            adj[i] |= 1 << j
+    order = topo_order(adj)
+    if order is None:
+        for comp in tarjan_scc(adj):
+            if len(comp) > 1:
+                a, b = sorted(comp)[:2]
+                raise AntisymmetryViolation(ids[a], ids[b])
+        raise RuntimeError("the order sweep met a cycle that the Tarjan pass does not find")
+    return _generated_poset(ids, adj, order)
+
+
+def relabelled_irreducibles(lat):
+    """(J(L), pos) by relabelling the ideal base: the element whose ideal is
+    each base point's closed down-set, J listed by element index, and the
+    base's generators and order carried over."""
+    base = lat.ideal_base
+    elems = [lat.ideal_index(down) for down in base.down_masks]
+    rank = {e: k for k, e in enumerate(sorted(elems))}
+    pos = [rank[e] for e in elems]
+    gen = [0] * len(pos)
+    for x, succ in enumerate(base.gen_masks):
+        for y in bits(succ):
+            gen[pos[x]] |= 1 << pos[y]
+    irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in base.order])
+    return irr, pos
+
+
 def scan_monotone_witness(image, domain, codomain):
     """First pair x <= y, in identifier order, whose images are not
     ordered, by scanning every closed pair; None for a monotone image."""
@@ -803,14 +852,16 @@ def layered_shape(layers, width):
 
 def fresh_names(poset, rng, naming, prefix="n"):
     """A renaming of the poset's elements to fresh names: ``shuffled`` at
-    random, or ``reversed`` so that each element is named before everything
-    below it."""
+    random, ``reversed`` so that each element is named before everything
+    below it, or ``ascending`` so that it is named after everything below
+    it."""
     fresh = [f"{prefix}{i:03d}" for i in range(len(poset))]
     if naming == "shuffled":
         rng.shuffle(fresh)
         ranked = poset.elements
     else:
-        ranked = sorted(poset.elements, key=lambda x: -poset.down_masks[poset.index(x)].bit_count())
+        sign = 1 if naming == "ascending" else -1
+        ranked = sorted(poset.elements, key=lambda x: sign * poset.down_masks[poset.index(x)].bit_count())
     return dict(zip(ranked, fresh))
 
 

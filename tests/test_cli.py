@@ -12,19 +12,23 @@ import dualfix.fixpoint
 import dualfix.lattice
 import dualfix.poset
 from dualfix import (
+    LatticeHom,
     MonotoneMap,
     NotDistributive,
     OrderIdeal,
     algorithm1,
+    build_poset,
+    coequalizer_general,
     hom_from_dual,
     hom_quotient,
+    ideal_lattice,
     is_homomorphism,
     iter_ideal_masks,
     lattice_from_order,
 )
-from dualfix.cli import EXIT_INTERNAL, _parser, main
-from dualfix.jsonio import map_to_obj, poset_from_obj, poset_to_obj
-from helpers import random_monotone_between, random_poset
+from dualfix.cli import EXIT_INTERNAL, _dumps, _parser, _quotient_json, main
+from dualfix.jsonio import map_to_obj, poset_from_obj, poset_to_obj, quotient_to_obj
+from helpers import labeled_posets, monotone_selfmaps, random_monotone_between, random_poset
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -396,6 +400,44 @@ class TestClassNamesSortUnlikeIdentifiers:
         assert json.loads(out) == {"classes": {"[x10]": ["x10"], "[x1]": ["x1"]}, "leq": [["[x1]", "[x10]"]]}
         assert run(capsys, "fixpoints", *args, "--count") == (0, "3\n", "")
         assert run(capsys, "fixpoints", *args, "--list") == (0, '"b"\n"x1"\n"x10"\n', "")
+
+
+class TestQuotientWriter:
+    # fixpoints --quotient joins its answer from names encoded once, and
+    # must give the bytes of _dumps(quotient_to_obj(q))
+    ESCAPED = ['a"b', "c\\d", "\x01", "\n", "\x7f", "\u00e9", "\u2603", "\U0001f600", "[", "]", "", " "]
+
+    def test_every_monotone_selfmap_of_every_poset_of_at_most_4_elements(self):
+        for n in range(5):
+            for p in labeled_posets(n):
+                for phi in monotone_selfmaps(p):
+                    quo = coequalizer_general(phi)
+                    assert _quotient_json(quo) == _dumps(quotient_to_obj(quo))
+
+    def test_names_that_json_escapes(self):
+        rng = random.Random(173)
+        for _ in range(300):
+            p = random_poset(rng, rng.randrange(0, 7))
+            rename = dict(zip(p.elements, rng.sample(self.ESCAPED, len(p))))
+            base = build_poset(sorted(rename.values()), [(rename[x], rename[y]) for x, y in p.covers()])
+            for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
+                quo = coequalizer_general(phi)
+                assert _quotient_json(quo) == _dumps(quotient_to_obj(quo))
+            lat = lattice_from_order(ideal_lattice(base).order)
+            quo = hom_quotient(LatticeHom.identity(lat))
+            assert _quotient_json(quo) == _dumps(quotient_to_obj(quo))
+
+    def test_cli_answer_with_escaped_names(self, capsys, write_json):
+        ids = sorted(self.ESCAPED)
+        doc = {"elements": ids, "leq": [[a, b] for a, b in zip(ids, ids[1:])]}
+        code, out, _ = run(
+            capsys,
+            "fixpoints", "--quotient",
+            "--poset", write_json("p.json", doc),
+            "--map", write_json("m.json", {"map": {x: ids[0] for x in ids}}),
+        )
+        assert code == 0
+        assert out == _dumps({"classes": {f"[{ids[0]}]": ids}, "leq": []}) + "\n"
 
 
 class TestAcceptedInputsRunNoTarjanPass:

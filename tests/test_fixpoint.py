@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import dualfix.fixpoint
 from dualfix import (
     CycleReport,
     LatticeHom,
@@ -30,6 +31,7 @@ from dualfix import (
     lift_hom,
     phi_components,
 )
+from dualfix.bitgraph import topo_order
 from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
     brute_components_witness,
@@ -309,6 +311,31 @@ class TestClassNamesSortUnlikeIdentifiers:
         assert quotient_to_obj(quo) == {"classes": {"[x10]": ["x10"], "[x1]": ["x1"]}, "leq": [["[x1]", "[x10]"]]}
         got = [algorithm1(hom, quo.class_poset.ids_from(m), quotient=quo) for m in iter_ideal_masks(quo.class_poset)]
         assert got == ["b", "x1", "x10"]
+
+    def test_class_edges_against_the_names_take_the_sweep(self, monkeypatch):
+        # the classes of x1 < x10 and x1 < x2 are named [x10] < [x1] < [x2],
+        # so the class edge [x1] -> [x10] descends and the contraction is
+        # ordered by the sweep, as is x2 < x20 under [x1] < [x20] < [x2];
+        # with x1 < x2 alone every class edge ascends
+        calls = []
+
+        def counted(adj):
+            calls.append(len(adj))
+            return topo_order(adj)
+
+        monkeypatch.setattr(dualfix.fixpoint, "topo_order", counted)
+        cases = [
+            (["x1", "x10", "x2"], [("x1", "x10"), ("x1", "x2")], [3]),
+            (["x1", "x2", "x20"], [("x1", "x2"), ("x2", "x20")], [3]),
+            (["x1", "x10", "x2"], [("x1", "x2")], []),
+        ]
+        for elements, pairs, swept in cases:
+            base = build_poset(elements, pairs)
+            del calls[:]
+            TestCoequalizerGeneral._assert_matches_closure_construction(MonotoneMap.identity(base))
+            assert calls == swept
+            for phi in monotone_selfmaps(base):
+                TestCoequalizerGeneral._assert_matches_closure_construction(phi)
 
     def test_counts_match_the_brute_force_with_identifiers_below_the_bracket(self):
         # identifiers over digits, '-' and ' ', which sort below ']', so that

@@ -24,6 +24,7 @@ from dualfix import (
 )
 from dualfix.lattice import (
     _birkhoff,
+    _irreducibles,
     _failing_triples,
     _is_lattice,
     _nonprime_irreducibles,
@@ -39,11 +40,13 @@ from helpers import (
     climbing_preserves_laws,
     closure_birkhoff,
     complement_scan_ideal_lattice,
+    fresh_names,
     inclusion_rows,
     labeled_posets,
     noniso_posets_upto,
     random_monotone_between,
     random_poset,
+    relabelled_irreducibles,
     restrict,
 )
 
@@ -251,6 +254,34 @@ class TestIrreduciblesAgainstRestriction:
             unsorted += self._check_join_irreducibles(lat)
             assert not self._check_join_irreducibles(lattice_from_order(lat.order))
         assert unsorted > 0
+
+
+class TestIrreduciblesWithoutRelabelling:
+    """Differential: _irreducibles, which returns the ideal base of a
+    lattice read from an order as it is, against the relabelling of the
+    base by each point's closed down-set."""
+
+    def test_seeded_ideal_lattices_with_shuffled_and_reversed_names(self):
+        rng = random.Random(179)
+        for _ in range(150):
+            ideals = ideal_lattice(random_poset(rng, rng.randrange(0, 7)))
+            irr, pos = _irreducibles(ideals)
+            ref_irr, ref_pos = relabelled_irreducibles(ideals)
+            assert (irr.elements, irr.gen_masks, irr.order, list(pos)) == (
+                ref_irr.elements, ref_irr.gen_masks, ref_irr.order, list(ref_pos)
+            )
+            for naming in ("shuffled", "reversed"):
+                rename = fresh_names(ideals.order, rng, naming, "L")
+                lat = lattice_from_order(build_poset(
+                    sorted(rename.values()), [(rename[x], rename[y]) for x, y in ideals.order.covers()]
+                ))
+                irr, pos = _irreducibles(lat)
+                assert irr is lat.ideal_base and lat.ideal_base._down_masks is None
+                ref_irr, ref_pos = relabelled_irreducibles(lat)
+                assert (irr.elements, irr.gen_masks, irr.order, list(pos)) == (
+                    ref_irr.elements, ref_irr.gen_masks, ref_irr.order, ref_pos
+                )
+                assert irr == ref_irr
 
 
 class TestIrreduciblesAreGeneratedByCovers:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualfix.poset
 from dualfix import (
     AntisymmetryViolation,
     DuplicateElement,
@@ -24,7 +25,7 @@ from dualfix import (
     iter_ideal_masks,
     principal_ideal,
 )
-from dualfix.bitgraph import bits, transpose_masks
+from dualfix.bitgraph import bits, topo_order, transpose_masks
 from dualfix.poset import _cover_masks
 from helpers import (
     antichain_shape,
@@ -39,6 +40,7 @@ from helpers import (
     closed_poset,
     closure_rows,
     covers_count_ideals,
+    fresh_names,
     grid_shape,
     labeled_posets,
     layered_shape,
@@ -50,6 +52,7 @@ from helpers import (
     random_poset,
     renamed_shape,
     scan_monotone_witness,
+    sweep_build_poset,
     union_member_masks,
 )
 
@@ -169,6 +172,75 @@ class TestBuildPoset:
             assert hash(covers) == hash(closed) == hash(p)
             if len(pairs) - len(p) > len(p.covers()):
                 assert covers.gen_masks != closed.gen_masks
+
+
+def _fault(build, elements, pairs):
+    """The class and payload of the fault a build raises, None when it accepts."""
+    try:
+        build(elements, pairs)
+    except (DuplicateElement, UnknownElement, AntisymmetryViolation) as exc:
+        return type(exc), exc.payload
+    return None
+
+
+class TestOrderWithoutSweep:
+    """Differential: build_poset, which skips the depth-first sweep when
+    every edge ascends, against the build that always runs it."""
+
+    @staticmethod
+    def _inputs():
+        """Every poset of at most 5 elements, with ids ascending along the
+        order, reversed and shuffled, and its strict pairs shuffled."""
+        rng = random.Random(163)
+        for n in range(6):
+            for p in labeled_posets(n):
+                pairs = [(x, y) for x in p for y in p if x != y and p.leq(x, y)]
+                rng.shuffle(pairs)
+                for naming in ("ascending", "reversed", "shuffled"):
+                    rename = fresh_names(p, rng, naming)
+                    yield naming, sorted(rename.values()), [(rename[x], rename[y]) for x, y in pairs]
+
+    def test_every_small_poset_in_every_naming(self):
+        for naming, elements, pairs in self._inputs():
+            got = build_poset(elements, pairs)
+            swept = sweep_build_poset(elements, pairs)
+            assert got == swept and got.gen_masks == swept.gen_masks, (naming, pairs)
+            listed = 0
+            for v in got.order:
+                assert not got.up_masks[v] & ~(1 << v) & ~listed, (naming, pairs)
+                listed |= 1 << v
+            assert sorted(got.order) == list(range(len(got)))
+
+    def test_ascending_ids_run_no_sweep_and_descending_ids_do(self, monkeypatch):
+        calls = []
+
+        def counted(adj):
+            calls.append(len(adj))
+            return topo_order(adj)
+
+        monkeypatch.setattr(dualfix.poset, "topo_order", counted)
+        for naming, elements, pairs in self._inputs():
+            del calls[:]
+            build_poset(elements, pairs)
+            if naming == "ascending":
+                assert calls == []
+            elif naming == "reversed" and pairs:
+                assert calls == [len(elements)]
+
+    def test_faults_come_first_as_in_the_swept_build(self):
+        rng = random.Random(167)
+        faults = set()
+        for _ in range(1500):
+            n = rng.randrange(1, 6)
+            ids = [f"e{k}" for k in range(n)]
+            elements = ids + rng.sample(ids, rng.randrange(0, 2))
+            rng.shuffle(elements)
+            pool = ids + (["u0", "u1"] if rng.random() < 0.3 else [])
+            pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(0, 7))]
+            got = _fault(build_poset, elements, pairs)
+            assert got == _fault(sweep_build_poset, elements, pairs), (elements, pairs)
+            faults.add(got and got[0])
+        assert faults == {None, DuplicateElement, UnknownElement, AntisymmetryViolation}
 
 
 class TestPrincipalIdeal:
