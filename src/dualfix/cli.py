@@ -16,10 +16,9 @@ import stat
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache, reduce
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isqrt
-from operator import or_
 
 from . import fixpoint as fixpoint_mod
 from .bitgraph import select
@@ -263,9 +262,7 @@ def cmd_fixpoints(cfg, out) -> int:
             # irreducibles in its classes: the union of their ideals, which
             # the walk gathers per class.
             lat = hom.domain
-            ideals = [lat.element_masks[lat.index(x)] for x in quo.base.elements]
-            rows = [reduce(or_, select(ideals, m), 0) for m in quo.member_masks]
-            for _, _, union in _ideal_walk(quo.class_poset, rows=rows):
+            for _, _, union in _ideal_walk(quo.class_poset, rows=fixpoint_mod._class_rows(lat, quo)):
                 out.write(encode_basestring_ascii(lat.elements[lat.ideal_index(union)]) + "\n")
         elif cfg.mode == "count":
             print(count_ideals(quo.class_poset), file=out)

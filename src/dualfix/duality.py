@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bitgraph import bits
 from .errors import NoMinimum
-from .lattice import LatticeHom, _least_by_differences, birkhoff_eta, ideal_lattice, is_homomorphism
+from .lattice import LatticeHom, birkhoff_eta, ideal_lattice, is_homomorphism
 from .poset import MonotoneMap, is_monotone
 
 
@@ -18,32 +18,23 @@ def dual_map(hom: LatticeHom) -> MonotoneMap:
     """The monotone map dual to a lattice homomorphism.
 
     With P and Q the ideal bases of the domain and codomain, f acts as a map
-    O(P) -> O(Q); the dual sends each base point y of Q to the least x in P
-    with y in f(down-set of x).  A validated homomorphism always
-    yields a unique least candidate; NoMinimum flags a map that merely
-    pretends to be one.
-
-    The dual is read off by differences, with no loop over pairs, by
-    :func:`~dualfix.lattice._least_by_differences`, the rule that
-    ``is_homomorphism`` accepts with: y is new at x when y is in
-    f(down-set of x) but not in f(down-set of x less x).  For a
-    homomorphism, y is in f(down-set of x) exactly when phi(y) <= x, and f
-    of the strict down-set is the union of f over the principal ideals in
-    it, so y is new exactly at phi(y); when the rule takes the result, the
-    x each y is new at is its least candidate.  Any other map runs the
-    candidate loop, which names the first y without a least candidate.
+    O(P) -> O(Q); the dual phi sends each base point y of Q to the least x
+    in P with y in f(down-set of x).  A hom built by ``is_homomorphism``
+    carries phi as ``hom.dual``, read off while validating, and it is
+    returned as it is.  It is monotone with no check: f(down-set of x) =
+    phi^-1(down-set of x) is an ideal of Q, so if y <= y' then y is in
+    phi^-1(down-set of phi(y')), which means phi(y) <= phi(y').  Any other
+    hom runs the candidate loop over the bases' down-sets, which names the
+    first y without a least candidate by NoMinimum, and its result is
+    checked with :func:`~dualfix.poset.is_monotone`.
     """
+    if hom.dual is not None:
+        return hom.dual
     dom, cod = hom.domain, hom.codomain
     p, q = dom.ideal_base, cod.ideal_base
-
-    def image(ideal):
-        return cod.element_masks[hom.image[dom.ideal_index(ideal)]]
-
     # f(down-set of x) for each x in P, as member masks over Q.
-    images = [image(down) for down in p.down_masks]
-    least = _least_by_differences(images, [image(down ^ 1 << x) for x, down in enumerate(p.down_masks)], p, q)
-    if least is None:
-        least = _least_candidates(images, p, q)
+    images = [cod.element_masks[hom.image[dom.ideal_index(down)]] for down in p.down_masks]
+    least = _least_candidates(images, p, q)
     return is_monotone({q.elements[y]: p.elements[x] for y, x in enumerate(least)}, q, p)
 
 

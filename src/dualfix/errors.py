@@ -108,7 +108,3 @@ class SizeBoundExceeded(InvalidInput):
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg, bound=bound)
-
-
-class MaxStepsExceeded(Exception):
-    """Iteration was cut off before the walk could settle or close a cycle."""

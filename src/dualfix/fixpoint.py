@@ -22,14 +22,13 @@ and raises QuotientNotAntisymmetric when some class holds two of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .bitgraph import bits, tarjan_scc, topo_order
+from .bitgraph import bits, select, tarjan_scc, topo_order
 from .duality import dual_map
-from .errors import MaxStepsExceeded, NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
-from .lattice import LatticeHom, _irreducibles, explicit_lattice_bound
+from .errors import NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
+from .lattice import FiniteLattice, LatticeHom, _irreducibles, explicit_lattice_bound
 from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk, count_ideals
 
 
@@ -278,7 +277,8 @@ def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:
 def hom_quotient(hom: LatticeHom) -> QuotientPoset:
     """Quotient for an explicit endomorphism: dualize, then quotient.
 
-    The quotient is over the join-irreducibles of the domain, named as
+    The dual is the one ``is_homomorphism`` stored, when it did.  The
+    quotient is over the join-irreducibles of the domain, named as
     lattice elements: base point x of the Birkhoff representation becomes
     the element whose ideal is the down-set of x.
     """
@@ -311,11 +311,20 @@ def algorithm1(hom: LatticeHom, ideal, quotient=None):
         qmask = quo.class_poset.mask_from(names)
         if not quo.class_poset.is_down_closed(qmask):
             raise NotAnIdealOfC(names)
-    out = 0
-    for c in bits(qmask):
-        for i in bits(quo.member_masks[c]):
-            out |= lat.element_masks[lat.index(quo.base.elements[i])]
+    out = reduce(or_, select(_class_rows(lat, quo), qmask), 0)
     return lat.elements[lat.ideal_index(out)]
+
+
+def _class_rows(lat: FiniteLattice, quo: QuotientPoset) -> list:
+    """Per class of a quotient over the join-irreducibles of ``lat``, the
+    union of its irreducibles' ideals, a mask over the lattice's base.
+
+    The fix-point of a quotient ideal is the join of the irreducibles in
+    its classes, so it is the element whose ideal is the union of the
+    rows of those classes.
+    """
+    ideals = [lat.element_masks[lat.index(x)] for x in quo.base.elements]
+    return [reduce(or_, select(ideals, m), 0) for m in quo.member_masks]
 
 
 def bruteforce_fixpoints(hom: LatticeHom) -> tuple:
@@ -330,37 +339,3 @@ def bruteforce_fixpoints(hom: LatticeHom) -> tuple:
     if len(hom.domain) > bound:
         raise SizeBoundExceeded(bound, f"lattice has {len(hom.domain)} elements")
     return tuple(x for i, x in enumerate(hom.domain.elements) if hom.image[i] == i)
-
-
-@dataclass(frozen=True)
-class CycleReport:
-    """A closed orbit hit by iteration: its entry element and length."""
-
-    entry: str
-    length: int
-
-
-def kleene_iterate(hom: LatticeHom, start, max_steps=None):
-    """Iterate x -> f(x) from ``start`` until fixed or a cycle closes.
-
-    Returns the fix-point element, or a CycleReport if the walk re-enters a
-    previously seen element.  One of the two happens within |L| steps, so
-    MaxStepsExceeded can only fire when ``max_steps`` is set below that.
-    """
-    if not hom.is_endo():
-        raise ValueError("iteration needs an endomorphism")
-    lat = hom.domain
-    i = lat.index(start)
-    seen = {i: 0}
-    steps = 0
-    while True:
-        j = hom.image[i]
-        if j == i:
-            return lat.elements[i]
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise MaxStepsExceeded(f"no fix-point or cycle within {max_steps} steps")
-        if j in seen:
-            return CycleReport(entry=lat.elements[j], length=steps - seen[j])
-        seen[j] = steps
-        i = j

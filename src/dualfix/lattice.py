@@ -25,11 +25,11 @@ from __future__ import annotations
 import os
 from functools import cache, reduce
 from itertools import compress
-from operator import and_, invert, lt, or_
+from operator import and_, invert, or_
 
 from .bitgraph import bits, select, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _ideal_walk, _total_image, count_ideals
+from .poset import MonotoneMap, OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _ideal_walk, _total_image, count_ideals
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -428,15 +428,13 @@ def _irreducibles(lat: FiniteLattice):
     relabelled by that index.
 
     A lattice read from an order knows those elements (``principal``),
-    and its base points are they, under their own names.  When their
-    indices ascend, as :func:`_birkhoff` lists them, the relabelling is the
-    identity and the base is J itself, so no down-set is closed."""
+    and its base points are they, under their own names, in ascending
+    index, as :func:`_birkhoff` lists them: the relabelling is the identity
+    and the base is J itself, so no down-set is closed."""
     base = lat.ideal_base
-    elems = lat.principal
-    if elems is None:
-        elems = [lat.ideal_index(down) for down in base.down_masks]
-    elif all(map(lt, elems, elems[1:])):
-        return base, range(len(elems))
+    if lat.principal is not None:
+        return base, range(len(base))
+    elems = [lat.ideal_index(down) for down in base.down_masks]
     rank = {e: k for k, e in enumerate(sorted(elems))}
     pos = [rank[e] for e in elems]
     gen = [0] * len(pos)
@@ -473,12 +471,19 @@ def birkhoff_eta(lat: FiniteLattice) -> dict:
 class LatticeHom(_TableMap):
     """A map between lattices preserving meet, join, bottom and top.
 
-    Build through :func:`is_homomorphism`; ``unchecked`` is the validation
-    bypass for oracle harnesses that iterate deliberately non-preserving
-    maps.  Lattices are unhashable, and so are their homomorphisms.
+    Build through :func:`is_homomorphism`, which stores the dual map it
+    reads off on the way as ``dual``, a MonotoneMap between the ideal
+    bases; ``unchecked`` is the validation bypass for oracle harnesses that
+    iterate deliberately non-preserving maps, and it, ``identity`` and
+    ``after`` store no dual.  Lattices are unhashable, and so are their
+    homomorphisms.
     """
 
-    __slots__ = ()
+    __slots__ = ("dual",)
+
+    def __init__(self, domain, codomain, image, dual=None):
+        super().__init__(domain, codomain, image)
+        self.dual = dual
 
     __hash__ = None
 
@@ -491,23 +496,26 @@ def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> La
     """Validate a raw element table as a lattice homomorphism and wrap it.
 
     Checks bottom, then top, then accepts through :func:`_preserves_laws`,
-    which reads the table's dual map.  Only a table that fails it is scanned
-    pair by pair in identifier order, so NotHom carries the first broken law
-    and its witnesses.
+    which reads the table's dual map; the hom keeps it as ``dual``.  Only a
+    table that fails it is scanned pair by pair in identifier order, so
+    NotHom carries the first broken law and its witnesses.
     """
     image = _total_image(table, domain.order, codomain.order)
     if image[domain.bot_idx] != codomain.bot_idx:
         raise NotHom("bot", domain.bot)
     if image[domain.top_idx] != codomain.top_idx:
         raise NotHom("top", domain.top)
-    if not _preserves_laws(image, domain, codomain):
+    least = _preserves_laws(image, domain, codomain)
+    if least is None:
         _raise_hom_witness(image, domain, codomain)
         raise RuntimeError("homomorphism check rejected a table that the pair scan accepts")
-    return LatticeHom(domain, codomain, image)
+    return LatticeHom(domain, codomain, image, MonotoneMap(codomain.ideal_base, domain.ideal_base, least))
 
 
-def _preserves_laws(image, domain, codomain) -> bool:
-    """Whether an image that keeps bottom and top preserves meet and join.
+def _preserves_laws(image, domain, codomain):
+    """The dual map phi of an image that keeps bottom and top, as image
+    indices from the codomain base into the domain base, when the image
+    preserves meet and join; else None.
 
     One push along the domain order's generating edges gives, per element,
     the union of its predecessors' ideals and of their images f (masks over
@@ -518,9 +526,11 @@ def _preserves_laws(image, domain, codomain) -> bool:
     map phi off f and the unions at the down-sets, so that f(down-set of x)
     = phi^-1(down-set of x).  Every other element is bottom or the join of
     its lower covers, so by induction f = phi^-1, which preserves meet,
-    join, bottom and top.  A homomorphism passes: the union at the
-    down-set of x is then f(down-set of x less x), and f is the preimage
-    map of its dual.  No mask is looked up.
+    join, bottom and top; and y is in f(down-set of x) exactly when
+    phi(y) <= x, so phi(y) is the least such x: phi is the dual map.  A
+    homomorphism passes: the union at the down-set of x is then
+    f(down-set of x less x), and f is the preimage map of its dual.  No
+    mask is looked up.
     """
     masks = domain.element_masks
     f = [codomain.element_masks[i] for i in image]
@@ -538,8 +548,8 @@ def _preserves_laws(image, domain, codomain) -> bool:
         if ideal != lower:
             principal[(ideal ^ lower).bit_length() - 1] = a
         elif f[a] != joined[a]:
-            return False
-    return _least_by_differences([f[a] for a in principal], [joined[a] for a in principal], domain.ideal_base, codomain.ideal_base) is not None
+            return None
+    return _least_by_differences([f[a] for a in principal], [joined[a] for a in principal], domain.ideal_base, codomain.ideal_base)
 
 
 def _least_by_differences(images, strict_images, p, q):

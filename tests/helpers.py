@@ -6,6 +6,7 @@ the code paths they check.
 """
 
 import heapq
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from operator import or_
@@ -676,6 +677,45 @@ def climbing_preserves_laws(image, domain, codomain):
 def inclusion_rows(masks):
     """Up rows of a family of sets under inclusion, by the pairwise scan."""
     return [sum(1 << j for j, mj in enumerate(masks) if mi & ~mj == 0) for mi in masks]
+
+
+class MaxStepsExceeded(Exception):
+    """Iteration was cut off before the walk could settle or close a cycle."""
+
+
+@dataclass(frozen=True)
+class CycleReport:
+    """A closed orbit hit by iteration: its entry element and length."""
+
+    entry: str
+    length: int
+
+
+def kleene_iterate(hom, start, max_steps=None):
+    """Iterate x -> f(x) from ``start`` until fixed or a cycle closes: the
+    paper's baseline, "iterate f until a fix-point is reached".
+
+    Returns the fix-point element, or a CycleReport if the walk re-enters a
+    previously seen element.  One of the two happens within |L| steps, so
+    MaxStepsExceeded can only fire when ``max_steps`` is set below that.
+    """
+    if not hom.is_endo():
+        raise ValueError("iteration needs an endomorphism")
+    lat = hom.domain
+    i = lat.index(start)
+    seen = {i: 0}
+    steps = 0
+    while True:
+        j = hom.image[i]
+        if j == i:
+            return lat.elements[i]
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise MaxStepsExceeded(f"no fix-point or cycle within {max_steps} steps")
+        if j in seen:
+            return CycleReport(entry=lat.elements[j], length=steps - seen[j])
+        seen[j] = steps
+        i = j
 
 
 # ----------------------------------------------------------- enumerations

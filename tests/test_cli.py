@@ -28,7 +28,7 @@ from dualfix import (
 )
 from dualfix.cli import EXIT_INTERNAL, _dumps, _parser, _quotient_json, main
 from dualfix.jsonio import map_to_obj, poset_from_obj, poset_to_obj, quotient_to_obj
-from helpers import labeled_posets, monotone_selfmaps, random_monotone_between, random_poset
+from helpers import fresh_names, labeled_posets, monotone_selfmaps, random_monotone_between, random_poset
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -152,7 +152,7 @@ class TestInternalErrors:
         assert err.startswith("error: internal: ")
 
     def test_hom_check_disagreement_is_exit_4(self, capsys, write_json, monkeypatch):
-        monkeypatch.setattr(dualfix.lattice, "_preserves_laws", lambda image, domain, codomain: False)
+        monkeypatch.setattr(dualfix.lattice, "_preserves_laws", lambda image, domain, codomain: None)
         code, out, err = run(
             capsys,
             "fixpoints",
@@ -476,6 +476,38 @@ class TestAcceptedInputsRunNoTarjanPass:
         for hom in (doc["hom"], {"map": {x: x for x in doc["lattice"]["elements"]}}):
             code, _, err = run(capsys, "fixpoints", "--lattice", lattice, "--hom", write_json("h.json", hom), mode)
             assert (code, err) == (0, "")
+
+
+class TestExplicitRequestLeavesBaseUnclosed:
+    # is_homomorphism stores the dual it reads off the domain's generating
+    # edges, and hom_quotient takes it from there, so no mode of an explicit
+    # fixpoints request closes the join-irreducibles J of a lattice read
+    # from an order, whichever way its identifiers run.
+    @pytest.mark.parametrize("naming", ["ascending", "reversed"])
+    @pytest.mark.parametrize("mode", ["--count", "--list", "--quotient"])
+    def test_fixpoints_modes(self, capsys, write_json, monkeypatch, naming, mode):
+        read = []
+
+        def reading(order, max_size=None):
+            read.append(lattice_from_order(order, max_size))
+            return read[-1]
+
+        monkeypatch.setattr(dualfix.cli, "lattice_from_order", reading)
+        rng = random.Random(233)
+        for _ in range(12):
+            base = random_poset(rng, rng.randrange(1, 7))
+            ideals = ideal_lattice(base)
+            rename = fresh_names(ideals.order, rng, naming, "v")
+            lattice = {"elements": sorted(rename.values()), "leq": [[rename[x], rename[y]] for x, y in ideals.order.covers()]}
+            induced = hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals)
+            for table in ({x: x for x in rename.values()}, {rename[x]: rename[y] for x, y in induced.table.items()}):
+                read.clear()
+                code, _, err = run(
+                    capsys, "fixpoints", "--lattice", write_json("l.json", lattice), "--hom", write_json("h.json", {"map": table}), mode
+                )
+                assert (code, err, len(read)) == (0, "", 1)
+                j = read[0].ideal_base
+                assert j._down_masks is None and j._up_masks is None
 
 
 class TestDualAndDualmap:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,9 @@ from dualfix import (
     LatticeHom,
     MonotoneMap,
     NoMinimum,
+    NotALattice,
+    NotDistributive,
+    NotHom,
     build_poset,
     dual_map,
     hom_from_dual,
@@ -16,10 +20,11 @@ from dualfix import (
     lattice_from_order,
     lift_hom,
 )
-from dualfix.duality import _least_by_differences
+from dualfix.lattice import _least_by_differences
 from helpers import (
     brute_dual_table,
     candidate_dual_map,
+    fresh_names,
     monotone_selfmaps,
     noniso_posets_upto,
     random_monotone_between,
@@ -164,6 +169,90 @@ class TestDualMapByDifferences:
         hom = LatticeHom.unchecked(table, dom, cod)
         assert _dual_outcome(candidate_dual_map, hom) == (NoMinimum, NoMinimum("y").args)
         assert _dual_outcome(dual_map, hom) == (NoMinimum, NoMinimum("y").args)
+
+
+def _bounded_lattices_upto(n):
+    """Every distributive lattice with at most n elements, read from its
+    order."""
+    out = []
+    for order in noniso_posets_upto(n):
+        try:
+            out.append(lattice_from_order(order))
+        except (NotALattice, NotDistributive):
+            pass
+    return out
+
+
+def _check_stored_dual(hom):
+    assert hom.dual is not None
+    assert hom.dual == candidate_dual_map(hom)
+    q, p = hom.codomain.ideal_base, hom.domain.ideal_base
+    assert is_monotone(hom.dual.table, q, p) == hom.dual
+    assert dual_map(hom) is hom.dual
+
+
+class TestStoredDual:
+    """Differential: the dual that is_homomorphism stores against the
+    candidate loop, and the homs that store none."""
+
+    def test_every_hom_between_lattices_of_at_most_five_elements(self):
+        lattices = _bounded_lattices_upto(5)
+        checked = 0
+        for dom in lattices:
+            for cod in lattices:
+                inner = [i for i in range(len(dom)) if i not in (dom.bot_idx, dom.top_idx)]
+                for choice in product(range(len(cod)), repeat=len(inner)):
+                    image = [cod.bot_idx] * len(dom)
+                    image[dom.top_idx] = cod.top_idx
+                    for i, c in zip(inner, choice):
+                        image[i] = c
+                    table = {x: cod.elements[c] for x, c in zip(dom.elements, image)}
+                    try:
+                        hom = is_homomorphism(table, dom, cod)
+                    except NotHom:
+                        continue
+                    _check_stored_dual(hom)
+                    checked += 1
+        assert checked > 100
+
+    def test_every_endomorphism_of_ideal_lattices_of_at_most_five_points(self):
+        for base in noniso_posets_upto(5):
+            ideals = ideal_lattice(base)
+            lat = lattice_from_order(ideals.order)
+            for phi in monotone_selfmaps(base):
+                hom = hom_from_dual(phi, ideals, ideals)
+                _check_stored_dual(hom)
+                assert hom.dual == phi
+                _check_stored_dual(is_homomorphism(hom.table, lat, lat))
+
+    @pytest.mark.parametrize("naming", ["shuffled", "reversed"])
+    def test_seeded_ideal_lattices_under_shuffled_and_reversed_names(self, naming):
+        rng = random.Random(163)
+        for _ in range(60):
+            p, q = random_poset(rng, rng.randrange(1, 7), prefix="p"), random_poset(rng, rng.randrange(0, 7), prefix="q")
+            p, q = (build_poset(sorted(rename.values()), [(rename[x], rename[y]) for x, y in base.covers()])
+                    for base, rename in ((p, fresh_names(p, rng, naming, "p")), (q, fresh_names(q, rng, naming, "q"))))
+            lp, lq = ideal_lattice(p), ideal_lattice(q)
+            for hom in (
+                hom_from_dual(random_monotone_between(rng, q, p), lp, lq),
+                hom_from_dual(random_monotone_between(rng, p, p), lp, lp),
+            ):
+                _check_stored_dual(hom)
+                dom, cod = lattice_from_order(hom.domain.order), lattice_from_order(hom.codomain.order)
+                _check_stored_dual(is_homomorphism(hom.table, dom, cod))
+
+    def test_identity_after_and_unchecked_store_none(self):
+        rng = random.Random(167)
+        for _ in range(40):
+            base = random_poset(rng, rng.randrange(0, 6))
+            ideals = ideal_lattice(base)
+            for lat in (ideals, lattice_from_order(ideals.order)):
+                f = is_homomorphism(hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals).table, lat, lat)
+                g = is_homomorphism(hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals).table, lat, lat)
+                for hom in (LatticeHom.identity(lat), g.after(f), LatticeHom.unchecked(f.table, lat, lat)):
+                    assert hom.dual is None
+                    assert dual_map(hom) == candidate_dual_map(hom)
+                assert dual_map(g.after(f)) == f.dual.after(g.dual)
 
 
 class TestHomFromDual:

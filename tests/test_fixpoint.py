@@ -5,9 +5,7 @@ import pytest
 
 import dualfix.fixpoint
 from dualfix import (
-    CycleReport,
     LatticeHom,
-    MaxStepsExceeded,
     MonotoneMap,
     NotAnIdealOfC,
     OrderIdeal,
@@ -26,7 +24,6 @@ from dualfix import (
     is_homomorphism,
     is_monotone,
     iter_ideal_masks,
-    kleene_iterate,
     lattice_from_order,
     lift_hom,
     phi_components,
@@ -34,10 +31,13 @@ from dualfix import (
 from dualfix.bitgraph import topo_order
 from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
+    CycleReport,
+    MaxStepsExceeded,
     brute_components_witness,
     brute_preorder_pairs,
     closure_coequalizer,
     gen_preorder,
+    kleene_iterate,
     monotone_selfmaps,
     noniso_posets_upto,
     random_monotone_between,

@@ -576,7 +576,7 @@ class TestFastHomAcceptAgainstPairScan:
                         image[i] = c
                     if image[dom.bot_idx] != cod.bot_idx:
                         continue  # a one-element domain into a larger codomain
-                    fast = _preserves_laws(image, dom, cod)
+                    fast = _preserves_laws(image, dom, cod) is not None
                     assert fast == _pair_scan_accepts(image, dom, cod)
                     accepted += fast
                     checked += 1
@@ -596,7 +596,7 @@ class TestFastHomAcceptAgainstPairScan:
                 image[dom.bot_idx], image[dom.top_idx] = cod.bot_idx, cod.top_idx
                 if image[dom.bot_idx] != cod.bot_idx:
                     continue  # a one-element domain into a larger codomain
-                assert _preserves_laws(image, dom, cod) == _pair_scan_accepts(image, dom, cod)
+                assert (_preserves_laws(image, dom, cod) is not None) == _pair_scan_accepts(image, dom, cod)
 
 
 def _ordinal_sum(parts, rng):
@@ -654,6 +654,12 @@ def _hom_outcome(table, dom, cod):
     return None
 
 
+def _climbing_decides(image, domain, codomain):
+    """_preserves_laws with the climbing oracle's verdict: the real dual
+    when the oracle accepts, None when it rejects."""
+    return _preserves_laws(image, domain, codomain) if climbing_preserves_laws(image, domain, codomain) else None
+
+
 class TestDualHomAcceptAgainstClimbingOracle:
     """Differential: the accept by the dual map against the climbing check
     it replaced and against the pair scan, on chains and ordinal sums under
@@ -692,12 +698,14 @@ class TestDualHomAcceptAgainstClimbingOracle:
         outcomes = set()
         for lat in self._lattices(rng):
             for image in self._images(lat, rng):
-                accepted = _preserves_laws(image, lat, lat)
+                accepted = _preserves_laws(image, lat, lat) is not None
                 assert accepted == climbing_preserves_laws(image, lat, lat) == _pair_scan_accepts(image, lat, lat)
                 table = {x: lat.elements[i] for x, i in zip(lat.elements, image)}
                 got = _hom_outcome(table, lat, lat)
                 with monkeypatch.context() as patch:
-                    patch.setattr("dualfix.lattice._preserves_laws", climbing_preserves_laws)
+                    # the climbing oracle decides; an accept keeps the dual
+                    # that is_homomorphism stores
+                    patch.setattr("dualfix.lattice._preserves_laws", _climbing_decides)
                     assert got == _hom_outcome(table, lat, lat)
                 outcomes.add(None if got is None else got[0])
         assert outcomes == {None, "meet", "join"}
@@ -707,7 +715,7 @@ class TestDualHomAcceptAgainstClimbingOracle:
         for middle, law in (("{a,b}", "meet"), ("{}", "join")):
             table = {"{}": "{}", "{a}": middle, "{b}": middle, "{a,b}": "{a,b}"}
             image = [lat.index(table[x]) for x in lat.elements]
-            assert not _preserves_laws(image, lat, lat) and not climbing_preserves_laws(image, lat, lat)
+            assert _preserves_laws(image, lat, lat) is None and not climbing_preserves_laws(image, lat, lat)
             with pytest.raises(NotHom) as exc:
                 is_homomorphism(table, lat, lat)
             assert exc.value.payload["law"] == law
