@@ -22,16 +22,12 @@ from .poset import (
     Poset,
     build_poset,
     count_ideals,
-    enumerate_ideals,
     is_monotone,
-    is_order_ideal,
     iter_ideal_masks,
-    principal_ideal,
 )
 from .lattice import (
     FiniteLattice,
     LatticeHom,
-    birkhoff_eta,
     explicit_lattice_bound,
     ideal_lattice,
     is_homomorphism,
@@ -71,13 +67,11 @@ __all__ = [
     "SizeBoundExceeded",
     "UnknownElement",
     "algorithm1",
-    "birkhoff_eta",
     "bruteforce_fixpoints",
     "build_poset",
     "coequalizer_general",
     "count_ideals",
     "dual_map",
-    "enumerate_ideals",
     "explicit_lattice_bound",
     "fixpoints_via_duality",
     "hom_from_dual",
@@ -85,13 +79,11 @@ __all__ = [
     "ideal_lattice",
     "is_homomorphism",
     "is_monotone",
-    "is_order_ideal",
     "iter_ideal_masks",
     "join_irreducibles",
     "lattice_from_order",
     "lift_hom",
     "phi_components",
-    "principal_ideal",
 ]
 
 __version__ = "0.1.0"

@@ -296,14 +296,12 @@ def cmd_compare(cfg, out) -> int:
     phi = _load_phi(cfg)
     base = phi.domain
 
-    # phi_components returns the coequalizer once it has checked that its
-    # classes are the map's components.
+    coequalizer = fixpoint_mod.coequalizer_general(phi)
     try:
-        coequalizer = fixpoint_mod.phi_components(phi)
+        fixpoint_mod._check_components(phi, coequalizer)
         components_view = quotient_to_obj(coequalizer)
         quotients_agree = True
     except QuotientNotAntisymmetric as exc:
-        coequalizer = fixpoint_mod.coequalizer_general(phi)
         components_view = exc.verdict()
         quotients_agree = False
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bitgraph import bits
 from .errors import NoMinimum
-from .lattice import LatticeHom, birkhoff_eta, ideal_lattice, is_homomorphism
+from .lattice import LatticeHom, _irreducibles, ideal_lattice, is_homomorphism
 from .poset import MonotoneMap, is_monotone
 
 
@@ -57,16 +57,33 @@ def _least_candidates(images, p, q):
     return least
 
 
+def _dual_on_irreducibles(hom: LatticeHom) -> MonotoneMap:
+    """The dual of an endomorphism as a self-map of the join-irreducibles
+    of its domain, named as lattice elements: base point x of the Birkhoff
+    representation becomes the element whose ideal is the down-set of x.
+    The dual is the one ``is_homomorphism`` stored, when it did."""
+    phi = dual_map(hom)
+    irr, pos = _irreducibles(hom.domain)
+    image = [0] * len(irr)
+    for x, y in enumerate(phi.image):
+        image[pos[x]] = pos[y]
+    return MonotoneMap(irr, irr, image)
+
+
 def hom_from_dual(phi: MonotoneMap, domain_lattice=None, codomain_lattice=None, max_size=None) -> LatticeHom:
     """The ideal-lattice homomorphism induced by a monotone map.
 
     phi: Q -> P induces f: O(P) -> O(Q) with f(a) the preimage of a under
     phi.  Already-materialized ideal lattices of P and Q may be passed to
-    avoid rebuilding them in enumeration loops.
+    avoid rebuilding them in enumeration loops; a self-map with neither
+    passed builds one lattice, which is then both domain and codomain.
     """
     q, p = phi.domain, phi.codomain
     dom = domain_lattice if domain_lattice is not None else ideal_lattice(p, max_size)
-    cod = codomain_lattice if codomain_lattice is not None else ideal_lattice(q, max_size)
+    if codomain_lattice is not None:
+        cod = codomain_lattice
+    else:
+        cod = dom if q is p else ideal_lattice(q, max_size)
     if dom.ideal_base != p or cod.ideal_base != q:
         raise ValueError("lattices must be the ideal lattices of the map's codomain and domain")
     nq = len(q)
@@ -85,17 +102,17 @@ def lift_hom(hom: LatticeHom, max_size=None):
     """Rename an explicit endomorphism into ideal-lattice form.
 
     Returns (base, lifted) where base is the poset of join-irreducibles of
-    the domain and lifted is the conjugate of ``hom`` by the element ->
-    irreducibles-below-it bijection, validated on the ideal lattice of base.
+    the domain and lifted is the conjugate of ``hom`` by the bijection eta
+    that sends each element to the irreducibles below it, validated on the
+    ideal lattice of base.  The stored masks are eta up to the relabelling
+    of the base onto the irreducibles, and f acts on them as the preimage
+    map of its dual phi; so eta(f(a)) is the preimage of eta(a) under phi
+    relabelled onto base, and lifted is the hom that map induces.
     ``dual_map`` applies to ``hom`` directly; this is for callers that want
     the ideal-lattice form itself.
     """
     if not hom.is_endo():
         raise ValueError("lift_hom expects an endomorphism")
-    lat = hom.domain
-    eta = birkhoff_eta(lat)
-    base = eta[lat.bot].carrier
-    lifted = ideal_lattice(base, max_size)
-    rename = [lifted.elements[lifted.ideal_index(eta[a].mask)] for a in lat.elements]
-    table = {rename[i]: rename[j] for i, j in enumerate(hom.image)}
-    return base, is_homomorphism(table, lifted, lifted)
+    phi = _dual_on_irreducibles(hom)
+    lifted = ideal_lattice(phi.domain, max_size)
+    return phi.domain, hom_from_dual(phi, lifted, lifted)

@@ -26,9 +26,9 @@ from functools import reduce
 from operator import or_
 
 from .bitgraph import bits, select, tarjan_scc, topo_order
-from .duality import dual_map
-from .errors import NotAnIdealOfC, QuotientNotAntisymmetric, SizeBoundExceeded
-from .lattice import FiniteLattice, LatticeHom, _irreducibles, explicit_lattice_bound
+from .duality import _dual_on_irreducibles
+from .errors import NotAnIdealOfC, QuotientNotAntisymmetric
+from .lattice import FiniteLattice, LatticeHom
 from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk, count_ideals
 
 
@@ -240,12 +240,11 @@ class FixpointLattice:
     builds the members.
     """
 
-    __slots__ = ("phi", "quotient", "_members")
+    __slots__ = ("phi", "quotient")
 
     def __init__(self, phi: MonotoneMap, quotient: QuotientPoset):
         self.phi = phi
         self.quotient = quotient
-        self._members = None
 
     def iter_members(self):
         base = self.quotient.base
@@ -254,12 +253,6 @@ class FixpointLattice:
 
     def count(self, max_count=None) -> int:
         return count_ideals(self.quotient.class_poset, max_count)
-
-    @property
-    def members(self) -> tuple:
-        if self._members is None:
-            self._members = tuple(self.iter_members())
-        return self._members
 
     def __repr__(self):
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"
@@ -282,12 +275,7 @@ def hom_quotient(hom: LatticeHom) -> QuotientPoset:
     lattice elements: base point x of the Birkhoff representation becomes
     the element whose ideal is the down-set of x.
     """
-    phi = dual_map(hom)
-    irr, pos = _irreducibles(hom.domain)
-    image = [0] * len(irr)
-    for x, y in enumerate(phi.image):
-        image[pos[x]] = pos[y]
-    return coequalizer_general(MonotoneMap(irr, irr, image))
+    return coequalizer_general(_dual_on_irreducibles(hom))
 
 
 def algorithm1(hom: LatticeHom, ideal, quotient=None):
@@ -335,7 +323,4 @@ def bruteforce_fixpoints(hom: LatticeHom) -> tuple:
     """
     if not hom.is_endo():
         raise ValueError("fix-points need an endomorphism")
-    bound = explicit_lattice_bound()
-    if len(hom.domain) > bound:
-        raise SizeBoundExceeded(bound, f"lattice has {len(hom.domain)} elements")
     return tuple(x for i, x in enumerate(hom.domain.elements) if hom.image[i] == i)

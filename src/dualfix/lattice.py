@@ -29,7 +29,7 @@ from operator import and_, invert, or_
 
 from .bitgraph import bits, select, transpose_masks
 from .errors import NotALattice, NotDistributive, NotHom, SizeBoundExceeded
-from .poset import MonotoneMap, OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _ideal_walk, _total_image, count_ideals
+from .poset import MonotoneMap, OrderIdeal, Poset, _TableMap, _cover_masks, _generated_poset, _ideal_walk, _total_image
 
 DEFAULT_MAX_LATTICE = 4096
 MAX_LATTICE_ENV = "BIRKHOFF_MAX_LATTICE"
@@ -58,18 +58,18 @@ class FiniteLattice:
     lattices B is the poset the elements are ideals of; for lattices built
     from an order it is the sub-poset of join-irreducible elements,
     generated by sparse edges found while validating, like every poset;
-    then ``principal[x]`` is the index of the element that base point x
-    is, and None for ideal lattices.
+    then ``irreducible_base`` is True: each base point is the element whose
+    ideal is its down-set.  It is False for ideal lattices.
     Instances come from the validating constructors below and are immutable.
     """
 
-    __slots__ = ("order", "bot_idx", "top_idx", "ideal_base", "element_masks", "principal", "_mask_index")
+    __slots__ = ("order", "bot_idx", "top_idx", "ideal_base", "element_masks", "irreducible_base", "_mask_index")
 
-    def __init__(self, order, ideal_base, element_masks, principal=None):
+    def __init__(self, order, ideal_base, element_masks, irreducible_base=False):
         self.order = order
         self.ideal_base = ideal_base
         self.element_masks = tuple(element_masks)
-        self.principal = principal
+        self.irreducible_base = irreducible_base
         self._mask_index = {m: i for i, m in enumerate(self.element_masks)}
         self.bot_idx = self._mask_index[0]
         self.top_idx = self._mask_index[(1 << len(ideal_base)) - 1]
@@ -154,15 +154,15 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
     if rep is None:
         _raise_lattice_witness(order)
         raise RuntimeError("Birkhoff check rejected an order that the witness scans accept")
-    return FiniteLattice(order, *rep)
+    return FiniteLattice(order, *rep, irreducible_base=True)
 
 
 def _birkhoff(order: Poset):
-    """(J, masks, irr) when the order is a distributive lattice, else None.
+    """(J, masks) when the order is a distributive lattice, else None.
 
-    J is the sub-poset of the elements with exactly one lower cover, irr
-    their indices in the order, ascending, and masks[a] the set of those at
-    or below a, built over a linear extension (the reverse of
+    J is the sub-poset of the elements with exactly one lower cover, in
+    ascending index in the order, and masks[a] the set of those at or
+    below a, built over a linear extension (the reverse of
     ``order.order``) as the union of the lower covers' masks, plus a
     itself for a in J.  Alongside, gens[a] is the set of maximal points of
     masks[a] in J: a itself for a in J, else the union over the lower
@@ -244,7 +244,7 @@ def _birkhoff(order: Poset):
         transpose_masks(below),
         [rank[a] for a in order.order if a in rank],
     )
-    return base, masks, tuple(irr)
+    return base, masks
 
 
 def _raise_lattice_witness(order: Poset):
@@ -427,12 +427,12 @@ def _irreducibles(lat: FiniteLattice):
     element whose ideal is the down-set of x: the base's generators,
     relabelled by that index.
 
-    A lattice read from an order knows those elements (``principal``),
-    and its base points are they, under their own names, in ascending
-    index, as :func:`_birkhoff` lists them: the relabelling is the identity
-    and the base is J itself, so no down-set is closed."""
+    A lattice read from an order has those elements as its base points
+    (``irreducible_base``), under their own names, in ascending index, as
+    :func:`_birkhoff` lists them: the relabelling is the identity and the
+    base is J itself, so no down-set is closed."""
     base = lat.ideal_base
-    if lat.principal is not None:
+    if lat.irreducible_base:
         return base, range(len(base))
     elems = [lat.ideal_index(down) for down in base.down_masks]
     rank = {e: k for k, e in enumerate(sorted(elems))}
@@ -443,29 +443,6 @@ def _irreducibles(lat: FiniteLattice):
             gen[pos[x]] |= 1 << pos[y]
     irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in base.order])
     return irr, pos
-
-
-def birkhoff_eta(lat: FiniteLattice) -> dict:
-    """Map each lattice element to its ideal of join-irreducibles below.
-
-    This renames the stored masks onto :func:`join_irreducibles`.  On a
-    validated distributive lattice it is a bijection onto the ideal family
-    of the irreducibles and preserves meet, join, bottom and top; a failure
-    here is an internal-consistency defect and raises RuntimeError.
-    """
-    irr, pos = _irreducibles(lat)
-    out = {}
-    for a, mask in zip(lat.elements, lat.element_masks):
-        m = 0
-        for x in bits(mask):
-            m |= 1 << pos[x]
-        out[a] = OrderIdeal(irr, m)
-    if len({ideal.mask for ideal in out.values()}) != len(out):
-        raise RuntimeError("irreducible-ideal map is not injective on a validated lattice")
-    n_ideals = count_ideals(irr, max_count=len(out))
-    if n_ideals != len(out):
-        raise RuntimeError("irreducible-ideal map is not onto the ideal family")
-    return out
 
 
 class LatticeHom(_TableMap):

@@ -235,16 +235,6 @@ class OrderIdeal:
         return f"OrderIdeal({self.name})"
 
 
-def principal_ideal(poset: Poset, x) -> OrderIdeal:
-    """The least ideal containing x: everything at or below it."""
-    return OrderIdeal(poset, poset.down_masks[poset.index(x)])
-
-
-def is_order_ideal(poset: Poset, members) -> bool:
-    """True iff the subset is down-closed in the poset."""
-    return poset.is_down_closed(poset.mask_from(members))
-
-
 def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
     """Stream the bitmasks of every order ideal in canonical order.
 
@@ -509,16 +499,6 @@ def _count_along(order, succ, pred, limit, max_count):
             raise SizeBoundExceeded(max_count, "order ideal count")
         states = grown
     return sum(states.values())
-
-
-def enumerate_ideals(poset: Poset) -> Iterator[OrderIdeal]:
-    """Yield every order ideal exactly once, in canonical order.
-
-    The empty ideal comes first and the full carrier last.  The count can be
-    exponential in the poset size; consume accordingly.
-    """
-    for mask in iter_ideal_masks(poset):
-        yield OrderIdeal(poset, mask)
 
 
 class _TableMap:

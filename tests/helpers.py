@@ -28,11 +28,10 @@ from dualfix import (
     count_ideals,
     is_monotone,
     iter_ideal_masks,
-    principal_ideal,
 )
 from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
 from dualfix.fixpoint import _canonical_classes
-from dualfix.lattice import FiniteLattice
+from dualfix.lattice import FiniteLattice, _irreducibles
 from dualfix.poset import _generated_poset
 
 LETTERS = "abcdefgh"
@@ -355,6 +354,16 @@ def brute_closure_pairs(elements, pairs):
     return rel
 
 
+def all_ideals(poset):
+    """Every order ideal of the poset, in canonical order."""
+    return [OrderIdeal(poset, m) for m in iter_ideal_masks(poset)]
+
+
+def down_set(poset, x):
+    """The principal ideal of x: everything at or below it."""
+    return OrderIdeal(poset, poset.down_masks[poset.index(x)])
+
+
 def brute_ideal_sets(poset):
     """Every down-closed subset, by filtering the full powerset."""
     els = poset.elements
@@ -399,7 +408,7 @@ def brute_dual_table(hom):
     for y in q.elements:
         candidates = []
         for x in p.elements:
-            image_name = hom(principal_ideal(p, x).name)
+            image_name = hom(down_set(p, x).name)
             image_mask = hom.codomain.element_masks[hom.codomain.index(image_name)]
             if image_mask >> q.index(y) & 1:
                 candidates.append(x)
@@ -488,6 +497,26 @@ def relabelled_irreducibles(lat):
             gen[pos[x]] |= 1 << pos[y]
     irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in base.order])
     return irr, pos
+
+
+def birkhoff_eta(lat):
+    """Map each lattice element to its ideal of join-irreducibles below.
+
+    This renames the stored masks onto ``join_irreducibles(lat)``.  On a
+    validated distributive lattice it is a bijection onto the ideal family
+    of the irreducibles and preserves meet, join, bottom and top; both
+    halves of the bijection are asserted here.
+    """
+    irr, pos = _irreducibles(lat)
+    out = {}
+    for a, mask in zip(lat.elements, lat.element_masks):
+        m = 0
+        for x in bits(mask):
+            m |= 1 << pos[x]
+        out[a] = OrderIdeal(irr, m)
+    assert len({ideal.mask for ideal in out.values()}) == len(out), "irreducible-ideal map is not injective"
+    assert count_ideals(irr, max_count=len(out)) == len(out), "irreducible-ideal map is not onto the ideal family"
+    return out
 
 
 def scan_monotone_witness(image, domain, codomain):

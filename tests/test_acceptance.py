@@ -14,7 +14,6 @@ import pytest
 
 from dualfix import (
     QuotientNotAntisymmetric,
-    birkhoff_eta,
     bruteforce_fixpoints,
     coequalizer_general,
     dual_map,
@@ -28,6 +27,7 @@ from dualfix import (
 from dualfix.cli import main
 from dualfix.jsonio import map_to_obj, poset_to_obj, quotient_to_obj
 from helpers import (
+    birkhoff_eta,
     monotone_selfmaps,
     noniso_posets_upto,
     random_monotone_between,

@@ -839,6 +839,57 @@ class TestBench:
         assert report["primal_count"] == 1001
 
 
+TEN_CHAIN = {"elements": [f"c{k}" for k in range(10)], "leq": [[f"c{k}", f"c{k + 1}"] for k in range(9)]}
+TEN_IDENTITY = {"map": {f"c{k}": f"c{k}" for k in range(10)}}
+
+
+class TestLatticeCapFromTheEnvironment:
+    """BIRKHOFF_MAX_LATTICE sets the default cap on explicit lattices;
+    ``--max-lattice`` overrides it."""
+
+    def test_the_variable_lowers_the_default(self, capsys, write_json, monkeypatch):
+        monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "8")
+        anti3 = {"elements": ["a", "b", "c"], "leq": []}
+        code, out, _ = run(capsys, "dual", "poset", write_json("a.json", anti3))
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == 8
+        code, _, err = run(capsys, "dual", "poset", write_json("c.json", TEN_CHAIN))
+        assert code == 2
+        assert json.loads(err)["bound"] == 8
+
+    def test_zero_is_a_usage_error(self, capsys, write_json, monkeypatch):
+        monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "0")
+        code, out, err = run(capsys, "dual", "poset", write_json("p.json", TWO_CHAIN))
+        assert (code, out, err) == (1, "", "error: BIRKHOFF_MAX_LATTICE must be positive, got '0'\n")
+
+    def test_a_non_integer_is_a_usage_error(self, capsys, write_json, monkeypatch):
+        monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "abc")
+        code, out, err = run(capsys, "dual", "poset", write_json("p.json", TWO_CHAIN))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_the_flag_overrides_the_variable_on_dual_poset(self, capsys, write_json, monkeypatch):
+        monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "8")
+        code, out, _ = run(capsys, "dual", "poset", write_json("c.json", TEN_CHAIN), "--max-lattice", "16")
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == 11
+
+    def test_the_flag_overrides_the_variable_on_compare(self, capsys, write_json, monkeypatch, tmp_path):
+        # the brute-force scan runs on the lattice the flag capped, with no
+        # second check against the variable
+        monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "8")
+        code, out, _ = run(
+            capsys,
+            "compare",
+            "--poset", write_json("c.json", TEN_CHAIN),
+            "--map", write_json("m.json", TEN_IDENTITY),
+            "--artifact", str(tmp_path / "cex.json"),
+            "--max-lattice", "16",
+        )
+        assert code == 0
+        assert json.loads(out) == {"agree": True, "classes": 10, "fixpoints": 11}
+
+
 class TestPlumbing:
     def test_missing_file_is_exit_1(self, capsys):
         code, _, err = run(capsys, "validate", "poset", "/nonexistent/x.json")

@@ -22,6 +22,7 @@ from dualfix import (
 )
 from dualfix.lattice import _least_by_differences
 from helpers import (
+    birkhoff_eta,
     brute_dual_table,
     candidate_dual_map,
     fresh_names,
@@ -29,7 +30,21 @@ from helpers import (
     noniso_posets_upto,
     random_monotone_between,
     random_poset,
+    renamed_shape,
 )
+
+
+def eta_lift(hom):
+    """lift_hom by the eta route: conjugate hom by the element ->
+    irreducibles-below-it bijection and validate the table on the ideal
+    lattice of the irreducibles."""
+    lat = hom.domain
+    eta = birkhoff_eta(lat)
+    base = eta[lat.bot].carrier
+    lifted = ideal_lattice(base)
+    rename = [lifted.elements[lifted.ideal_index(eta[a].mask)] for a in lat.elements]
+    table = {rename[i]: rename[j] for i, j in enumerate(hom.image)}
+    return base, is_homomorphism(table, lifted, lifted)
 
 
 def collapse_hom(two_chain):
@@ -285,6 +300,8 @@ class TestHomFromDual:
             base = random_poset(rng, rng.randrange(0, 6))
             phi = random_monotone_between(rng, base, base)
             hom = hom_from_dual(phi)
+            # a self-map builds one ideal lattice, both domain and codomain
+            assert hom.domain is hom.codomain
             assert hom.domain.ideal_base == base
             assert hom(hom.domain.bot) == hom.codomain.bot
 
@@ -313,6 +330,34 @@ class TestLiftHom:
         phi = dual_map(lifted)
         # conjugation produces the collapse instance: everything maps to the top
         assert phi.table == {"1": "1", "m": "1"}
+
+    def test_matches_the_eta_route(self):
+        # differential: the lift built on the stored dual against the
+        # conjugate by eta, on both lattice kinds
+        rng = random.Random(83)
+        bases = [(base, None) for base in noniso_posets_upto(5)]
+        for k in range(60):
+            base = random_poset(rng, rng.randrange(0, 7))
+            naming = ("shuffled", "reversed")[k % 2]
+            bases.append((build_poset(*renamed_shape((list(base.elements), base.covers()), rng, naming)), naming))
+        checked = 0
+        for base, naming in bases:
+            ideals = ideal_lattice(base)
+            names = fresh_names(ideals.order, rng, naming) if naming else dict(zip(ideals, ideals))
+            order = build_poset(list(names.values()), [(names[x], names[y]) for x, y in ideals.order.covers()])
+            for lat, rename in ((ideals, dict(zip(ideals, ideals))), (lattice_from_order(order), names)):
+                homs = [LatticeHom.identity(lat)]
+                for _ in range(3):
+                    induced = hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals)
+                    homs.append(is_homomorphism({rename[x]: rename[induced(x)] for x in ideals}, lat, lat))
+                for hom in homs:
+                    got_base, lifted = lift_hom(hom)
+                    base_eta, lifted_eta = eta_lift(hom)
+                    assert got_base == base_eta
+                    assert lifted == lifted_eta
+                    assert lifted.dual == lifted_eta.dual
+                    checked += 1
+        assert checked == 8 * len(bases)
 
     def test_rejects_non_endomorphisms(self, two_chain, two_antichain):
         l1 = ideal_lattice(two_chain)

@@ -16,7 +16,6 @@ from dualfix import (
     coequalizer_general,
     count_ideals,
     dual_map,
-    enumerate_ideals,
     fixpoints_via_duality,
     hom_from_dual,
     hom_quotient,
@@ -33,6 +32,7 @@ from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
     CycleReport,
     MaxStepsExceeded,
+    all_ideals,
     brute_components_witness,
     brute_preorder_pairs,
     closure_coequalizer,
@@ -390,7 +390,7 @@ class TestFixpointsViaDuality:
             base = random_poset(rng, rng.randrange(0, 6))
             fx = fixpoints_via_duality(MonotoneMap.identity(base))
             assert [m.name for m in fx.iter_members()] == [
-                i.name for i in enumerate_ideals(base)
+                i.name for i in all_ideals(base)
             ]
 
     def test_count_never_builds_members(self, two_antichain):

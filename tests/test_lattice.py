@@ -12,7 +12,6 @@ from dualfix import (
     NotHom,
     SizeBoundExceeded,
     UnknownElement,
-    birkhoff_eta,
     build_poset,
     coequalizer_general,
     ideal_lattice,
@@ -20,7 +19,6 @@ from dualfix import (
     join_irreducibles,
     lattice_from_order,
     phi_components,
-    principal_ideal,
 )
 from dualfix.lattice import (
     _birkhoff,
@@ -35,11 +33,13 @@ from dualfix.lattice import (
 from dualfix.bitgraph import bits, transpose_masks
 from helpers import (
     assert_generated,
+    birkhoff_eta,
     brute_join_irreducibles,
     brute_lattice_witness,
     climbing_preserves_laws,
     closure_birkhoff,
     complement_scan_ideal_lattice,
+    down_set,
     fresh_names,
     inclusion_rows,
     labeled_posets,
@@ -363,7 +363,7 @@ class TestDualityOfObjects:
         for p in noniso_posets_upto(6):
             lat = ideal_lattice(p)
             irr = join_irreducibles(lat)
-            names = {x: principal_ideal(p, x).name for x in p}
+            names = {x: down_set(p, x).name for x in p}
             assert sorted(names.values()) == sorted(irr.elements)
             for x in p:
                 for y in p:

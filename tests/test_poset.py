@@ -18,16 +18,14 @@ from dualfix import (
     UnknownElement,
     build_poset,
     count_ideals,
-    enumerate_ideals,
     fixpoints_via_duality,
     is_monotone,
-    is_order_ideal,
     iter_ideal_masks,
-    principal_ideal,
 )
 from dualfix.bitgraph import bits, topo_order, transpose_masks
 from dualfix.poset import _cover_masks
 from helpers import (
+    all_ideals,
     antichain_shape,
     assert_generated,
     brute_closure_pairs,
@@ -40,6 +38,7 @@ from helpers import (
     closed_poset,
     closure_rows,
     covers_count_ideals,
+    down_set,
     fresh_names,
     grid_shape,
     labeled_posets,
@@ -121,7 +120,7 @@ class TestBuildPoset:
     def test_empty_poset_is_permitted(self):
         p = build_poset([], [])
         assert len(p) == 0
-        assert [i.name for i in enumerate_ideals(p)] == ["{}"]
+        assert [i.name for i in all_ideals(p)] == ["{}"]
 
     def test_closure_matches_brute_oracle(self):
         rng = random.Random(7)
@@ -245,60 +244,60 @@ class TestOrderWithoutSweep:
 
 class TestPrincipalIdeal:
     def test_chain_top_is_whole_chain(self, two_chain):
-        assert principal_ideal(two_chain, "q").members == ("p", "q")
+        assert down_set(two_chain, "q").members == ("p", "q")
 
     def test_chain_bottom_is_singleton(self, two_chain):
-        assert principal_ideal(two_chain, "p").members == ("p",)
+        assert down_set(two_chain, "p").members == ("p",)
 
     def test_antichain_point(self, two_antichain):
-        assert principal_ideal(two_antichain, "a").members == ("a",)
+        assert down_set(two_antichain, "a").members == ("a",)
 
     def test_unknown_element(self, two_chain):
         with pytest.raises(UnknownElement):
-            principal_ideal(two_chain, "zz")
+            down_set(two_chain, "zz")
 
     def test_always_an_ideal_and_least_containing(self):
         rng = random.Random(3)
         for _ in range(20):
             p = random_poset(rng, rng.randrange(1, 7))
             for x in p:
-                down = principal_ideal(p, x)
-                assert is_order_ideal(p, down.members)
+                down = down_set(p, x)
+                assert p.is_down_closed(p.mask_from(down.members))
                 assert x in down
                 # least: every ideal containing x contains all of it
-                for other in enumerate_ideals(p):
+                for other in all_ideals(p):
                     if x in other:
                         assert down.mask & ~other.mask == 0
 
 
 class TestIsOrderIdeal:
     def test_chain_examples(self, two_chain):
-        assert is_order_ideal(two_chain, {"p"})
-        assert not is_order_ideal(two_chain, {"q"})
+        assert two_chain.is_down_closed(two_chain.mask_from({"p"}))
+        assert not two_chain.is_down_closed(two_chain.mask_from({"q"}))
 
     def test_empty_set_vacuous(self, two_chain, two_antichain):
-        assert is_order_ideal(two_chain, set())
-        assert is_order_ideal(two_antichain, set())
+        assert two_chain.is_down_closed(two_chain.mask_from(set()))
+        assert two_antichain.is_down_closed(two_antichain.mask_from(set()))
 
     def test_unknown_member(self, two_chain):
         with pytest.raises(UnknownElement):
-            is_order_ideal(two_chain, {"zz"})
+            two_chain.mask_from({"zz"})
 
 
 class TestEnumerateIdeals:
     def test_two_chain_frozen(self, two_chain):
         # oracle: the 4 subsets filtered down to {}, {p}, {p,q}
-        assert {frozenset(i.members) for i in enumerate_ideals(two_chain)} == set(
+        assert {frozenset(i.members) for i in all_ideals(two_chain)} == set(
             brute_ideal_sets(two_chain)
         )
-        assert [i.name for i in enumerate_ideals(two_chain)] == ["{}", "{p}", "{p,q}"]
+        assert [i.name for i in all_ideals(two_chain)] == ["{}", "{p}", "{p,q}"]
 
     def test_two_antichain_frozen(self, two_antichain):
-        assert [i.name for i in enumerate_ideals(two_antichain)] == ["{}", "{a}", "{b}", "{a,b}"]
+        assert [i.name for i in all_ideals(two_antichain)] == ["{}", "{a}", "{b}", "{a,b}"]
 
     def test_matches_brute_filter_exhaustively(self):
         for p in noniso_posets_upto(5):
-            got = [frozenset(i.members) for i in enumerate_ideals(p)]
+            got = [frozenset(i.members) for i in all_ideals(p)]
             assert len(set(got)) == len(got), "duplicate ideal emitted"
             assert set(got) == set(brute_ideal_sets(p))
 
@@ -306,7 +305,7 @@ class TestEnumerateIdeals:
         rng = random.Random(5)
         for _ in range(20):
             p = random_poset(rng, rng.randrange(0, 7))
-            names = [(len(i), i.members) for i in enumerate_ideals(p)]
+            names = [(len(i), i.members) for i in all_ideals(p)]
             assert names == sorted(names)
 
     def test_chain_and_antichain_counts(self):
@@ -322,7 +321,7 @@ class TestEnumerateIdeals:
     def test_includes_empty_and_full(self):
         rng = random.Random(17)
         p = random_poset(rng, 5)
-        ideals = list(enumerate_ideals(p))
+        ideals = list(all_ideals(p))
         assert ideals[0].members == ()
         assert ideals[-1].members == p.elements
 
@@ -702,10 +701,10 @@ def test_property_closure_idempotent(p):
 @given(posets(max_size=5))
 def test_property_principal_ideals_are_ideals(p):
     for x in p:
-        assert is_order_ideal(p, principal_ideal(p, x).members)
+        assert p.is_down_closed(p.mask_from(down_set(p, x).members))
 
 
 @settings(max_examples=40, deadline=None)
 @given(posets(max_size=5))
 def test_property_enumeration_matches_brute(p):
-    assert {frozenset(i.members) for i in enumerate_ideals(p)} == set(brute_ideal_sets(p))
+    assert {frozenset(i.members) for i in all_ideals(p)} == set(brute_ideal_sets(p))
