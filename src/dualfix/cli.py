@@ -59,7 +59,10 @@ def _dumps(obj) -> str:
 
 
 def _positive(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -151,10 +154,97 @@ def _parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _exact_table() -> dict:
+    """Per subcommand, read off ``_parser()``: its namespace defaults, its
+    positionals, its single-value store and store_const options by exact
+    option string, each with its mutually exclusive group (the action itself
+    when it has none), and the actions and groups that are required.  A
+    subcommand is left out when a positional is not a single-value store or
+    a string default would go through its type."""
+
+    def defaults(parser):
+        # argparse's order: the first default per dest, then set_defaults
+        # for dests no action has; SUPPRESS leaves the attribute unset.
+        ns = {}
+        for a in parser._actions:
+            if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+                ns.setdefault(a.dest, a.default)
+        for dest, value in parser._defaults.items():
+            ns.setdefault(dest, value)
+        return ns
+
+    top = _parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, p in sub.choices.items():
+        positionals = [a for a in p._actions if not a.option_strings]
+        if any(type(a) is not argparse._StoreAction or a.nargs is not None for a in positionals) or any(
+            isinstance(a.default, str) and a.type is not None for a in p._actions
+        ):
+            continue
+        group = {a: g for g in p._mutually_exclusive_groups for a in g._group_actions}
+        options = {
+            s: (a, group.get(a, a))
+            for a in p._actions
+            if type(a) is argparse._StoreConstAction or (type(a) is argparse._StoreAction and a.nargs is None)
+            for s in a.option_strings
+        }
+        required = {a for a in p._actions if a.required} | {g for g in p._mutually_exclusive_groups if g.required}
+        table[name] = ({**defaults(top), sub.dest: name, **defaults(p)}, positionals, options, required)
+    return table
+
+
+def _parse_exact(argv):
+    """``_parser().parse_args(argv)`` for argv made of exact tokens: a
+    subcommand, its positionals, then exact option strings, each at most
+    once and at most one per mutually exclusive group, every value not
+    starting with '-' and passing its type and choices, every required
+    option present.  None for any other argv, which argparse then parses."""
+    if not argv or not all(isinstance(t, str) for t in argv) or (entry := _exact_table().get(argv[0])) is None:
+        return None
+    defaults, positionals, options, required = entry
+    i = len(positionals) + 1
+    if len(argv) < i:
+        return None
+    steps, seen = list(zip(positionals, argv[1:i])), set(positionals)
+    while i < len(argv):
+        action, group = options.get(argv[i], (None, None))
+        if action is None or group in seen or (action.nargs != 0 and i + 1 == len(argv)):
+            return None
+        seen |= {action, group}
+        steps.append((action, None if action.nargs == 0 else argv[i + 1]))
+        i += 1 if action.nargs == 0 else 2
+    if not required <= seen:
+        return None
+    ns = argparse.Namespace(**defaults)
+    for action, text in steps:
+        if text is None:
+            value = action.const
+        elif text.startswith("-"):
+            return None
+        else:
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(ns, action.dest, value)
+    return ns
+
+
 def parse_args(argv) -> argparse.Namespace:
     """The parsed arguments, with the input paths given attached as
-    ``inputs``, keyed by role: file, poset, lattice, codomain, map, hom."""
-    ns = _parser().parse_args(argv)
+    ``inputs``, keyed by role: file, poset, lattice, codomain, map, hom.
+
+    ``argv=None`` reads ``sys.argv[1:]``.  Argv of exact tokens is parsed
+    by ``_parse_exact``; anything else, help and every usage error included,
+    goes to argparse."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _parse_exact(argv)
+    if ns is None:
+        ns = _parser().parse_args(argv)
     dests = {"file": "file", "poset": "poset", "lattice": "lattice", "codomain": "codomain", "map": "map_file", "hom": "hom_file"}
     ns.inputs = {role: getattr(ns, dest) for role, dest in dests.items() if getattr(ns, dest, None) is not None}
     return ns

@@ -41,7 +41,10 @@ def explicit_lattice_bound(override=None) -> int:
         return override
     raw = os.environ.get(MAX_LATTICE_ENV)
     if raw:
-        bound = int(raw)
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise ValueError(f"{MAX_LATTICE_ENV} must be a positive integer, got {raw!r}") from None
         if bound <= 0:
             raise ValueError(f"{MAX_LATTICE_ENV} must be positive, got {raw!r}")
         return bound

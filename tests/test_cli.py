@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -26,7 +28,7 @@ from dualfix import (
     iter_ideal_masks,
     lattice_from_order,
 )
-from dualfix.cli import EXIT_INTERNAL, _dumps, _parser, _quotient_json, main
+from dualfix.cli import EXIT_INTERNAL, UsageError, _dumps, _parse_exact, _parser, _quotient_json, main
 from dualfix.jsonio import map_to_obj, poset_from_obj, poset_to_obj, quotient_to_obj
 from helpers import fresh_names, labeled_posets, monotone_selfmaps, random_monotone_between, random_poset
 
@@ -232,6 +234,14 @@ class TestParserReuse:
             ["--help"],
             ["fixpoints", "--poset", poset, "--map", mapping, "--quotient"],
             ["validate", "map", mapping, "--poset", poset],
+            # forms argparse parses or refuses itself, around exact ones
+            ["fixpoints", "--poset", poset, "--map", mapping, "--quot"],
+            ["fixpoints", f"--poset={poset}", "--map", mapping, "--count"],
+            ["fixpoints", "--poset", poset, "--map", mapping, "--count", "--quotient"],
+            ["validate", "map", mapping, "--poset", poset, "--max-lattice", "0"],
+            ["fixpoints", "--poset", poset, "--map"],
+            ["fixpoints", "-h"],
+            ["validate", "map", mapping, "--poset", poset],
         ]
         for argv in sequence:
             try:
@@ -245,6 +255,109 @@ class TestParserReuse:
             assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert [code, fresh.stdout] == [0, '{"valid":true}\n']
         assert _parser() is _parser()
+
+
+# Each subcommand's valid positionals, and its options with a valid value
+# (None for a flag); every subcommand also takes COMMON_OPTIONS.
+GRAMMAR = {
+    "validate": (["map", "m.json"], {"--poset": "p.json", "--lattice": "l.json", "--codomain": "c.json"}),
+    "dual": (["lattice", "l.json"], {}),
+    "dualmap": ([], {"--poset": "p.json", "--map": "m.json", "--lattice": "l.json", "--hom": "h.json"}),
+    "fixpoints": (
+        [],
+        {"--poset": "p.json", "--map": "m.json", "--lattice": "l.json", "--hom": "h.json",
+         "--list": None, "--count": None, "--quotient": None},
+    ),
+    "compare": ([], {"--poset": "p.json", "--map": "m.json", "--artifact": "a.json"}),
+    "dot": (["quotient", "m.json"], {"--poset": "p.json"}),
+    "bench": ([], {"--shape": "grid", "--n": "9", "--map-kind": "collapse", "--count-cap": "64"}),
+}
+COMMON_OPTIONS = {"-o": "out.txt", "--output": "out.txt", "--max-lattice": "16"}
+ODD_VALUES = ["", "0", "abc", "a=b", "1.5", "chain", "-5", "-", "--count", "-o"]
+# tokens that are no exact option string of any subcommand
+INEXACT = ["--quot", "--cou", "--pos", "--max", "--out", "--sha", "--map-k", "-h", "--help", "--", "--bogus",
+           "--poset=p.json", "--n=3", "--max-lattice=5", "-oout.txt", "--count=1"]
+
+
+def _random_argv(rng):
+    """A seeded argv built from GRAMMAR, and whether it holds a token that
+    the exact parser must decline: an inexact one, or a value or
+    positional starting with '-'."""
+    command = rng.choice(list(GRAMMAR))
+    positionals, options = GRAMMAR[command]
+    options = {**options, **COMMON_OPTIONS}
+    pieces = [[p] for p in positionals[: rng.choice([len(positionals)] * 4 + [0, 1])]]
+    for flag in rng.sample(list(options), rng.randint(0, min(5, len(options)))):
+        pieces.append([flag] if options[flag] is None else [flag, options[flag]])
+    if pieces and rng.random() < 0.2:
+        pieces.append(list(rng.choice(pieces)))  # a repeat
+    outside = False
+    for piece in pieces:
+        if len(piece) == 2 or not piece[0].startswith("-"):
+            if rng.random() < 0.1:
+                piece[-1] = rng.choice(ODD_VALUES)
+                outside |= piece[-1].startswith("-")
+    if rng.random() < 0.25:
+        pieces.insert(rng.randint(0, len(pieces)), [rng.choice(INEXACT)])
+        outside = True
+    if pieces and rng.random() < 0.1:
+        rng.shuffle(pieces)
+        outside |= any(p[0].startswith("-") for p in pieces[: len(positionals)])
+    argv = [command] + [token for piece in pieces for token in piece]
+    if rng.random() < 0.03:
+        argv[0] = rng.choice(["", "fix", "FIXPOINTS", "-h", "--help"])
+        outside |= argv[0].startswith("-")
+    if not outside and rng.random() < 0.05:
+        argv.pop()  # a missing value, positional or subcommand
+    return argv, outside
+
+
+class TestExactArgv:
+    """``_parse_exact`` against argparse: on every argv it gives None or
+    the Namespace argparse gives, attributes in the same order; None
+    whenever argparse refuses; and None whenever a token is not exact."""
+
+    @staticmethod
+    def check(argv, outside=False):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                want = _parser().parse_args(argv)
+        except (UsageError, SystemExit):
+            want = None
+        got = _parse_exact(argv)
+        if got is not None:
+            assert want is not None, argv
+            assert list(vars(got).items()) == list(vars(want).items()), argv
+            assert not outside, argv
+        return got, want
+
+    def test_every_golden_argv_that_argparse_accepts(self):
+        record = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+        results = [self.check(case["argv"]) for case in record]
+        assert all(got is not None for got, want in results if want is not None)
+        assert sum(want is not None for _, want in results) >= len(record) - 5
+
+    def test_the_benchmark_shapes(self):
+        shapes = [["fixpoints", "--poset", "/w/P.json", "--map", "/w/M.json", f"--{mode}"]
+                  for mode in ("count", "list", "quotient")]
+        shapes.append(["fixpoints", "--lattice", "/w/L.json", "--hom", "/w/H.json", "--count"])
+        for argv in shapes:
+            got, _ = self.check(argv + ["-o", "/w/out.txt"])
+            assert got is not None
+
+    def test_tokens_that_are_not_strings_are_declined(self):
+        assert _parse_exact(["dual", "poset", Path("p.json")]) is None
+        assert _parse_exact([]) is None
+
+    def test_seeded_argv(self):
+        rng = random.Random(20261019)
+        fired = declined = 0
+        for _ in range(6000):
+            got, want = self.check(*_random_argv(rng))
+            fired += got is not None
+            declined += got is None and want is not None
+        # both sides of the contract must be exercised
+        assert fired >= 1000 and declined >= 600, (fired, declined)
 
 
 class TestFixpoints:
@@ -865,8 +978,7 @@ class TestLatticeCapFromTheEnvironment:
     def test_a_non_integer_is_a_usage_error(self, capsys, write_json, monkeypatch):
         monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "abc")
         code, out, err = run(capsys, "dual", "poset", write_json("p.json", TWO_CHAIN))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+        assert (code, out, err) == (1, "", "error: BIRKHOFF_MAX_LATTICE must be a positive integer, got 'abc'\n")
 
     def test_the_flag_overrides_the_variable_on_dual_poset(self, capsys, write_json, monkeypatch):
         monkeypatch.setenv("BIRKHOFF_MAX_LATTICE", "8")
@@ -947,3 +1059,16 @@ class TestPlumbing:
             capsys, "bench", "--shape", "chain", "--n", "3", "--map-kind", "identity", "--count-cap", "0"
         )
         assert (code, out, err) == (1, "", "error: argument --count-cap: must be positive\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bench", "--shape", "chain", "--n", "abc", "--map-kind", "identity"], "--n"),
+            (["validate", "poset", "p.json", "--max-lattice", "1.5"], "--max-lattice"),
+            (["bench", "--shape", "chain", "--n", "3", "--map-kind", "identity", "--count-cap", "x"], "--count-cap"),
+        ],
+    )
+    def test_non_integer_bounds_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        text = argv[argv.index(flag) + 1]
+        assert (code, out, err) == (1, "", f"error: argument {flag}: must be a positive integer, got {text!r}\n")
