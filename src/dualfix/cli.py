@@ -244,6 +244,9 @@ def parse_args(argv) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _parse_exact(argv)
     if ns is None:
+        for token in argv:
+            if not isinstance(token, str):
+                raise UsageError(f"argument tokens must be strings, got {type(token).__name__} {token!r}")
         ns = _parser().parse_args(argv)
     dests = {"file": "file", "poset": "poset", "lattice": "lattice", "codomain": "codomain", "map": "map_file", "hom": "hom_file"}
     ns.inputs = {role: getattr(ns, dest) for role, dest in dests.items() if getattr(ns, dest, None) is not None}
@@ -355,7 +358,7 @@ def cmd_fixpoints(cfg, out) -> int:
             for _, _, union in _ideal_walk(quo.class_poset, rows=fixpoint_mod._class_rows(lat, quo)):
                 out.write(encode_basestring_ascii(lat.elements[lat.ideal_index(union)]) + "\n")
         elif cfg.mode == "count":
-            print(count_ideals(quo.class_poset), file=out)
+            print(count_ideals(quo.graph), file=out)
         else:
             out.write(_quotient_json(quo) + "\n")
     return EXIT_OK
@@ -565,7 +568,7 @@ def cmd_bench(cfg, out) -> int:
 
     t3 = time.perf_counter()
     try:
-        dual_count = count_ideals(coequalizer.class_poset, cfg.count_cap)
+        dual_count = count_ideals(coequalizer.graph, cfg.count_cap)
     except SizeBoundExceeded:
         dual_count = None
     report["dual_count_seconds"] = round(time.perf_counter() - t3, 6)

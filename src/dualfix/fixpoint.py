@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .bitgraph import bits, select, tarjan_scc, topo_order
+from .bitgraph import bits, mask_of, select, tarjan_scc, topo_order
 from .duality import _dual_on_irreducibles
 from .errors import NotAnIdealOfC, QuotientNotAntisymmetric
 from .lattice import FiniteLattice, LatticeHom
@@ -35,26 +35,52 @@ from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk
 class QuotientPoset:
     """Partition of a poset into classes carrying an induced partial order.
 
-    ``classes`` lists each class's member identifiers; ``class_poset`` is
-    the order on class names (a class is named ``[x]`` after its least
-    member).  The generating preorder is recoverable: x is below y in it
+    Classes are indexed by least member: ``groups[c]`` lists the base
+    indices of class c ascending, ``_class_idx`` maps each base index to
+    its class, and ``graph`` is the class order on the identifiers of the
+    least members (the base itself when every class is one point), which
+    is all a count reads.  A class is named ``[x]`` after its least member
+    x.  ``classes`` (member identifiers), ``member_masks`` and
+    ``class_poset``, the order on class names, are built on first read, in
+    name order.  The generating preorder is recoverable: x is below y in it
     exactly when class_leq([x], [y]).
     """
 
-    __slots__ = ("base", "classes", "class_poset", "member_masks", "_class_idx")
+    __slots__ = ("base", "groups", "_masks", "_class_idx", "graph", "_named")
 
-    def __init__(self, base, classes, class_poset, member_masks, class_idx):
+    def __init__(self, base, groups, masks, class_idx, graph):
         self.base = base
-        self.classes = classes
-        self.class_poset = class_poset
-        self.member_masks = member_masks
+        self.groups = groups
+        self._masks = masks
         self._class_idx = class_idx
+        self.graph = graph
+        self._named = None
+
+    def _naming(self):
+        """(classes, class_poset, member_masks), permuted from the graph only
+        where names sort unlike least members: ``"[c10]" < "[c1]"``."""
+        if self._named is None:
+            groups, masks, gen, order = self.groups, self._masks, self.graph.gen_masks, self.graph.order
+            names = [f"[{x}]" for x in self.graph.elements]
+            if names != sorted(names):
+                perm = sorted(range(len(names)), key=names.__getitem__)
+                rank = sorted(range(len(perm)), key=perm.__getitem__)
+                names, groups, masks = ([seq[c] for c in perm] for seq in (names, groups, masks))
+                gen = [mask_of(rank[d] for d in bits(gen[c])) for c in perm]
+                order = [rank[c] for c in order]
+            classes = tuple(tuple(map(self.base.elements.__getitem__, group)) for group in groups)
+            self._named = classes, _generated_poset(names, gen, order), tuple(masks)
+        return self._named
+
+    classes = property(lambda self: self._naming()[0])
+    class_poset = property(lambda self: self._naming()[1])
+    member_masks = property(lambda self: self._naming()[2])
 
     def __len__(self):
-        return len(self.classes)
+        return len(self.groups)
 
     def class_name_of(self, x) -> str:
-        return self.class_poset.elements[self._class_idx[self.base.index(x)]]
+        return f"[{self.graph.elements[self._class_idx[self.base.index(x)]]}]"
 
     def class_leq(self, c1, c2) -> bool:
         return self.class_poset.leq(c1, c2)
@@ -62,16 +88,12 @@ class QuotientPoset:
     def __eq__(self, other):
         if not isinstance(other, QuotientPoset):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.classes == other.classes
-            and self.class_poset == other.class_poset
-        )
+        return self.base == other.base and self._masks == other._masks and self.graph == other.graph
 
     __hash__ = None
 
     def __repr__(self):
-        return f"QuotientPoset({len(self.classes)} classes over {len(self.base)} elements)"
+        return f"QuotientPoset({len(self)} classes over {len(self.base)} elements)"
 
 
 def _endo_base(phi: MonotoneMap) -> Poset:
@@ -80,27 +102,18 @@ def _endo_base(phi: MonotoneMap) -> Poset:
     return phi.domain
 
 
-def _canonical_classes(base, groups):
-    """Order classes by name; return (names, member_masks, class_idx, classes).
-
-    Each group is an ascending list of base indices and its class is named
-    ``[x]`` after its least member x.  Names sort like the class poset's
-    identifiers, which need not be the order of the least members:
-    ``"[c10]" < "[c1]"`` although ``"c1" < "c10"``.
-    """
-    elements = base.elements
-    named = sorted(zip([f"[{elements[group[0]]}]" for group in groups], groups))
-    class_idx = [0] * len(elements)
+def _index_classes(groups, n):
+    """Class index of each of n points and member mask of each class, for
+    classes given as ascending lists of points and listed by least member."""
+    class_idx = [0] * n
     masks = []
-    for ci, (_, group) in enumerate(named):
+    for c, group in enumerate(groups):
         mask = 0
         for v in group:
             mask |= 1 << v
-            class_idx[v] = ci
+            class_idx[v] = c
         masks.append(mask)
-    names = [name for name, _ in named]
-    classes = tuple(tuple(map(elements.__getitem__, group)) for _, group in named)
-    return names, tuple(masks), class_idx, classes
+    return class_idx, tuple(masks)
 
 
 def _map_components(image):
@@ -197,9 +210,8 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
     condensation, which is a partial order by construction.  Each connected
     component of the map graph lies in one class, so the components are
     found in one walk along the map and the base's generating edges are
-    mapped onto them; when the map is the identity and the names keep the
-    base's order, the class order takes the base's edges and ``order`` as
-    they are.  For a monotone map the contracted edges are acyclic, so the
+    mapped onto them; when the map is the identity, the class order is the
+    base itself.  For a monotone map the contracted edges are acyclic, so the
     components are the classes.  When every contracted edge ascends, the
     class indices from the largest down order them, as in
     :func:`~dualfix.poset.build_poset`; otherwise one depth-first sweep
@@ -213,20 +225,19 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
         groups = [[v] for v in range(n)]
     else:
         groups = _map_components(phi.image)
-    names, member_masks, class_idx, classes = _canonical_classes(base, groups)
-    if class_idx == list(range(n)):
-        gen, order = base.gen_masks, base.order
-    else:
-        gen, ascending = _contract(base.gen_masks, class_idx, member_masks)
-        order = range(len(gen) - 1, -1, -1) if ascending else topo_order(gen)
+    class_idx, masks = _index_classes(groups, n)
+    if len(groups) == n:
+        return QuotientPoset(base, groups, masks, class_idx, base)
+    gen, ascending = _contract(base.gen_masks, class_idx, masks)
+    order = range(len(gen) - 1, -1, -1) if ascending else topo_order(gen)
     if order is None:
-        parts = tarjan_scc(gen)
-        merged = [list(bits(reduce(or_, [member_masks[c] for c in part]))) for part in parts]
-        names, member_masks, class_idx, classes = _canonical_classes(base, merged)
-        gen, _ = _contract(base.gen_masks, class_idx, member_masks)
-        order = [class_idx[group[0]] for group in merged]
-    class_poset = _generated_poset(names, gen, order)
-    return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
+        parts = [reduce(or_, [masks[c] for c in part]) for part in tarjan_scc(gen)]
+        groups = sorted(list(bits(m)) for m in parts)
+        class_idx, masks = _index_classes(groups, n)
+        gen, _ = _contract(base.gen_masks, class_idx, masks)
+        order = [class_idx[(m & -m).bit_length() - 1] for m in parts]
+    graph = _generated_poset([base.elements[group[0]] for group in groups], gen, order)
+    return QuotientPoset(base, groups, masks, class_idx, graph)
 
 
 class FixpointLattice:
@@ -252,7 +263,7 @@ class FixpointLattice:
             yield OrderIdeal(base, union)
 
     def count(self, max_count=None) -> int:
-        return count_ideals(self.quotient.class_poset, max_count)
+        return count_ideals(self.quotient.graph, max_count)
 
     def __repr__(self):
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"

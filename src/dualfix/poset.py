@@ -317,7 +317,9 @@ def _ideal_walk(poset: Poset, max_count=None, rows=None):
 def count_ideals(poset: Poset, max_count=None) -> int:
     """Exact number of order ideals, without enumerating them.
 
-    Reads only the generating edges.  A set of elements is an ideal exactly
+    Reads only the generating edges, in one walk over their bits that lists
+    each element's generating successors and predecessors; all that follows
+    runs on those lists.  A set of elements is an ideal exactly
     when it holds every generating predecessor of each of its members, since
     the order is their reflexive-transitive closure.  Each isolated point
     doubles the count.  The other elements are counted by a frontier DP over
@@ -332,7 +334,8 @@ def count_ideals(poset: Poset, max_count=None) -> int:
 
     Twins, elements with the same nonempty generating-successor set S,
     share one bit of the state that holds the conjunction of their
-    memberships.  This is exact:
+    memberships, found by their successor tuple: ints hash modulo 2^61 - 1,
+    so as keys a chain's rows 2^(i+1) would share 61 buckets.  This is exact:
 
     * every later element that needs one twin lies in S, so it needs all
       of them, and only the conjunction decides whether it may join;
@@ -349,9 +352,21 @@ def count_ideals(poset: Poset, max_count=None) -> int:
     the total provably exceeds it, like :func:`iter_ideal_masks`.  The same
     bound caps the live states, since each stands for at least one ideal.
     """
-    succ = poset.gen_masks
-    pred = poset.pred_masks
-    order, isolated = _generating_extension(succ, pred)
+    succ = []
+    pred = [[] for _ in poset.gen_masks]
+    ascending = True
+    for v, row in enumerate(poset.gen_masks):
+        out = []
+        while row:
+            low = row & -row
+            row ^= low
+            w = low.bit_length() - 1
+            out.append(w)
+            pred[w].append(v)
+        if out and out[0] < v:
+            ascending = False
+        succ.append(tuple(out))
+    order, isolated = _generating_extension(succ, pred, ascending)
     total = 1 << isolated
     if max_count is not None and total > max_count:
         raise SizeBoundExceeded(max_count, "order ideal count")
@@ -406,33 +421,47 @@ def _cover_masks(poset):
     return lower, upper
 
 
-def _generating_extension(succ, pred):
+def _generating_extension(succ, pred, ascending):
     """The linear extension that lists each connected component of the
     generating edges in turn, smallest-index ready element first, and the
-    number of isolated points it leaves out."""
+    number of isolated points it leaves out.  ``succ`` and ``pred`` list
+    each element's generating successors and predecessors; ``ascending``
+    says that every generating edge enters a larger index.
+
+    One walk over the lists finds the components, in order of their least
+    member.  When every edge ascends, a component's extension is its
+    members in ascending index, with no heap: say the first j - 1 members
+    c_1 < ... < c_{j-1} are listed.  Every predecessor of c_j is a smaller
+    member of its component, so c_j is ready, and every unlisted member is
+    at least c_j, so c_j is the smallest ready one.
+    """
     order = []
     isolated = 0
-    seen = 0
+    seen = [False] * len(succ)
+    pending = None if ascending else [len(row) for row in pred]
     for start in range(len(succ)):
-        if seen >> start & 1:
+        if seen[start]:
             continue
-        if not succ[start] | pred[start]:
+        if not (succ[start] or pred[start]):
             isolated += 1
             continue
-        comp = todo = 1 << start
-        while todo:
-            reach = 0
-            for v in bits(todo):
-                reach |= succ[v] | pred[v]
-            todo = reach & ~comp
-            comp |= todo
-        seen |= comp
-        pending = {v: pred[v].bit_count() for v in bits(comp)}
-        ready = [v for v, k in pending.items() if not k]  # ascending: a heap
+        seen[start] = True
+        comp = [start]
+        for v in comp:
+            for row in (succ[v], pred[v]):
+                for w in row:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+        comp.sort()
+        if ascending:
+            order += comp
+            continue
+        ready = [v for v in comp if not pending[v]]  # ascending: a heap
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in bits(succ[v]):
+            for w in succ[v]:
                 pending[w] -= 1
                 if not pending[w]:
                     heapq.heappush(ready, w)
@@ -442,26 +471,23 @@ def _generating_extension(succ, pred):
 def _count_along(order, succ, pred, limit, max_count):
     """Ideals of the listed elements by the frontier DP of
     :func:`count_ideals`, one state bit per twin class, reused once the
-    class retires."""
-    slot = {}  # generating-successor mask -> the state bit of its twins
+    class retires: when ``left[u]``, u's successors still to come, reaches
+    0, which is at one step for all twins, read once."""
+    slot = {}  # ascending generating successors -> the state bit of their twins
     bit_of = [0] * len(succ)
+    left = [len(row) for row in succ]
     free = []
     width = 0
-    done = 0
     states = {0: 1}
     for v in order:
-        done |= 1 << v
         need = retire = 0
-        rest = pred[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
+        for u in pred[v]:
+            left[u] -= 1
             b = bit_of[u]
             if need & b:
                 continue  # a twin of a predecessor already read
             need |= b
-            if not succ[u] & ~done:
+            if not left[u]:
                 retire |= b
                 heapq.heappush(free, b.bit_length() - 1)
         row = succ[v]

@@ -30,7 +30,7 @@ from dualfix import (
     iter_ideal_masks,
 )
 from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
-from dualfix.fixpoint import _canonical_classes
+from dualfix.fixpoint import _index_classes
 from dualfix.lattice import FiniteLattice, _irreducibles
 from dualfix.poset import _generated_poset
 
@@ -340,6 +340,116 @@ def _count_component(order, lower, upper, limit, max_count):
     return sum(states.values())
 
 
+def mask_count_ideals(poset, max_count=None):
+    """The ideal count by the frontier DP of ``count_ideals`` as it ran on
+    bitmasks: the extension's components closed as masks, an n-bit mask of
+    processed elements, and twins keyed by their successor mask.  The
+    differential oracle for the count on index lists."""
+    succ = poset.gen_masks
+    pred = poset.pred_masks
+    order, isolated = mask_generating_extension(succ, pred)
+    total = 1 << isolated
+    if max_count is not None and total > max_count:
+        raise SizeBoundExceeded(max_count, "order ideal count")
+    limit = None if max_count is None else max_count // total
+    return total * mask_count_along(order, succ, pred, limit, max_count)
+
+
+def mask_generating_extension(succ, pred):
+    """The linear extension that lists each connected component of the
+    generating edges in turn, smallest-index ready element first, and the
+    number of isolated points it leaves out."""
+    order = []
+    isolated = 0
+    seen = 0
+    for start in range(len(succ)):
+        if seen >> start & 1:
+            continue
+        if not succ[start] | pred[start]:
+            isolated += 1
+            continue
+        comp = todo = 1 << start
+        while todo:
+            reach = 0
+            for v in bits(todo):
+                reach |= succ[v] | pred[v]
+            todo = reach & ~comp
+            comp |= todo
+        seen |= comp
+        pending = {v: pred[v].bit_count() for v in bits(comp)}
+        ready = [v for v, k in pending.items() if not k]  # ascending: a heap
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in bits(succ[v]):
+                pending[w] -= 1
+                if not pending[w]:
+                    heapq.heappush(ready, w)
+    return order, isolated
+
+
+def mask_count_along(order, succ, pred, limit, max_count):
+    """Ideals of the listed elements by the frontier DP of
+    :func:`mask_count_ideals`, one state bit per twin class, reused once the
+    class retires."""
+    slot = {}  # generating-successor mask -> the state bit of its twins
+    bit_of = [0] * len(succ)
+    free = []
+    width = 0
+    done = 0
+    states = {0: 1}
+    for v in order:
+        done |= 1 << v
+        need = retire = 0
+        rest = pred[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            b = bit_of[u]
+            if need & b:
+                continue  # a twin of a predecessor already read
+            need |= b
+            if not succ[u] & ~done:
+                retire |= b
+                heapq.heappush(free, b.bit_length() - 1)
+        row = succ[v]
+        twin = 0
+        fresh = 0
+        if row:
+            b = slot.get(row)
+            if b is None:
+                if free:
+                    b = 1 << heapq.heappop(free)
+                else:
+                    b = 1 << width
+                    width += 1
+                slot[row] = fresh = b
+            else:
+                twin = b
+            bit_of[v] = b
+        if retire or twin:
+            keep = ~retire
+            out_keep = keep & ~twin
+            grown = {}
+            get = grown.get
+            for s, c in states.items():
+                t = s & out_keep
+                grown[t] = get(t, 0) + c
+                if s & need == need:
+                    t = s & keep | fresh
+                    grown[t] = get(t, 0) + c
+        else:  # every state keeps its key when v stays out
+            grown = dict(states)
+            for s, c in states.items():
+                if s & need == need:
+                    grown[s | fresh] = c if fresh else c + c
+        if limit is not None and sum(grown.values()) > limit:
+            raise SizeBoundExceeded(max_count, "order ideal count")
+        states = grown
+    return sum(states.values())
+
+
 def brute_closure_pairs(elements, pairs):
     """Reflexive-transitive closure by naive expansion over pair sets."""
     rel = {(x, x) for x in elements} | {tuple(p) for p in pairs}
@@ -553,12 +663,14 @@ def closure_coequalizer(phi):
                 if comp_of[w] != ci:
                     r |= reach[comp_of[w]]
         reach[ci] = r
-    names, member_masks, class_idx, classes = _canonical_classes(base, [sorted(c) for c in comps])
+    groups = sorted(sorted(c) for c in comps)
+    class_idx, member_masks = _index_classes(groups, n)
     canon = [class_idx[comp[0]] for comp in comps]
     up = [0] * len(comps)
     for e, r in enumerate(reach):
         up[canon[e]] = sum(1 << canon[e2] for e2 in bits(r))
-    return QuotientPoset(base, classes, closed_poset(names, up), member_masks, class_idx)
+    least = [base.elements[group[0]] for group in groups]
+    return QuotientPoset(base, groups, member_masks, class_idx, closed_poset(least, up))
 
 
 class UnionFind:
@@ -599,8 +711,10 @@ def union_find_components(phi):
     uf = UnionFind(n)
     for i in range(n):
         uf.union(i, phi.image[i])
-    names, member_masks, class_idx, classes = _canonical_classes(base, list(uf.groups().values()))
-    m = len(names)
+    groups = sorted(uf.groups().values())
+    class_idx, member_masks = _index_classes(groups, n)
+    names = [f"[{base.elements[group[0]]}]" for group in groups]
+    m = len(groups)
     cadj = [0] * m
     for i in range(n):
         row = 0
@@ -610,11 +724,11 @@ def union_find_components(phi):
     comps = tarjan_scc(cadj)
     for comp in comps:
         if len(comp) > 1:
-            a, b = sorted(comp)[:2]
-            raise QuotientNotAntisymmetric(names[a], names[b])
+            a, b = sorted(names[c] for c in comp)[:2]
+            raise QuotientNotAntisymmetric(a, b)
     gen = [row & ~(1 << c) for c, row in enumerate(cadj)]
-    class_poset = _generated_poset(names, gen, [c[0] for c in comps])
-    return QuotientPoset(base, classes, class_poset, member_masks, class_idx)
+    graph = _generated_poset([base.elements[group[0]] for group in groups], gen, [c[0] for c in comps])
+    return QuotientPoset(base, groups, member_masks, class_idx, graph)
 
 
 def brute_components_witness(phi):

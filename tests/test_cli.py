@@ -515,6 +515,60 @@ class TestClassNamesSortUnlikeIdentifiers:
         assert run(capsys, "fixpoints", *args, "--list") == (0, '"b"\n"x1"\n"x10"\n', "")
 
 
+class TestCountNamesNoClass:
+    # A count reads the quotient's unnamed class graph.  With the naming
+    # step made to raise, every fixpoints --count of the golden record still
+    # gives its recorded result, on both sides; --quotient, --list and dot
+    # name the classes, in name order also where it is not the order of the
+    # least members.
+
+    @staticmethod
+    def _refuse_naming(monkeypatch):
+        def refuse(self):
+            raise AssertionError("a count named the quotient's classes")
+
+        monkeypatch.setattr(dualfix.fixpoint.QuotientPoset, "_naming", refuse)
+
+    def test_golden_counts_name_nothing(self, monkeypatch, tmp_path):
+        from test_golden import GOLDEN, run_case
+
+        record = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        counts = [case for case in record if case["argv"][0] == "fixpoints" and "--count" in case["argv"]]
+        assert {"--poset" in case["argv"] for case in counts} == {True, False}
+        self._refuse_naming(monkeypatch)
+        for case in counts:
+            assert run_case(case, tmp_path) == {key: case[key] for key in ("exit", "stdout", "stderr", "written")}, case["name"]
+
+    def test_names_against_the_least_members(self, capsys, monkeypatch, write_json):
+        odd = TestClassNamesSortUnlikeIdentifiers
+        poset_side = ["--poset", write_json("p.json", odd.ODD), "--map", write_json("m.json", odd.IDENTITY)]
+        explicit = [
+            "--lattice", write_json("l.json", odd.CHAIN),
+            "--hom", write_json("h.json", {"map": {"b": "b", "x1": "x1", "x10": "x10"}}),
+        ]
+        with monkeypatch.context() as patch:
+            self._refuse_naming(patch)
+            assert run(capsys, "fixpoints", *poset_side, "--count") == (0, "6\n", "")
+            assert run(capsys, "fixpoints", *explicit, "--count") == (0, "3\n", "")
+            assert run(capsys, "bench", "--shape", "chain", "--n", "12", "--map-kind", "identity")[0] == 0
+        assert run(capsys, "fixpoints", *poset_side, "--quotient") == (
+            0, '{"classes":{"[c10]":["c10"],"[c1]":["c1"],"[c2]":["c2"]},"leq":[["[c1]","[c2]"]]}\n', ""
+        )
+        assert run(capsys, "fixpoints", *poset_side, "--list") == (
+            0, '[]\n["c10"]\n["c1"]\n["c1","c10"]\n["c1","c2"]\n["c1","c10","c2"]\n', ""
+        )
+        clusters = "".join(
+            f'  subgraph cluster_{i} {{\n    label="[{x}]";\n    "{x}";\n  }}\n' for i, x in enumerate(["c10", "c1", "c2"])
+        )
+        dot = "digraph {\n  rankdir=BT;\n  compound=true;\n" + clusters
+        dot += '  "c1" -> "c2" [ltail=cluster_1, lhead=cluster_2];\n}\n'
+        assert run(capsys, "dot", "quotient", poset_side[3], "--poset", poset_side[1]) == (0, dot, "")
+        assert run(capsys, "fixpoints", *explicit, "--quotient") == (
+            0, '{"classes":{"[x10]":["x10"],"[x1]":["x1"]},"leq":[["[x1]","[x10]"]]}\n', ""
+        )
+        assert run(capsys, "fixpoints", *explicit, "--list") == (0, '"b"\n"x1"\n"x10"\n', "")
+
+
 class TestQuotientWriter:
     # fixpoints --quotient joins its answer from names encoded once, and
     # must give the bytes of _dumps(quotient_to_obj(q))
@@ -1059,6 +1113,12 @@ class TestPlumbing:
             capsys, "bench", "--shape", "chain", "--n", "3", "--map-kind", "identity", "--count-cap", "0"
         )
         assert (code, out, err) == (1, "", "error: argument --count-cap: must be positive\n")
+
+    @pytest.mark.parametrize("token", [Path("p.json"), 3, None, b"p.json"])
+    def test_a_non_string_token_is_a_usage_error(self, capsys, token):
+        code, out, err = run(capsys, "validate", "poset", token)
+        name = type(token).__name__
+        assert (code, out, err) == (1, "", f"error: argument tokens must be strings, got {name} {token!r}\n")
 
     @pytest.mark.parametrize(
         "argv, flag",

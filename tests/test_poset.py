@@ -43,6 +43,8 @@ from helpers import (
     grid_shape,
     labeled_posets,
     layered_shape,
+    mask_count_ideals,
+    mask_generating_extension,
     lex_key_ideal_masks,
     noniso_posets,
     noniso_posets_upto,
@@ -426,6 +428,86 @@ class TestCountIdeals:
         assert count_ideals(grid) == comb(rows + cols, rows)
         with pytest.raises(SizeBoundExceeded):
             count_ideals(grid, max_count=2**20)
+
+
+def _renamed(p, rng):
+    """p under shuffled and reversed identifiers, and its order dual, built
+    from its generating edges."""
+    edges = [(p.elements[v], p.elements[w]) for v, row in enumerate(p.gen_masks) for w in bits(row)]
+    shuffled = list(p.elements)
+    rng.shuffle(shuffled)
+    for names in (shuffled, p.elements[::-1]):
+        rename = dict(zip(p.elements, names))
+        yield build_poset(names, [(rename[x], rename[y]) for x, y in edges])
+    yield build_poset(p.elements, [(y, x) for x, y in edges])
+
+
+def _interleaved_posets(seed):
+    """Unions of two to four random posets whose identifiers interleave, so
+    that no component is a run of consecutive indices, with edges that all
+    ascend and with edges against the identifiers."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        parts = [random_poset(rng, rng.randrange(2, 7)) for _ in range(rng.randrange(2, 5))]
+        k = len(parts)
+        elements, edges = [], []
+        for i, part in enumerate(parts):
+            name = [f"x{j * k + i:03d}" for j in range(len(part))]
+            elements += name
+            edges += [(name[v], name[w]) for v in range(len(part)) for w in bits(part.up_masks[v]) if v < w]
+        yield build_poset(elements, edges)
+        yield build_poset(elements, [(y, x) for x, y in edges])
+
+
+class TestCountOnIndexLists:
+    # count_ideals on index lists against the mask walk it replaced, kept in
+    # helpers: the same linear extension, hence the same DP states, and the
+    # same count and cap behaviour.
+
+    @staticmethod
+    def _posets():
+        rng = random.Random(67)
+        yield from noniso_posets_upto(5)
+        for p in _random_posets(71, 150, 10):
+            yield p
+            yield from _renamed(p, rng)
+        yield from _twin_heavy_posets(73)
+        yield from _interleaved_posets(79)
+
+    @staticmethod
+    def _outcome(count, p, cap):
+        try:
+            return count(p, max_count=cap)
+        except SizeBoundExceeded:
+            return None
+
+    def test_extension_and_count_match_the_mask_walk(self, monkeypatch):
+        extensions = []
+
+        def recorded(*args):
+            extensions.append(extension(*args))
+            return extensions[-1]
+
+        extension = dualfix.poset._generating_extension
+        monkeypatch.setattr(dualfix.poset, "_generating_extension", recorded)
+        seen = {"ascending": 0, "descending": 0, "interleaved": 0}
+        for p in self._posets():
+            want = mask_generating_extension(p.gen_masks, p.pred_masks)
+            succ = [tuple(bits(row)) for row in p.gen_masks]
+            pred = [list(bits(row)) for row in p.pred_masks]
+            ascending = all(w > v for v, row in enumerate(succ) for w in row)
+            assert extension(succ, pred, ascending) == want
+            del extensions[:]
+            total = mask_count_ideals(p)
+            assert count_ideals(p) == total
+            assert extensions == [want]
+            for cap in (total - 1, total, total + 1):
+                if cap >= 1:
+                    got = self._outcome(count_ideals, p, cap)
+                    assert got == self._outcome(mask_count_ideals, p, cap) == (total if total <= cap else None)
+            seen["ascending" if ascending else "descending"] += any(succ)
+            seen["interleaved"] += ascending and want[0] != sorted(want[0])
+        assert min(seen.values()) > 20, seen
 
 
 class TestOrderIdeal:
