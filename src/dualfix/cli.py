@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from . import fixpoint as fixpoint_mod
-from .bitgraph import select
+from .bitgraph import bits, select
 from .duality import dual_map, hom_from_dual
 from .errors import InvalidInput, NotMonotone, QuotientNotAntisymmetric, SizeBoundExceeded
 from .jsonio import (
@@ -355,7 +355,7 @@ def cmd_fixpoints(cfg, out) -> int:
             # irreducibles in its classes: the union of their ideals, which
             # the walk gathers per class.
             lat = hom.domain
-            for _, _, union in _ideal_walk(quo.class_poset, rows=fixpoint_mod._class_rows(lat, quo)):
+            for _, _, union in _ideal_walk(quo._naming()[2], rows=fixpoint_mod._class_rows(lat, quo)):
                 out.write(encode_basestring_ascii(lat.elements[lat.ideal_index(union)]) + "\n")
         elif cfg.mode == "count":
             print(count_ideals(quo.graph), file=out)
@@ -368,16 +368,16 @@ def _quotient_json(quo) -> str:
     """``_dumps(quotient_to_obj(quo))``, joined from names encoded
     once, as json.dumps encodes a string under ensure_ascii: the class
     names and their members, which partition the base, and the covers of
-    the class poset from its upper cover masks.  The class names are the
-    class poset's identifiers, so they come sorted, as sort_keys lists
-    them."""
-    names = list(map(encode_basestring_ascii, quo.class_poset.elements))
+    the class order from its upper cover masks.  The classes come in name
+    order, as sort_keys lists them."""
+    names, classes, order, _ = quo._naming()
+    names = list(map(encode_basestring_ascii, names))
     classes = ",".join([
         name + ":[" + ",".join(map(encode_basestring_ascii, members)) + "]"
-        for name, members in zip(names, quo.classes)
+        for name, members in zip(names, classes)
     ])
     leq = []
-    for lo, row in zip(names, _cover_masks(quo.class_poset)[1]):
+    for lo, row in zip(names, _cover_masks(order)[1]):
         while row:
             low = row & -row
             leq.append(f"[{lo},{names[low.bit_length() - 1]}]")
@@ -453,18 +453,17 @@ def _dot_map(phi) -> str:
 
 def _dot_quotient(quotient) -> str:
     lines = ["digraph {", "  rankdir=BT;", "  compound=true;"]
-    rep = {}
-    for ci, name in enumerate(quotient.class_poset.elements):
-        rep[name] = quotient.classes[ci][0]
+    names, classes, order, _ = quotient._naming()
+    for ci, (name, members) in enumerate(zip(names, classes)):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="{_esc(name)}";')
-        lines += [f'    "{_esc(x)}";' for x in quotient.classes[ci]]
+        lines += [f'    "{_esc(x)}";' for x in members]
         lines.append("  }")
-    cluster_of = {name: ci for ci, name in enumerate(quotient.class_poset.elements)}
-    for lo, hi in quotient.class_poset.covers():
-        lines.append(
-            f'  "{_esc(rep[lo])}" -> "{_esc(rep[hi])}" [ltail=cluster_{cluster_of[lo]}, lhead=cluster_{cluster_of[hi]}];'
-        )
+    for lo, row in enumerate(_cover_masks(order)[1]):
+        for hi in bits(row):
+            lines.append(
+                f'  "{_esc(classes[lo][0])}" -> "{_esc(classes[hi][0])}" [ltail=cluster_{lo}, lhead=cluster_{hi}];'
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -46,7 +46,7 @@ class QuotientPoset:
     exactly when class_leq([x], [y]).
     """
 
-    __slots__ = ("base", "groups", "_masks", "_class_idx", "graph", "_named")
+    __slots__ = ("base", "groups", "_masks", "_class_idx", "graph", "_named", "_class_poset")
 
     def __init__(self, base, groups, masks, class_idx, graph):
         self.base = base
@@ -54,27 +54,41 @@ class QuotientPoset:
         self._masks = masks
         self._class_idx = class_idx
         self.graph = graph
-        self._named = None
+        self._named = self._class_poset = None
 
     def _naming(self):
-        """(classes, class_poset, member_masks), permuted from the graph only
-        where names sort unlike least members: ``"[c10]" < "[c1]"``."""
+        """(names, classes, order, member_masks) in name order.  ``order``,
+        the class order a walk or the covers read, is the graph itself
+        unless names sort unlike least members (``"[c10]" < "[c1]"``), when
+        the graph is permuted, or the graph is the base, whose closed rows
+        the covers must not fill in; then it is the class poset."""
         if self._named is None:
-            groups, masks, gen, order = self.groups, self._masks, self.graph.gen_masks, self.graph.order
-            names = [f"[{x}]" for x in self.graph.elements]
-            if names != sorted(names):
+            groups, masks, graph = self.groups, self._masks, self.graph
+            names = [f"[{x}]" for x in graph.elements]
+            gen, listing = graph.gen_masks, graph.order
+            alike = names == sorted(names)
+            if not alike:
                 perm = sorted(range(len(names)), key=names.__getitem__)
                 rank = sorted(range(len(perm)), key=perm.__getitem__)
                 names, groups, masks = ([seq[c] for c in perm] for seq in (names, groups, masks))
                 gen = [mask_of(rank[d] for d in bits(gen[c])) for c in perm]
-                order = [rank[c] for c in order]
+                listing = [rank[c] for c in listing]
+            order = graph
+            if not alike or graph is self.base:
+                order = self._class_poset = _generated_poset(names, gen, listing)
             classes = tuple(tuple(map(self.base.elements.__getitem__, group)) for group in groups)
-            self._named = classes, _generated_poset(names, gen, order), tuple(masks)
+            self._named = names, classes, order, tuple(masks)
         return self._named
 
-    classes = property(lambda self: self._naming()[0])
-    class_poset = property(lambda self: self._naming()[1])
-    member_masks = property(lambda self: self._naming()[2])
+    @property
+    def class_poset(self):
+        names, _, order, _ = self._naming()
+        if self._class_poset is None:
+            self._class_poset = _generated_poset(names, order.gen_masks, order.order)
+        return self._class_poset
+
+    classes = property(lambda self: self._naming()[1])
+    member_masks = property(lambda self: self._naming()[3])
 
     def __len__(self):
         return len(self.groups)
@@ -259,7 +273,8 @@ class FixpointLattice:
 
     def iter_members(self):
         base = self.quotient.base
-        for _, _, union in _ideal_walk(self.quotient.class_poset, rows=self.quotient.member_masks):
+        _, _, order, masks = self.quotient._naming()
+        for _, _, union in _ideal_walk(order, rows=masks):
             yield OrderIdeal(base, union)
 
     def count(self, max_count=None) -> int:

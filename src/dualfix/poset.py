@@ -354,7 +354,6 @@ def count_ideals(poset: Poset, max_count=None) -> int:
     """
     succ = []
     pred = [[] for _ in poset.gen_masks]
-    ascending = True
     for v, row in enumerate(poset.gen_masks):
         out = []
         while row:
@@ -363,10 +362,8 @@ def count_ideals(poset: Poset, max_count=None) -> int:
             w = low.bit_length() - 1
             out.append(w)
             pred[w].append(v)
-        if out and out[0] < v:
-            ascending = False
         succ.append(tuple(out))
-    order, isolated = _generating_extension(succ, pred, ascending)
+    order, isolated = _generating_extension(succ, pred)
     total = 1 << isolated
     if max_count is not None and total > max_count:
         raise SizeBoundExceeded(max_count, "order ideal count")
@@ -421,24 +418,16 @@ def _cover_masks(poset):
     return lower, upper
 
 
-def _generating_extension(succ, pred, ascending):
+def _generating_extension(succ, pred):
     """The linear extension that lists each connected component of the
     generating edges in turn, smallest-index ready element first, and the
     number of isolated points it leaves out.  ``succ`` and ``pred`` list
-    each element's generating successors and predecessors; ``ascending``
-    says that every generating edge enters a larger index.
-
-    One walk over the lists finds the components, in order of their least
-    member.  When every edge ascends, a component's extension is its
-    members in ascending index, with no heap: say the first j - 1 members
-    c_1 < ... < c_{j-1} are listed.  Every predecessor of c_j is a smaller
-    member of its component, so c_j is ready, and every unlisted member is
-    at least c_j, so c_j is the smallest ready one.
-    """
+    each element's generating successors and predecessors; one walk over
+    them finds the components, in order of their least member."""
     order = []
     isolated = 0
     seen = [False] * len(succ)
-    pending = None if ascending else [len(row) for row in pred]
+    pending = [len(row) for row in pred]
     for start in range(len(succ)):
         if seen[start]:
             continue
@@ -454,9 +443,6 @@ def _generating_extension(succ, pred, ascending):
                         seen[w] = True
                         comp.append(w)
         comp.sort()
-        if ascending:
-            order += comp
-            continue
         ready = [v for v in comp if not pending[v]]  # ascending: a heap
         while ready:
             v = heapq.heappop(ready)

@@ -568,6 +568,34 @@ class TestCountNamesNoClass:
         )
         assert run(capsys, "fixpoints", *explicit, "--list") == (0, '"b"\n"x1"\n"x10"\n', "")
 
+    def test_answers_on_a_collapsing_map_build_one_class_poset(self, capsys, monkeypatch, write_json):
+        # Names that sort like the least members let --quotient, --list and
+        # dot walk the quotient's graph, so only the graph is built.
+        built = []
+
+        def recorded(*args):
+            built.append(generated(*args))
+            return built[-1]
+
+        generated = dualfix.fixpoint._generated_poset
+        monkeypatch.setattr(dualfix.fixpoint, "_generated_poset", recorded)
+        chain = {"elements": ["a", "b", "c", "d"], "leq": [["a", "b"], ["b", "c"], ["c", "d"]]}
+        collapse = {"map": {"a": "b", "b": "b", "c": "d", "d": "d"}}
+        poset_side = ["--poset", write_json("p.json", chain), "--map", write_json("m.json", collapse)]
+        lattice = {"elements": ["0", "m", "n", "1"], "leq": [["0", "m"], ["m", "n"], ["n", "1"]]}
+        hom = {"map": {"0": "0", "m": "n", "n": "n", "1": "1"}}
+        explicit = ["--lattice", write_json("l.json", lattice), "--hom", write_json("h.json", hom)]
+        for argv in (
+            ["fixpoints", *poset_side, "--quotient"],
+            ["fixpoints", *poset_side, "--list"],
+            ["dot", "quotient", poset_side[3], "--poset", poset_side[1]],
+            ["fixpoints", *explicit, "--quotient"],
+            ["fixpoints", *explicit, "--list"],
+        ):
+            built.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert len(built) == 1, argv
+
 
 class TestQuotientWriter:
     # fixpoints --quotient joins its answer from names encoded once, and
