@@ -6,7 +6,6 @@ from .errors import (
     AntisymmetryViolation,
     DuplicateElement,
     InvalidInput,
-    NoMinimum,
     NotALattice,
     NotAnIdealOfC,
     NotDistributive,
@@ -54,7 +53,6 @@ __all__ = [
     "InvalidInput",
     "LatticeHom",
     "MonotoneMap",
-    "NoMinimum",
     "NotALattice",
     "NotAnIdealOfC",
     "NotDistributive",

@@ -8,10 +8,8 @@ applies to any of them directly.
 
 from __future__ import annotations
 
-from .bitgraph import bits
-from .errors import NoMinimum
 from .lattice import LatticeHom, _irreducibles, ideal_lattice, is_homomorphism
-from .poset import MonotoneMap, is_monotone
+from .poset import MonotoneMap
 
 
 def dual_map(hom: LatticeHom) -> MonotoneMap:
@@ -19,49 +17,23 @@ def dual_map(hom: LatticeHom) -> MonotoneMap:
 
     With P and Q the ideal bases of the domain and codomain, f acts as a map
     O(P) -> O(Q); the dual phi sends each base point y of Q to the least x
-    in P with y in f(down-set of x).  A hom built by ``is_homomorphism``
-    carries phi as ``hom.dual``, read off while validating, and it is
-    returned as it is.  It is monotone with no check: f(down-set of x) =
-    phi^-1(down-set of x) is an ideal of Q, so if y <= y' then y is in
-    phi^-1(down-set of phi(y')), which means phi(y) <= phi(y').  Any other
-    hom runs the candidate loop over the bases' down-sets, which names the
-    first y without a least candidate by NoMinimum, and its result is
-    checked with :func:`~dualfix.poset.is_monotone`.
+    in P with y in f(down-set of x).  Every hom carries phi as ``hom.dual``:
+    ``is_homomorphism`` reads it off while validating, and it is monotone
+    with no check: f(down-set of x) = phi^-1(down-set of x) is an ideal of
+    Q, so if y <= y' then y is in phi^-1(down-set of phi(y')), which means
+    phi(y) <= phi(y').  The other homs carry theirs by the two functor
+    rules, as phi is the one map whose preimage map is f: the identity on L
+    is the preimage map of the identity on L's base, and g . f sends a to
+    phi_g^-1(phi_f^-1(a)), the preimage of a under phi_f . phi_g, which is
+    therefore the dual of g . f.
     """
-    if hom.dual is not None:
-        return hom.dual
-    dom, cod = hom.domain, hom.codomain
-    p, q = dom.ideal_base, cod.ideal_base
-    # f(down-set of x) for each x in P, as member masks over Q.
-    images = [cod.element_masks[hom.image[dom.ideal_index(down)]] for down in p.down_masks]
-    least = _least_candidates(images, p, q)
-    return is_monotone({q.elements[y]: p.elements[x] for y, x in enumerate(least)}, q, p)
-
-
-def _least_candidates(images, p, q):
-    """Per y of Q the least x of P with y in images[x], in identifier order;
-    NoMinimum at the first y without one."""
-    up = p.up_masks
-    least = []
-    for y in range(len(q)):
-        candidates = 0
-        for x in range(len(p)):
-            if images[x] >> y & 1:
-                candidates |= 1 << x
-        for x in bits(candidates):
-            if candidates & ~up[x] == 0:
-                least.append(x)
-                break
-        else:
-            raise NoMinimum(q.elements[y])
-    return least
+    return hom.dual
 
 
 def _dual_on_irreducibles(hom: LatticeHom) -> MonotoneMap:
     """The dual of an endomorphism as a self-map of the join-irreducibles
     of its domain, named as lattice elements: base point x of the Birkhoff
-    representation becomes the element whose ideal is the down-set of x.
-    The dual is the one ``is_homomorphism`` stored, when it did."""
+    representation becomes the element whose ideal is the down-set of x."""
     phi = dual_map(hom)
     irr, pos = _irreducibles(hom.domain)
     image = [0] * len(irr)

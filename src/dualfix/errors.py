@@ -75,15 +75,6 @@ class NotHom(InvalidInput):
         super().__init__(f"{law} law violated at {witness}", law=law, witness=list(witness))
 
 
-class NoMinimum(InvalidInput):
-    """The candidate set for a dual-map value has no unique least element."""
-
-    code = "NoMinimum"
-
-    def __init__(self, y):
-        super().__init__(f"no least preimage point for {y!r}", witness=[y])
-
-
 class QuotientNotAntisymmetric(InvalidInput):
     """The induced class relation has a 2-cycle between distinct classes."""
 

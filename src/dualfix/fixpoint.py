@@ -296,10 +296,10 @@ def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:
 def hom_quotient(hom: LatticeHom) -> QuotientPoset:
     """Quotient for an explicit endomorphism: dualize, then quotient.
 
-    The dual is the one ``is_homomorphism`` stored, when it did.  The
-    quotient is over the join-irreducibles of the domain, named as
-    lattice elements: base point x of the Birkhoff representation becomes
-    the element whose ideal is the down-set of x.
+    The dual is the one the hom carries.  The quotient is over the
+    join-irreducibles of the domain, named as lattice elements: base point
+    x of the Birkhoff representation becomes the element whose ideal is the
+    down-set of x.
     """
     return coequalizer_general(_dual_on_irreducibles(hom))
 

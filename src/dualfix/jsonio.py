@@ -28,7 +28,10 @@ def load_obj(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # too long to convert; a document nested too deep raises
+        # RecursionError, a RuntimeError that main would report as internal
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -453,23 +453,30 @@ class LatticeHom(_TableMap):
 
     Build through :func:`is_homomorphism`, which stores the dual map it
     reads off on the way as ``dual``, a MonotoneMap between the ideal
-    bases; ``unchecked`` is the validation bypass for oracle harnesses that
-    iterate deliberately non-preserving maps, and it, ``identity`` and
-    ``after`` store no dual.  Lattices are unhashable, and so are their
-    homomorphisms.
+    bases; ``identity`` and ``after`` carry theirs by functoriality.
+    Lattices are unhashable, and so are their homomorphisms.
     """
 
     __slots__ = ("dual",)
 
-    def __init__(self, domain, codomain, image, dual=None):
+    def __init__(self, domain, codomain, image, dual):
         super().__init__(domain, codomain, image)
         self.dual = dual
 
     __hash__ = None
 
     @classmethod
-    def unchecked(cls, table, domain, codomain):
-        return cls(domain, codomain, _total_image(table, domain.order, codomain.order))
+    def identity(cls, lat):
+        return cls(lat, lat, range(len(lat)), MonotoneMap.identity(lat.ideal_base))
+
+    def after(self, other):
+        """Composition self . other, whose dual is other.dual . self.dual.
+        Middle lattices equal as orders but built on different bases raise
+        ValueError, as mismatched ones do."""
+        if other.codomain != self.domain:
+            raise ValueError("composition domains do not match")
+        dual = other.dual.after(self.dual)
+        return LatticeHom(other.domain, self.codomain, (self.image[i] for i in other.image), dual)
 
 
 def is_homomorphism(table, domain: FiniteLattice, codomain: FiniteLattice) -> LatticeHom:

@@ -531,10 +531,6 @@ class _TableMap:
     def identity(cls, carrier):
         return cls(carrier, carrier, range(len(carrier)))
 
-    @classmethod
-    def unchecked(cls, table, domain, codomain):
-        return cls(domain, codomain, _total_image(table, domain, codomain))
-
     @property
     def table(self) -> dict:
         return {x: self.codomain.elements[self.image[i]] for i, x in enumerate(self.domain.elements)}
@@ -568,11 +564,8 @@ class _TableMap:
 
 
 class MonotoneMap(_TableMap):
-    """A total order-preserving map between posets.
-
-    Build through :func:`is_monotone`; ``unchecked`` skips only the order
-    check and exists for oracle harnesses that need deliberately broken maps.
-    """
+    """A total order-preserving map between posets; build through
+    :func:`is_monotone`."""
 
     __slots__ = ()
 

@@ -14,9 +14,10 @@ from operator import or_
 from dualfix import (
     AntisymmetryViolation,
     DuplicateElement,
+    InvalidInput,
+    LatticeHom,
     MonotoneMap,
     NotALattice,
-    NoMinimum,
     NotDistributive,
     OrderIdeal,
     Poset,
@@ -32,7 +33,7 @@ from dualfix import (
 from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
 from dualfix.fixpoint import _index_classes
 from dualfix.lattice import FiniteLattice, _irreducibles
-from dualfix.poset import _generated_poset
+from dualfix.poset import _generated_poset, _total_image
 
 LETTERS = "abcdefgh"
 
@@ -526,6 +527,23 @@ def brute_dual_table(hom):
         assert len(least) == 1, f"no unique minimum for {y}: {candidates}"
         table[y] = least[0]
     return table
+
+
+def unchecked(cls, table, domain, codomain):
+    """A MonotoneMap or LatticeHom on a table, with no check of its laws,
+    for deliberately broken maps; such a LatticeHom carries no dual."""
+    if cls is LatticeHom:
+        return cls(domain, codomain, _total_image(table, domain.order, codomain.order), None)
+    return cls(domain, codomain, _total_image(table, domain, codomain))
+
+
+class NoMinimum(InvalidInput):
+    """The candidate set for a dual-map value has no unique least element."""
+
+    code = "NoMinimum"
+
+    def __init__(self, y):
+        super().__init__(f"no least preimage point for {y!r}", witness=[y])
 
 
 def candidate_dual_map(hom):

@@ -111,6 +111,32 @@ class TestValidate:
         assert "poset" in err
 
 
+class TestMalformedInput:
+    """A file nested too deep to decode, not UTF-8, or holding an integer
+    too long to convert is a usage error that names the file, whichever
+    input it is."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param(b"[" * 100_000, "maximum recursion depth exceeded", id="deep"),
+            pytest.param(b'{"elements": ["\xff"]}', "can't decode byte 0xff", id="not-utf8"),
+            pytest.param(
+                b"[" + b"1" * 5000 + b"]", "Exceeds the limit", id="long-integer",
+                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"),
+            ),
+        ],
+    )
+    def test_is_a_parse_error_naming_the_file(self, capsys, write_json, tmp_path, body, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        poset = write_json("p.json", TWO_CHAIN)
+        for argv in (["validate", "poset", str(bad)], ["fixpoints", "--count", "--poset", poset, "--map", str(bad)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {bad}: ") and message in err
+
+
 class TestValidateAtTheLatticeCap:
     def test_boolean_lattice_of_4096_elements(self, capsys, write_json):
         # 2^12, the default element cap: a cubic check would take hours

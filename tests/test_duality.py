@@ -6,7 +6,6 @@ import pytest
 from dualfix import (
     LatticeHom,
     MonotoneMap,
-    NoMinimum,
     NotALattice,
     NotDistributive,
     NotHom,
@@ -22,6 +21,7 @@ from dualfix import (
 )
 from dualfix.lattice import _least_by_differences
 from helpers import (
+    NoMinimum,
     birkhoff_eta,
     brute_dual_table,
     candidate_dual_map,
@@ -31,6 +31,7 @@ from helpers import (
     random_monotone_between,
     random_poset,
     renamed_shape,
+    unchecked,
 )
 
 
@@ -109,23 +110,23 @@ class TestDualMap:
         # not a homomorphism: a is in no principal-ideal image, so its
         # candidate set is empty
         lat = ideal_lattice(two_antichain)
-        fake = LatticeHom.unchecked(
-            {"{}": "{}", "{a}": "{b}", "{b}": "{b}", "{a,b}": "{a,b}"}, lat, lat
-        )
+        table = {"{}": "{}", "{a}": "{b}", "{b}": "{b}", "{a,b}": "{a,b}"}
         with pytest.raises(NoMinimum) as exc:
-            dual_map(fake)
+            candidate_dual_map(unchecked(LatticeHom, table, lat, lat))
         assert exc.value.payload["witness"] == ["a"]
+        with pytest.raises(NotHom):
+            is_homomorphism(table, lat, lat)
 
     def test_tied_candidate_set_refused(self, two_antichain):
         # a is in both principal-ideal images, and the two candidates are
         # incomparable: no unique least, so the map is refused
         lat = ideal_lattice(two_antichain)
-        fake = LatticeHom.unchecked(
-            {"{}": "{}", "{a}": "{a}", "{b}": "{a}", "{a,b}": "{a,b}"}, lat, lat
-        )
+        table = {"{}": "{}", "{a}": "{a}", "{b}": "{a}", "{a,b}": "{a,b}"}
         with pytest.raises(NoMinimum) as exc:
-            dual_map(fake)
+            candidate_dual_map(unchecked(LatticeHom, table, lat, lat))
         assert exc.value.payload["witness"] == ["a"]
+        with pytest.raises(NotHom):
+            is_homomorphism(table, lat, lat)
 
 
 def _dual_outcome(dualize, hom):
@@ -166,10 +167,16 @@ class TestDualMapByDifferences:
                 table = random_monotone_between(rng, dom.order, cod.order).table
             else:
                 table = {x: rng.choice(cod.elements) for x in dom.elements}
-            hom = LatticeHom.unchecked(table, dom, cod)
-            got = _dual_outcome(dual_map, hom)
-            assert got == _dual_outcome(candidate_dual_map, hom)
-            refused += isinstance(got, tuple)
+            expected = _dual_outcome(candidate_dual_map, unchecked(LatticeHom, table, dom, cod))
+            try:
+                dual = is_homomorphism(table, dom, cod).dual
+            except NotHom:
+                # a table with a dual is a hom exactly when it is the
+                # preimage map of that dual
+                assert isinstance(expected, tuple) or hom_from_dual(expected, dom, cod).table != table
+            else:
+                assert dual == expected
+            refused += isinstance(expected, tuple)
         assert 0 < refused < 600
 
     def test_new_at_one_point_that_is_not_least(self):
@@ -181,9 +188,14 @@ class TestDualMapByDifferences:
         dom = ideal_lattice(base)
         cod = ideal_lattice(build_poset(["y"], []))
         table = {x: "{y}" if x in ("{s}", "{p,q}", "{p,q,r}") or x.count(",") >= 2 else "{}" for x in dom.elements}
-        hom = LatticeHom.unchecked(table, dom, cod)
+        hom = unchecked(LatticeHom, table, dom, cod)
         assert _dual_outcome(candidate_dual_map, hom) == (NoMinimum, NoMinimum("y").args)
-        assert _dual_outcome(dual_map, hom) == (NoMinimum, NoMinimum("y").args)
+        p, q = dom.ideal_base, cod.ideal_base
+        images = [cod.element_masks[hom.image[dom.ideal_index(d)]] for d in p.down_masks]
+        strict = [cod.element_masks[hom.image[dom.ideal_index(d ^ 1 << x)]] for x, d in enumerate(p.down_masks)]
+        assert _least_by_differences(images, strict, p, q) is None
+        with pytest.raises(NotHom):
+            is_homomorphism(table, dom, cod)
 
 
 def _bounded_lattices_upto(n):
@@ -196,6 +208,27 @@ def _bounded_lattices_upto(n):
         except (NotALattice, NotDistributive):
             pass
     return out
+
+
+def _homs_between(dom, cod):
+    """Every homomorphism dom -> cod, found by trying every table that keeps
+    bottom and top."""
+    inner = [i for i in range(len(dom)) if i not in (dom.bot_idx, dom.top_idx)]
+    for choice in product(range(len(cod)), repeat=len(inner)):
+        image = [cod.bot_idx] * len(dom)
+        image[dom.top_idx] = cod.top_idx
+        for i, c in zip(inner, choice):
+            image[i] = c
+        try:
+            yield is_homomorphism({x: cod.elements[c] for x, c in zip(dom.elements, image)}, dom, cod)
+        except NotHom:
+            pass
+
+
+def _renamed(base, rng, naming, prefix):
+    """The poset under :func:`fresh_names`."""
+    rename = fresh_names(base, rng, naming, prefix)
+    return build_poset(sorted(rename.values()), [(rename[x], rename[y]) for x, y in base.covers()])
 
 
 def _check_stored_dual(hom):
@@ -215,17 +248,7 @@ class TestStoredDual:
         checked = 0
         for dom in lattices:
             for cod in lattices:
-                inner = [i for i in range(len(dom)) if i not in (dom.bot_idx, dom.top_idx)]
-                for choice in product(range(len(cod)), repeat=len(inner)):
-                    image = [cod.bot_idx] * len(dom)
-                    image[dom.top_idx] = cod.top_idx
-                    for i, c in zip(inner, choice):
-                        image[i] = c
-                    table = {x: cod.elements[c] for x, c in zip(dom.elements, image)}
-                    try:
-                        hom = is_homomorphism(table, dom, cod)
-                    except NotHom:
-                        continue
+                for hom in _homs_between(dom, cod):
                     _check_stored_dual(hom)
                     checked += 1
         assert checked > 100
@@ -244,9 +267,8 @@ class TestStoredDual:
     def test_seeded_ideal_lattices_under_shuffled_and_reversed_names(self, naming):
         rng = random.Random(163)
         for _ in range(60):
-            p, q = random_poset(rng, rng.randrange(1, 7), prefix="p"), random_poset(rng, rng.randrange(0, 7), prefix="q")
-            p, q = (build_poset(sorted(rename.values()), [(rename[x], rename[y]) for x, y in base.covers()])
-                    for base, rename in ((p, fresh_names(p, rng, naming, "p")), (q, fresh_names(q, rng, naming, "q"))))
+            p = _renamed(random_poset(rng, rng.randrange(1, 7), prefix="p"), rng, naming, "p")
+            q = _renamed(random_poset(rng, rng.randrange(0, 7), prefix="q"), rng, naming, "q")
             lp, lq = ideal_lattice(p), ideal_lattice(q)
             for hom in (
                 hom_from_dual(random_monotone_between(rng, q, p), lp, lq),
@@ -256,7 +278,7 @@ class TestStoredDual:
                 dom, cod = lattice_from_order(hom.domain.order), lattice_from_order(hom.codomain.order)
                 _check_stored_dual(is_homomorphism(hom.table, dom, cod))
 
-    def test_identity_after_and_unchecked_store_none(self):
+    def test_identity_and_after_carry_the_functorial_dual(self):
         rng = random.Random(167)
         for _ in range(40):
             base = random_poset(rng, rng.randrange(0, 6))
@@ -264,10 +286,65 @@ class TestStoredDual:
             for lat in (ideals, lattice_from_order(ideals.order)):
                 f = is_homomorphism(hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals).table, lat, lat)
                 g = is_homomorphism(hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals).table, lat, lat)
-                for hom in (LatticeHom.identity(lat), g.after(f), LatticeHom.unchecked(f.table, lat, lat)):
-                    assert hom.dual is None
-                    assert dual_map(hom) == candidate_dual_map(hom)
-                assert dual_map(g.after(f)) == f.dual.after(g.dual)
+                for hom in (LatticeHom.identity(lat), g.after(f)):
+                    _check_stored_dual(hom)
+                assert LatticeHom.identity(lat).dual == MonotoneMap.identity(lat.ideal_base)
+                assert g.after(f).dual == f.dual.after(g.dual)
+                bypass = unchecked(LatticeHom, f.table, lat, lat)
+                assert bypass.dual is None and candidate_dual_map(bypass) == f.dual
+
+
+class TestFunctorialDual:
+    """Differential: the duals that identity and after compose against the
+    candidate loop on the same hom."""
+
+    @staticmethod
+    def _check(f, g):
+        for hom in (*map(LatticeHom.identity, (f.domain, f.codomain, g.codomain)), g.after(f)):
+            assert hom.dual == candidate_dual_map(hom)
+
+    def test_every_composable_pair_between_lattices_of_at_most_five_elements(self):
+        lattices = _bounded_lattices_upto(5)
+        n = len(lattices)
+        homs = {(a, b): list(_homs_between(lattices[a], lattices[b])) for a in range(n) for b in range(n)}
+        pairs = 0
+        for (a, b), fs in homs.items():
+            for c in range(n):
+                for f in fs:
+                    for g in homs[b, c]:
+                        self._check(f, g)
+                        pairs += 1
+        assert pairs > 20000
+
+    @pytest.mark.parametrize("naming", ["shuffled", "reversed"])
+    def test_seeded_ideal_lattices_under_shuffled_and_reversed_names(self, naming):
+        rng = random.Random(173)
+        for _ in range(40):
+            # p and q are the codomains of the base maps, so not empty
+            p = _renamed(random_poset(rng, rng.randrange(1, 6)), rng, naming, "p")
+            q = _renamed(random_poset(rng, rng.randrange(1, 6)), rng, naming, "q")
+            r = _renamed(random_poset(rng, rng.randrange(0, 6)), rng, naming, "r")
+            lp, lq, lr = ideal_lattice(p), ideal_lattice(q), ideal_lattice(r)
+            f = hom_from_dual(random_monotone_between(rng, q, p), lp, lq)
+            g = hom_from_dual(random_monotone_between(rng, r, q), lq, lr)
+            self._check(f, g)
+            # the same homs on the lattices read from the orders
+            dp, dq, dr = (lattice_from_order(lat.order) for lat in (lp, lq, lr))
+            self._check(is_homomorphism(f.table, dp, dq), is_homomorphism(g.table, dq, dr))
+
+    def test_after_refuses_two_representations_of_one_lattice(self):
+        rng = random.Random(179)
+        for _ in range(20):
+            base = random_poset(rng, rng.randrange(1, 6))
+            ideals = ideal_lattice(base)
+            lat = lattice_from_order(ideals.order)
+            f = hom_from_dual(random_monotone_between(rng, base, base), ideals, ideals)
+            g = is_homomorphism(f.table, lat, lat)
+            assert f.codomain == g.domain and f.codomain.ideal_base != g.domain.ideal_base
+            with pytest.raises(ValueError):
+                g.after(f)
+            with pytest.raises(ValueError):
+                f.after(g)
 
 
 class TestHomFromDual:

@@ -43,6 +43,7 @@ from helpers import (
     random_monotone_between,
     random_poset,
     union_find_components,
+    unchecked,
 )
 
 
@@ -79,7 +80,7 @@ class TestPhiComponents:
         # 2-cycle of the induced class relation.  No monotone map can do
         # this, so the bypass constructor is used.
         base = build_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        phi = MonotoneMap.unchecked({"a": "d", "d": "a", "b": "c", "c": "b"}, base, base)
+        phi = unchecked(MonotoneMap, {"a": "d", "d": "a", "b": "c", "c": "b"}, base, base)
         with pytest.raises(QuotientNotAntisymmetric) as exc:
             phi_components(phi)
         assert set(exc.value.payload["witness"]) == {"[a]", "[b]"}
@@ -96,7 +97,7 @@ class TestPhiComponents:
             [("b", "c"), ("d", "e"), ("w", "x"), ("y", "z"), ("a", "w")],
         )
         table = {"a": "a", "b": "e", "e": "b", "c": "d", "d": "c", "w": "z", "z": "w", "x": "y", "y": "x"}
-        phi = MonotoneMap.unchecked(table, base, base)
+        phi = unchecked(MonotoneMap, table, base, base)
         with pytest.raises(QuotientNotAntisymmetric) as exc:
             phi_components(phi)
         assert tuple(exc.value.payload["witness"]) == ("[b]", "[c]")
@@ -595,7 +596,7 @@ class TestKleeneIterate:
     def test_max_steps_exceeded(self, three_chain):
         lat = lattice_from_order(three_chain)
         # a monotone, non-homomorphic walk needs the bypass constructor
-        walk = LatticeHom.unchecked({"0": "m", "m": "1", "1": "1"}, lat, lat)
+        walk = unchecked(LatticeHom, {"0": "m", "m": "1", "1": "1"}, lat, lat)
         with pytest.raises(MaxStepsExceeded):
             kleene_iterate(walk, "0", max_steps=1)
         assert kleene_iterate(walk, "0", max_steps=2) == "1"
