@@ -143,12 +143,13 @@ def dag_reach(adj, order, rows=None):
 
     ``order`` must list every vertex after all vertices it reaches, as
     :func:`topo_order` returns it.  Given ``rows``, each vertex gets the
-    union of ``rows`` over all vertices it reaches instead.
+    union of ``rows`` over all vertices it reaches instead.  A self-loop
+    needs no masking: it only adds the vertex's own starting row again.
     """
     reach = [1 << v for v in range(len(adj))] if rows is None else list(rows)
     for v in order:
         r = reach[v]
-        rest = adj[v] & ~(1 << v)
+        rest = adj[v]
         while rest:
             low = rest & -rest
             r |= reach[low.bit_length() - 1]

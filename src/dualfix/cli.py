@@ -377,7 +377,7 @@ def _quotient_json(quo) -> str:
         for name, members in zip(names, classes)
     ])
     leq = []
-    for lo, row in zip(names, _cover_masks(order)[1]):
+    for lo, row in zip(names, _cover_masks(order)):
         while row:
             low = row & -row
             leq.append(f"[{lo},{names[low.bit_length() - 1]}]")
@@ -459,7 +459,7 @@ def _dot_quotient(quotient) -> str:
         lines.append(f'    label="{_esc(name)}";')
         lines += [f'    "{_esc(x)}";' for x in members]
         lines.append("  }")
-    for lo, row in enumerate(_cover_masks(order)[1]):
+    for lo, row in enumerate(_cover_masks(order)):
         for hi in bits(row):
             lines.append(
                 f'  "{_esc(classes[lo][0])}" -> "{_esc(classes[hi][0])}" [ltail=cluster_{lo}, lhead=cluster_{hi}];'

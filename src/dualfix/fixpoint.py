@@ -58,24 +58,19 @@ class QuotientPoset:
 
     def _naming(self):
         """(names, classes, order, member_masks) in name order.  ``order``,
-        the class order a walk or the covers read, is the graph itself
-        unless names sort unlike least members (``"[c10]" < "[c1]"``), when
-        the graph is permuted, or the graph is the base, whose closed rows
-        the covers must not fill in; then it is the class poset."""
+        the class order a walk or the covers read, is the graph itself, the
+        base too, on which the covers close nothing, unless names sort
+        unlike least members (``"[c10]" < "[c1]"``); then it is the class
+        poset, the graph permuted."""
         if self._named is None:
-            groups, masks, graph = self.groups, self._masks, self.graph
-            names = [f"[{x}]" for x in graph.elements]
-            gen, listing = graph.gen_masks, graph.order
-            alike = names == sorted(names)
-            if not alike:
+            groups, masks, order = self.groups, self._masks, self.graph
+            names = [f"[{x}]" for x in order.elements]
+            if names != sorted(names):
                 perm = sorted(range(len(names)), key=names.__getitem__)
                 rank = sorted(range(len(perm)), key=perm.__getitem__)
                 names, groups, masks = ([seq[c] for c in perm] for seq in (names, groups, masks))
-                gen = [mask_of(rank[d] for d in bits(gen[c])) for c in perm]
-                listing = [rank[c] for c in listing]
-            order = graph
-            if not alike or graph is self.base:
-                order = self._class_poset = _generated_poset(names, gen, listing)
+                gen = [mask_of(rank[d] for d in bits(order.gen_masks[c])) for c in perm]
+                order = self._class_poset = _generated_poset(names, gen, [rank[c] for c in order.order])
             classes = tuple(tuple(map(self.base.elements.__getitem__, group)) for group in groups)
             self._named = names, classes, order, tuple(masks)
         return self._named
@@ -259,8 +254,9 @@ class FixpointLattice:
 
     Members are the unions of quotient-ideal classes, streamed in the
     canonical ideal order of the quotient, each union carried along the
-    ideal walk; each one is re-checked to be down-closed in the base on
-    emission.  The member count equals the quotient's ideal count, so
+    ideal walk.  Each one is re-checked to be down-closed in the base on
+    emission, class by class (:func:`_class_guard`), and a failure raises
+    RuntimeError.  The member count equals the quotient's ideal count, so
     ``count`` takes it from the frontier DP of ``count_ideals`` and never
     builds the members.
     """
@@ -274,14 +270,37 @@ class FixpointLattice:
     def iter_members(self):
         base = self.quotient.base
         _, _, order, masks = self.quotient._naming()
-        for _, _, union in _ideal_walk(order, rows=masks):
-            yield OrderIdeal(base, union)
+        down_closed = _class_guard(base, masks)
+        for qmask, _, union in _ideal_walk(order, rows=masks):
+            if not down_closed(qmask, union):
+                raise RuntimeError(f"fix-point {list(base.ids_from(union))} is not down-closed in the base")
+            yield OrderIdeal._tested(base, union)
 
     def count(self, max_count=None) -> int:
         return count_ideals(self.quotient.graph, max_count)
 
     def __repr__(self):
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"
+
+
+def _class_guard(base: Poset, masks):
+    """``down_closed(qmask, union)`` for the union of the classes in
+    ``qmask``.  The classes' ``masks`` must partition the base, so the union
+    is down-closed (``Poset.is_down_closed``) exactly when no generating
+    edge leaving a class outside ``qmask`` enters it."""
+    if sum(m.bit_count() for m in masks) != len(base) or reduce(or_, masks, 0).bit_count() != len(base):
+        raise RuntimeError("the quotient's classes do not partition the base")
+    gen = base.gen_masks
+    leaving = []
+    for m in masks:
+        out = 0
+        while m:
+            low = m & -m
+            out |= gen[low.bit_length() - 1]
+            m ^= low
+        leaving.append(out)
+    full = (1 << len(masks)) - 1
+    return lambda qmask, union: not reduce(or_, select(leaving, full ^ qmask), 0) & union
 
 
 def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:

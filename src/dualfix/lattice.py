@@ -199,7 +199,8 @@ def _birkhoff(order: Poset):
     Birkhoff's isomorphism, so all three checks pass.
     """
     n = len(order)
-    lower, _ = _cover_masks(order)
+    lower = [0] * n
+    _cover_masks(order, lower)
     irr = [a for a in range(n) if lower[a].bit_count() == 1]
     rank = {j: k for k, j in enumerate(irr)}
     masks = [0] * n

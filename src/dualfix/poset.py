@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator
 
 from .bitgraph import bits, dag_reach, mask_of, select, tarjan_scc, topo_order, transpose_masks
 from .errors import (
@@ -130,8 +129,7 @@ class Poset:
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
-        upper = _cover_masks(self)[1]
-        return [(self.elements[i], self.elements[j]) for i in range(len(self)) for j in bits(upper[i])]
+        return [(self.elements[i], self.elements[j]) for i, row in enumerate(_cover_masks(self)) for j in bits(row)]
 
 
 def build_poset(elements, pairs) -> Poset:
@@ -196,7 +194,7 @@ class OrderIdeal:
     """A down-closed subset of a poset, stored as a member bitmask.
 
     Construction validates down-closure, so every live instance is a real
-    order ideal of its carrier.
+    order ideal of its carrier; :meth:`_tested` wraps a mask already tested.
     """
 
     __slots__ = ("carrier", "mask")
@@ -207,6 +205,12 @@ class OrderIdeal:
             raise ValueError(f"not down-closed: {list(carrier.ids_from(mask))}")
         self.carrier = carrier
         self.mask = mask
+
+    @classmethod
+    def _tested(cls, carrier: Poset, mask: int):
+        ideal = object.__new__(cls)
+        ideal.carrier, ideal.mask = carrier, mask
+        return ideal
 
     @property
     def members(self) -> tuple:
@@ -371,32 +375,29 @@ def count_ideals(poset: Poset, max_count=None) -> int:
     return total * _count_along(order, succ, pred, limit, max_count)
 
 
-def _cover_masks(poset):
-    """Lower and upper cover masks, read off the generators: every upper
-    cover of i is a generating successor of i, and a generating successor
-    is a cover unless it lies strictly above another one.
+def _cover_masks(poset, lower=None):
+    """Upper cover masks, read off the generators; given a list ``lower``
+    of zeros, the same pass fills in the lower covers.
 
-    One pass along ``order`` transposes the rows and gives each element
-    its height, the length of the longest generating path to a sink.  If
-    u < w then u reaches w through a generating path, so height(u) >
-    height(w).  So a row whose generating successors all have one height
-    holds no two comparable successors, and is all covers.  Only rows of
-    mixed height read the closed up-sets, and then the lower covers are
-    the upper ones transposed again.  A graded order given by its covers
-    closes nothing.
+    Every upper cover of i is a generating successor of i, and one is a
+    cover unless it lies strictly above another.  One pass along ``order``
+    gives each element its height, the longest generating path to a sink.
+    If u < w then u reaches w on such a path, so height(u) > height(w),
+    and a row whose successors all have one height is all covers.  Only
+    rows of mixed height read closed up-sets: the cached ones, else a
+    closure made here and dropped, so no poset is closed by its covers.
     """
     gen = poset.gen_masks
     height = [0] * len(gen)
-    lower = [0] * len(gen)
     mixed = []
     for v in poset.order:
         rest = gen[v]
-        bit = 1 << v
         top, bottom = -1, len(gen)
         while rest:
             low = rest & -rest
             w = low.bit_length() - 1
-            lower[w] |= bit
+            if lower is not None:
+                lower[w] |= 1 << v
             h = height[w]
             if h > top:
                 top = h
@@ -408,14 +409,15 @@ def _cover_masks(poset):
             mixed.append(v)
     upper = list(gen)
     if mixed:
-        up = poset.up_masks
+        up = poset._up_masks or dag_reach(gen, poset.order)
         for v in mixed:
             above = 0
             for w in bits(gen[v]):
                 above |= up[w] ^ 1 << w
             upper[v] &= ~above
-        lower = transpose_masks(upper)
-    return lower, upper
+        if lower is not None:
+            lower[:] = transpose_masks(upper)
+    return upper
 
 
 def _generating_extension(succ, pred):
@@ -593,20 +595,37 @@ def _total_image(table, domain, codomain):
 def is_monotone(table, domain: Poset, codomain: Poset) -> MonotoneMap:
     """Validate a raw element table as a monotone map and wrap it.
 
-    For each codomain point c it forms the preimage of the up-set of c,
-    closing along the codomain's generating edges in its ``order``.  The
-    map is monotone exactly when every generating successor of each domain
-    point lies in the preimage of the up-set of its image.  Only a map that
-    fails is scanned row by row over the domain's up-sets, so NotMonotone
-    carries the first pair x <= y, in identifier order, whose images are
-    not ordered.
+    The identity of a poset onto itself passes at once.  Otherwise each
+    generating edge i -> s of the domain, by index of i, is kept when s
+    has the image of i or the images span a generating edge of the
+    codomain; a map keeping every edge is monotone and closes nothing.
+    From the first row with an edge left open, rows are tested on the
+    preimages of the codomain's up-sets, closed along its ``order`` and
+    cached nowhere.  Only a map that fails is scanned row by row over the
+    domain's up-sets, so NotMonotone carries the first pair x <= y, in
+    identifier order, whose images are not ordered.
     """
     image = _total_image(table, domain, codomain)
+    if domain is codomain and image == list(range(len(image))):
+        return MonotoneMap(domain, codomain, image)
+    succ, gen = codomain.gen_masks, domain.gen_masks
+    for first, (row, c) in enumerate(zip(gen, image)):
+        up = succ[c]
+        while row:
+            low = row & -row
+            d = image[low.bit_length() - 1]
+            if d != c and not up >> d & 1:
+                break
+            row ^= low
+        if row:
+            break
+    else:
+        return MonotoneMap(domain, codomain, image)
     pre = [0] * len(codomain)
     for i, c in enumerate(image):
         pre[c] |= 1 << i
-    pre = dag_reach(codomain.gen_masks, codomain.order, pre)
-    if not any(row & ~pre[c] for row, c in zip(domain.gen_masks, image)):
+    pre = dag_reach(succ, codomain.order, pre)
+    if not any(gen[i] & ~pre[image[i]] for i in range(first, len(gen))):
         return MonotoneMap(domain, codomain, image)
     for i, row in enumerate(domain.up_masks):
         missing = row & ~pre[image[i]]

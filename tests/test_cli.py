@@ -192,6 +192,27 @@ class TestInternalErrors:
         assert err.startswith("error: internal: ")
 
 
+    def test_list_guard_is_exit_4(self, capsys, write_json, monkeypatch):
+        # With the member masks of the first and the last class of the
+        # identity quotient of the chain 0 < m < 1 swapped, the classes
+        # still partition the base, but the first fix-point listed after []
+        # would be {m}, which is not down-closed; the class-level guard
+        # must stop it.
+        naming = dualfix.fixpoint.QuotientPoset._naming
+
+        def swapped(self):
+            names, classes, order, masks = naming(self)
+            return names, classes, order, masks[-1:] + masks[1:-1] + masks[:1]
+
+        args = ["--poset", write_json("p.json", THREE_CHAIN), "--map", write_json("m.json", {"map": {"0": "0", "m": "m", "1": "1"}})]
+        assert run(capsys, "fixpoints", *args, "--list") == (0, '[]\n["0"]\n["0","m"]\n["0","1","m"]\n', "")
+        monkeypatch.setattr(dualfix.fixpoint.QuotientPoset, "_naming", swapped)
+        code, out, err = run(capsys, "fixpoints", *args, "--list")
+        assert code == EXIT_INTERNAL
+        assert out == "[]\n"
+        assert err == "error: internal: fix-point ['m'] is not down-closed in the base\n"
+
+
 class TestQuotientAtScale:
     # The identity's quotient is the base itself: one class per element and
     # the base's covers.  Checked against closed forms; no time is asserted.
@@ -621,6 +642,43 @@ class TestCountNamesNoClass:
             built.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(built) == 1, argv
+
+
+class TestIdentityQuotientBuildsNoClassPoset:
+    # The identity's quotient graph is the base itself; when the class
+    # names sort like its identifiers, --quotient, --list and dot quotient
+    # read the base's generating edges, build no second poset and close
+    # nothing on the base.
+    GRID = {
+        "elements": ["g00", "g01", "g02", "g10", "g11", "g12"],
+        "leq": [["g00", "g01"], ["g01", "g02"], ["g10", "g11"], ["g11", "g12"], ["g00", "g10"], ["g01", "g11"],
+                ["g02", "g12"], ["g00", "g02"], ["g00", "g12"]],
+    }
+
+    def test_answers_build_no_class_poset(self, capsys, monkeypatch, write_json):
+        built, bases = [], []
+
+        def refused(*args):
+            built.append(args)
+            raise AssertionError("a class poset was built")
+
+        def loading(obj):
+            bases.append(poset_from_obj(obj))
+            return bases[-1]
+
+        monkeypatch.setattr(dualfix.fixpoint, "_generated_poset", refused)
+        monkeypatch.setattr(dualfix.cli, "poset_from_obj", loading)
+        identity = {"map": {x: x for x in self.GRID["elements"]}}
+        args = ["--poset", write_json("p.json", self.GRID), "--map", write_json("m.json", identity)]
+        for argv in (["fixpoints", *args, "--quotient"], ["fixpoints", *args, "--list"], ["dot", "quotient", args[3], "--poset", args[1]]):
+            bases.clear()
+            code, out, err = run(capsys, *argv)
+            assert (code, err, built, len(bases)) == (0, "", [], 1), argv
+            assert bases[0]._up_masks is None and bases[0]._down_masks is None, argv
+        monkeypatch.undo()
+        base = build_poset(self.GRID["elements"], self.GRID["leq"])
+        quo = coequalizer_general(MonotoneMap.identity(base))
+        assert run(capsys, "fixpoints", *args, "--quotient") == (0, _dumps(quotient_to_obj(quo)) + "\n", "")
 
 
 class TestQuotientWriter:

@@ -28,6 +28,7 @@ from dualfix import (
     phi_components,
 )
 from dualfix.bitgraph import topo_order
+from dualfix.fixpoint import _class_guard
 from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
     CycleReport,
@@ -481,6 +482,35 @@ class TestFixpointsViaDuality:
                 assert fx.quotient.class_poset._down_masks is None
                 if mode != "quotient":
                     assert fx.quotient.class_poset._up_masks is None
+
+    def test_the_class_guard_agrees_with_the_base_on_every_union_of_classes(self):
+        # iter_members tests each member's down-closure class by class; on
+        # every union of classes, ideal of the quotient or not, the test
+        # must agree with the base's own.
+        rng = random.Random(109)
+        ideals = others = 0
+        for _ in range(150):
+            p = random_poset(rng, rng.randrange(0, 9))
+            doc = {"elements": list(p.elements), "leq": [list(pair) for pair in p.covers()]}
+            base = poset_from_obj(doc)
+            for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
+                _, _, _, masks = coequalizer_general(phi)._naming()
+                down_closed = _class_guard(base, masks)
+                for qmask in range(1 << len(masks)):
+                    union = 0
+                    for c, m in enumerate(masks):
+                        if qmask >> c & 1:
+                            union |= m
+                    verdict = base.is_down_closed(union)
+                    assert down_closed(qmask, union) == verdict
+                    ideals += verdict
+                    others += not verdict
+        assert ideals > 1000 and others > 1000
+
+    def test_the_class_guard_needs_a_partition(self, three_chain):
+        for masks in ((1, 2), (1, 3, 4), (1, 2, 4, 4)):
+            with pytest.raises(RuntimeError, match="do not partition"):
+                _class_guard(three_chain, masks)
 
     def test_empty_poset_has_single_fixpoint(self):
         base = build_poset([], [])

@@ -618,6 +618,114 @@ class TestIsMonotone:
         assert ident.after(phi) == phi
 
 
+def _three_builds(rng, closed):
+    """(elements, pairs) of a labeled poset rebuilt three ways: from its
+    covers, from noisy generating pairs, and from those pairs with the
+    identifiers renamed so that identifier order runs against the old one."""
+    elements = list(closed.elements)
+    pairs = noisy_pairs(rng, closed)
+    rename = dict(zip(elements, reversed(elements)))
+    return [(elements, closed.covers()), (elements, pairs), (elements, [(rename[x], rename[y]) for x, y in pairs])]
+
+
+class TestMonotoneWalk:
+    # is_monotone accepts along the generating edges and closes preimages
+    # only from the first row whose edges it leaves open; its verdict and
+    # witness must be those of the closed-rows scan, and an accepted map
+    # must close neither poset.
+
+    @staticmethod
+    def _verdict(table, domain, codomain):
+        """The walk's witness, or None after checking that the accepted map
+        left both posets unclosed."""
+        try:
+            phi = is_monotone(table, domain, codomain)
+        except NotMonotone as exc:
+            return tuple(exc.payload["witness"])
+        for p in (domain, codomain):
+            assert p._up_masks is None and p._down_masks is None
+        assert phi.image == tuple(codomain.index(table[x]) for x in domain)
+        return None
+
+    @staticmethod
+    def _oracle(shape):
+        p = build_poset(*shape)
+        return closed_poset(p.elements, closure_rows(p.gen_masks))
+
+    def test_every_map_of_every_poset_of_at_most_4_elements_to_itself(self):
+        rng = random.Random(241)
+        accepted = rejected = 0
+        for n in range(5):
+            for closed in labeled_posets(n):
+                for shape in _three_builds(rng, closed):
+                    oracle = self._oracle(shape)
+                    for image in product(range(n), repeat=n):
+                        table = {x: oracle.elements[c] for x, c in zip(oracle.elements, image)}
+                        p = build_poset(*shape)
+                        witness = self._verdict(table, p, p)
+                        assert witness == scan_monotone_witness(image, oracle, oracle)
+                        accepted += witness is None
+                        rejected += witness is not None
+        assert (accepted, rejected) == (3 * 9741, 3 * 46850)
+
+    def test_every_map_between_two_posets_of_at_most_3_elements(self):
+        rng = random.Random(251)
+        small = [closed for n in range(4) for closed in labeled_posets(n)]
+        for dom in small:
+            for cod in small:
+                dom_shapes, cod_shapes = _three_builds(rng, dom), _three_builds(rng, cod)
+                for dom_shape, cod_shape in zip(dom_shapes, cod_shapes[1:] + cod_shapes[:1]):
+                    dom_oracle, cod_oracle = self._oracle(dom_shape), self._oracle(cod_shape)
+                    for image in product(range(len(cod)), repeat=len(dom)):
+                        table = {x: cod_oracle.elements[c] for x, c in zip(dom_oracle.elements, image)}
+                        witness = self._verdict(table, build_poset(*dom_shape), build_poset(*cod_shape))
+                        assert witness == scan_monotone_witness(image, dom_oracle, cod_oracle)
+
+    def test_edges_onto_comparable_pairs_that_are_no_generating_edge(self, monkeypatch):
+        # The domain keeps noisy generating pairs, the codomain only the
+        # covers of the same order, so the identity table and most monotone
+        # maps send some generating edge onto a comparable pair that is no
+        # generating edge of the codomain: the walk leaves it open and the
+        # preimages are closed.
+        closures = []
+        reach = dualfix.poset.dag_reach
+
+        def counted(*args):
+            closures.append(len(args))
+            return reach(*args)
+
+        monkeypatch.setattr(dualfix.poset, "dag_reach", counted)
+        rng = random.Random(257)
+        through_closure = rejected = 0
+        for _ in range(300):
+            p = random_poset(rng, rng.randrange(1, 13))
+            noisy = (list(p.elements), noisy_pairs(rng, p))
+            covers = (list(p.elements), p.covers())
+            oracle = self._oracle(covers)
+            moved = random_monotone_between(rng, p, p).table
+            moved[rng.choice(p.elements)] = rng.choice(p.elements)
+            for table in ({x: x for x in p.elements}, random_monotone_between(rng, p, p).table, moved):
+                image = [oracle.index(table[x]) for x in oracle.elements]
+                closures.clear()
+                witness = self._verdict(table, build_poset(*noisy), build_poset(*covers))
+                assert witness == scan_monotone_witness(image, oracle, oracle)
+                if witness is None:
+                    through_closure += bool(closures)
+                else:
+                    rejected += 1
+        assert through_closure > 200 and rejected > 100
+
+    def test_the_identity_of_a_poset_onto_itself_walks_nothing(self, monkeypatch):
+        rng = random.Random(263)
+        posets = []
+        for _ in range(50):
+            p = random_poset(rng, rng.randrange(0, 12))
+            posets.append(build_poset(list(p.elements), noisy_pairs(rng, p)))
+        monkeypatch.setattr(dualfix.poset, "dag_reach", None)
+        for q in posets:
+            assert self._verdict({x: x for x in q}, q, q) is None
+
+
 def _small_generated_posets(seed):
     """Every labeled poset of at most 5 elements, rebuilt from its covers
     and from noisy generating pairs, so the closed rows are not cached."""
@@ -657,6 +765,18 @@ def _reversed_ids(p, pairs):
     return build_poset(list(p.elements), [(rename[x], rename[y]) for x, y in pairs])
 
 
+def _cover_masks_both(p):
+    """(lower, upper) from the cover reader, called with and without the
+    list to fill, after checking that the two calls agree and left p as
+    unclosed as it was."""
+    closed = p._up_masks is not None, p._down_masks is not None
+    upper = _cover_masks(p)
+    lower = [0] * len(p)
+    assert _cover_masks(p, lower) == upper
+    assert (p._up_masks is not None, p._down_masks is not None) == closed
+    return lower, upper
+
+
 class TestGeneratorReaders:
     def test_closures_are_computed_on_first_read_and_equal_the_eager_closure(self):
         for closed, p in _small_generated_posets(37):
@@ -667,12 +787,15 @@ class TestGeneratorReaders:
             assert p.up_masks is p.up_masks
 
     def test_cover_masks_match_the_climbing_oracle(self):
+        # the reader returns the upper covers and, given a list, fills in
+        # the lower ones, which _birkhoff reads; it closes nothing on the
+        # poset it reads
         for closed, p in _small_generated_posets(41):
-            assert _cover_masks(p) == climbing_cover_masks(closed)
+            assert _cover_masks_both(p) == climbing_cover_masks(closed)
         for rng, p in noisy_random_posets(43, 300, 16):
             pairs = noisy_pairs(rng, p)
             for q in (build_poset(list(p.elements), pairs), _reversed_ids(p, pairs)):
-                assert _cover_masks(q) == climbing_cover_masks(q)
+                assert _cover_masks_both(q) == climbing_cover_masks(q)
 
     def test_down_closure_and_ideal_stream_match_the_closure(self):
         for closed, p in _small_generated_posets(47):
@@ -748,7 +871,7 @@ class TestCoversFromHeights:
         for elements, pairs in shapes:
             p = build_poset(elements, pairs)
             for q in (p, _reversed_ids(p, pairs)):
-                lower, upper = _cover_masks(q)
+                lower, upper = _cover_masks_both(q)
                 assert (lower, upper) == climbing_cover_masks(q)
                 mixed += upper != list(q.gen_masks)
         assert mixed == 2 * len(shapes)

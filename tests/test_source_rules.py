@@ -1,6 +1,9 @@
 """Rules on the package source, checked on its syntax tree."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dualfix
@@ -22,6 +25,16 @@ def test_no_bare_assert_in_the_package():
     for path, tree in _trees():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_cli_imports_no_typing():
+    # Annotations are strings under ``from __future__ import annotations``,
+    # so the package needs no ``typing`` at run time, and a one-shot CLI
+    # process without ``site`` does not import it.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, dualfix.cli; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_posets_are_built_only_in_the_poset_module():
