@@ -270,7 +270,14 @@ class FixpointLattice:
     def iter_members(self):
         base = self.quotient.base
         _, _, order, masks = self.quotient._naming()
-        down_closed = _class_guard(base, masks)
+        class_of = self.quotient._class_idx
+        if masks != self.quotient._masks:
+            # classes in name order: map each class, by its least member
+            rank = [0] * len(masks)
+            for k, m in enumerate(masks):
+                rank[class_of[(m & -m).bit_length() - 1]] = k
+            class_of = [rank[c] for c in class_of]
+        down_closed = _class_guard(base, masks, class_of)
         for qmask, _, union in _ideal_walk(order, rows=masks):
             if not down_closed(qmask, union):
                 raise RuntimeError(f"fix-point {list(base.ids_from(union))} is not down-closed in the base")
@@ -283,22 +290,24 @@ class FixpointLattice:
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"
 
 
-def _class_guard(base: Poset, masks):
+def _class_guard(base: Poset, masks, class_of=None):
     """``down_closed(qmask, union)`` for the union of the classes in
     ``qmask``.  The classes' ``masks`` must partition the base, so the union
     is down-closed (``Poset.is_down_closed``) exactly when no generating
-    edge leaving a class outside ``qmask`` enters it."""
+    edge leaving a class outside ``qmask`` enters it.  ``class_of[v]``,
+    when given, is the position in ``masks`` of the class of base point v,
+    and each class's edges are gathered by one OR per point; else they
+    are read off each class's mask."""
     if sum(m.bit_count() for m in masks) != len(base) or reduce(or_, masks, 0).bit_count() != len(base):
         raise RuntimeError("the quotient's classes do not partition the base")
     gen = base.gen_masks
-    leaving = []
-    for m in masks:
-        out = 0
-        while m:
-            low = m & -m
-            out |= gen[low.bit_length() - 1]
-            m ^= low
-        leaving.append(out)
+    leaving = [0] * len(masks)
+    if class_of is None:
+        for c, m in enumerate(masks):
+            leaving[c] = reduce(or_, select(gen, m), 0)
+    else:
+        for c, row in zip(class_of, gen):
+            leaving[c] |= row
     full = (1 << len(masks)) - 1
     return lambda qmask, union: not reduce(or_, select(leaving, full ^ qmask), 0) & union
 

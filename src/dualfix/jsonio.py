@@ -16,7 +16,9 @@ modules.
 """
 
 import json
+from itertools import repeat
 
+from .errors import InvalidInput
 from .poset import Poset, build_poset
 
 
@@ -25,9 +27,16 @@ class ParseError(Exception):
 
 
 def load_obj(path):
+    """The JSON document in a file, read as text mode reads it: decoded
+    strictly as UTF-8, with every newline (CRLF, CR or LF) translated to
+    LF, so that the positions in a ParseError are the same."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
         # too long to convert; a document nested too deep raises
@@ -36,6 +45,33 @@ def load_obj(path):
 
 
 def poset_from_obj(obj) -> Poset:
+    """The poset of a document.  One whose elements are all strings and
+    whose pairs are all lists goes straight to build_poset, which unpacks
+    and looks up each pair; the checks of :func:`_check_poset_obj` run,
+    in document order, only on any other document or when build_poset
+    refuses, so a malformed document raises the same ParseError as ever
+    and any other refusal is build_poset's own."""
+    elements = pairs = None
+    if isinstance(obj, dict):
+        elements, pairs = obj.get("elements"), obj.get("leq", [])
+    if not (
+        isinstance(elements, list)
+        and isinstance(pairs, list)
+        and all(map(isinstance, elements, repeat(str)))
+        and all(map(isinstance, pairs, repeat(list)))
+    ):
+        _check_poset_obj(obj)
+    try:
+        return build_poset(elements, pairs)
+    except (InvalidInput, TypeError, ValueError):
+        # an unknown or duplicate element, a cycle, or a pair that does not
+        # unpack or hash
+        _check_poset_obj(obj)
+        raise
+
+
+def _check_poset_obj(obj):
+    """Raise ParseError at the first malformed part of a poset document."""
     if not isinstance(obj, dict):
         raise ParseError("poset document must be a JSON object")
     elements = obj.get("elements")
@@ -47,7 +83,6 @@ def poset_from_obj(obj) -> Poset:
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)):
             raise ParseError(f'"leq" entry {p!r} is not a [lesser, greater] pair')
-    return build_poset(elements, pairs)
 
 
 def table_from_obj(obj) -> dict:
@@ -56,9 +91,8 @@ def table_from_obj(obj) -> dict:
     table = obj.get("map")
     if not isinstance(table, dict):
         raise ParseError('"map" must be an object of string-to-string entries')
-    for k, v in table.items():
-        if not (isinstance(k, str) and isinstance(v, str)):
-            raise ParseError('"map" must be an object of string-to-string entries')
+    if not (all(map(isinstance, table, repeat(str))) and all(map(isinstance, table.values(), repeat(str)))):
+        raise ParseError('"map" must be an object of string-to-string entries')
     return table
 
 

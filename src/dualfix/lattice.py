@@ -63,19 +63,36 @@ class FiniteLattice:
     generated by sparse edges found while validating, like every poset;
     then ``irreducible_base`` is True: each base point is the element whose
     ideal is its down-set.  It is False for ideal lattices.
+    ``principal[x]`` is the index of the element whose ideal is the
+    down-set of base point x, and ``first_lower[i]`` and ``second_lower[i]``
+    are the indices of the two lowest-index lower covers of element i, -1
+    where it has fewer; two distinct lower covers join to their element.
+    The mask-to-element dict behind the lookups is built on first use.
     Instances come from the validating constructors below and are immutable.
     """
 
-    __slots__ = ("order", "bot_idx", "top_idx", "ideal_base", "element_masks", "irreducible_base", "_mask_index")
+    __slots__ = (
+        "order", "bot_idx", "top_idx", "ideal_base", "element_masks", "irreducible_base",
+        "principal", "first_lower", "second_lower", "_by_mask",
+    )
 
-    def __init__(self, order, ideal_base, element_masks, irreducible_base=False):
+    def __init__(self, order, ideal_base, element_masks, principal, first_lower, second_lower, irreducible_base=False):
         self.order = order
         self.ideal_base = ideal_base
         self.element_masks = tuple(element_masks)
+        self.principal = tuple(principal)
+        self.first_lower = tuple(first_lower)
+        self.second_lower = tuple(second_lower)
         self.irreducible_base = irreducible_base
-        self._mask_index = {m: i for i, m in enumerate(self.element_masks)}
-        self.bot_idx = self._mask_index[0]
-        self.top_idx = self._mask_index[(1 << len(ideal_base)) - 1]
+        self._by_mask = None
+        self.bot_idx = self.element_masks.index(0)
+        self.top_idx = self.element_masks.index((1 << len(ideal_base)) - 1)
+
+    @property
+    def _mask_index(self):
+        if self._by_mask is None:
+            self._by_mask = {m: i for i, m in enumerate(self.element_masks)}
+        return self._by_mask
 
     @property
     def elements(self):
@@ -161,94 +178,112 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
 
 
 def _birkhoff(order: Poset):
-    """(J, masks) when the order is a distributive lattice, else None.
+    """(J, masks, principal, first_lower, second_lower) when the order is a
+    distributive lattice, else None.
 
     J is the sub-poset of the elements with exactly one lower cover, in
-    ascending index in the order, and masks[a] the set of those at or
-    below a, built over a linear extension (the reverse of
-    ``order.order``) as the union of the lower covers' masks, plus a
-    itself for a in J.  Alongside, gens[a] is the set of maximal points of
-    masks[a] in J: a itself for a in J, else the union over the lower
-    covers, less everything strictly below one of its points.  Each j in J is generated from gens of its one lower cover,
-    whose down-closure is everything in J strictly below j; those are j's
-    lower covers in J, so J's generating edges are its cover relation.
-    The covers come from :func:`_cover_masks`, so an order given by its
-    covers is never closed.  The order is accepted when
+    ascending index in the order, and ``principal`` lists them.  masks[a]
+    is the set of those at or below a, built over a linear extension (the
+    reverse of ``order.order``): a join-irreducible j takes its one lower
+    cover's mask plus j; any other a takes m, the union of the masks of
+    its two lowest-index lower covers, ``first_lower[a]`` and
+    ``second_lower[a]``.  Alongside, gens[a] is the set of maximal points
+    of masks[a]: j itself for j in J, else the points x_c below.  Each j
+    in J is generated from gens of its one lower cover, whose down-closure
+    is everything in J strictly below j; those are j's lower covers in J,
+    so J's generating edges are its cover relation.  The covers come from
+    :func:`_cover_masks`, so an order given by its covers is never closed.
+    The order is accepted when
 
-    (i) every element a outside J has exactly as many lower covers as
-        gens[a] has points, and each lower cover's mask is masks[a] less
-        one point;
+    (i) for every a with two or more lower covers, each lower cover c has
+        masks[c] = m less one point x_c of m, the x_c are distinct, and no
+        point is in gens[c] for every c; then masks[a] = m, which is the
+        union over all lower covers, and gens[a] = {x_c};
     (ii) the masks are pairwise distinct, tested on gens, since an ideal is
          the down-closure of its maximal points (narrower keys than the
          masks when names run against the order);
     (iii) some mask is all of J.
 
     Every mask is an ideal of J, and the map a -> masks[a] is monotone
-    along covers.  The lower covers of an ideal in the ideal lattice O(J)
-    are the ideal less one of its maximal points.  For a in J that is
-    masks[a] less a, the mask of its one lower cover; for other a, (i) and
-    (ii) give gens[a].bit_count() distinct lower covers whose masks are
-    masks[a] less a maximal point, which is all of them.  So every lower
-    cover in O(J) of an image is the image of a lower cover in P.  With
-    (iii) the image set is then closed downward from the full ideal, so it
-    is all of O(J), and by (ii) the map is a bijection.  Inclusion in O(J)
-    is the closure of its covers, each of which comes from a cover of P,
-    so the map reflects the order too: it is an order isomorphism onto
-    O(J), and the order is a distributive lattice.  Conversely, in a finite
-    distributive lattice J is the set of join-irreducibles and the map is
-    Birkhoff's isomorphism, so all three checks pass.
+    along covers.  In (i) each x_c is maximal in m, since m less x_c is an
+    ideal.  A maximal point y of m that is no x_c lies in every masks[c]
+    and is maximal there, so it would be in gens[c] for every c; as no
+    such point exists, the x_c are all the maximal points of m, and gens[a]
+    is the set of them.  The lower covers of an ideal in the ideal lattice
+    O(J) are the ideal less one of its maximal points.  For a in J that is
+    masks[a] less a, the mask of its one lower cover; for other a, by (i)
+    each is the mask of a lower cover of a.  So every lower cover in O(J)
+    of an image is the image of a lower cover in P.  With (iii) the image
+    set is then closed downward from the full ideal, so it is all of O(J),
+    and by (ii) the map is a bijection.  Inclusion in O(J) is the closure
+    of its covers, each of which comes from a cover of P, so the map
+    reflects the order too: it is an order isomorphism onto O(J), and the
+    order is a distributive lattice.  Conversely, in a finite distributive
+    lattice J is the set of join-irreducibles and the map is Birkhoff's
+    isomorphism.  The lower covers of a are a's ideal less each of its
+    maximal points x_c, and a point in gens[c] for every c would have
+    nothing above it in a's ideal but x_c, for two distinct x_c, so it
+    would be maximal there: some x_c, which masks[c] leaves out.  So all
+    three checks pass.
+
+    A refused order keeps the up-sets the cover pass closed for its mixed
+    rows, if any, as its cached closure: the witness scans read them next.
+    An accepted one keeps none.
     """
     n = len(order)
     lower = [0] * n
-    _cover_masks(order, lower)
+    closed = []
+    _cover_masks(order, lower, closed)
     irr = [a for a in range(n) if lower[a].bit_count() == 1]
     rank = {j: k for k, j in enumerate(irr)}
     masks = [0] * n
     gens = [0] * n
+    first = [-1] * n
+    second = [-1] * n
     below = [0] * len(irr)
-    strictly_below = [0] * len(irr)
     for a in reversed(order.order):
         covers = lower[a]
         if not covers:
             continue  # a minimal element keeps the empty mask
-        c = covers.bit_length() - 1
+        low = covers & -covers
+        c = first[a] = low.bit_length() - 1
         k = rank.get(a)
         if k is not None:
             below[k] = gens[c]
-            strictly_below[k] = masks[c]
             masks[a] = masks[c] | 1 << k
             gens[a] = 1 << k
             continue
-        size = masks[c].bit_count()
-        mask = gen = 0
+        rest = covers ^ low
+        d = second[a] = (rest & -rest).bit_length() - 1
+        m = masks[c] | masks[d]
+        gen = 0
+        common = -1
         rest = covers
         while rest:
             low = rest & -rest
             c = low.bit_length() - 1
-            if masks[c].bit_count() != size:
-                return None
-            mask |= masks[c]
-            gen |= gens[c]
+            x = m ^ masks[c]
+            if x & (x - 1) or not x & m or x & gen:
+                common = -1  # refused, by the test below
+                break
+            gen |= x
+            common &= gens[c]
             rest ^= low
-        drop = 0
-        rest = gen
-        while rest:
-            low = rest & -rest
-            drop |= strictly_below[low.bit_length() - 1]
-            rest ^= low
-        gen &= ~drop
-        if gen.bit_count() != covers.bit_count() or mask.bit_count() != size + 1:
-            return None
-        masks[a] = mask
+        if common:
+            break
+        masks[a] = m
         gens[a] = gen
-    if len(set(gens)) != n or (1 << len(irr)) - 1 not in masks:
-        return None
-    base = _generated_poset(
-        [order.elements[j] for j in irr],
-        transpose_masks(below),
-        [rank[a] for a in order.order if a in rank],
-    )
-    return base, masks
+    else:
+        if len(set(gens)) == n and (1 << len(irr)) - 1 in masks:
+            base = _generated_poset(
+                [order.elements[j] for j in irr],
+                transpose_masks(below),
+                [rank[a] for a in order.order if a in rank],
+            )
+            return base, masks, irr, first, second
+    if closed and order._up_masks is None:
+        order._up_masks = tuple(closed)
+    return None
 
 
 def _raise_lattice_witness(order: Poset):
@@ -401,19 +436,36 @@ def ideal_lattice(base: Poset, max_size=None) -> FiniteLattice:
     emasks = [m for _, m in items]
     index = {m: i for i, m in enumerate(emasks)}
     # An ideal is covered by itself plus one minimal point of its complement,
-    # which the walk lists; inclusion is the closure of those covers.  The
-    # walk comes in ascending size, so its reverse lists every ideal after
-    # all ideals above it.
-    covers = [0] * len(emasks)
+    # which the walk lists; inclusion is the closure of those covers, and
+    # each cover met also updates the two lowest-index lower covers of the
+    # larger ideal.  The walk comes in ascending size, so its reverse lists
+    # every ideal after all ideals above it, and the first ideal in it that
+    # holds x is the down-set of x.
+    n = len(emasks)
+    covers = [0] * n
+    first, second = [-1] * n, [-1] * n
+    principal = [0] * len(base)
+    seen = 0
     for m, mins, _ in walk:
+        i = index[m]
+        new = m & ~seen
+        if new:
+            principal[new.bit_length() - 1] = i
+            seen |= m
         row = 0
         for x in bits(mins):
-            row |= 1 << index[m | 1 << x]
-        covers[index[m]] = row
+            t = index[m | 1 << x]
+            row |= 1 << t
+            lo = first[t]
+            if lo < 0 or i < lo:
+                first[t], second[t] = i, lo
+            elif second[t] < 0 or i < second[t]:
+                second[t] = i
+        covers[i] = row
     order = _generated_poset(names, covers, [index[m] for m, _, _ in reversed(walk)])
     # The ideals of a poset, ordered by inclusion, are its Birkhoff
     # representation by definition: nothing is left to validate.
-    return FiniteLattice(order, base, emasks)
+    return FiniteLattice(order, base, emasks, principal, first, second)
 
 
 def join_irreducibles(lat: FiniteLattice) -> Poset:
@@ -431,21 +483,22 @@ def _irreducibles(lat: FiniteLattice):
     element whose ideal is the down-set of x: the base's generators,
     relabelled by that index.
 
-    A lattice read from an order has those elements as its base points
+    The lattice keeps those elements as ``principal``, so no down-set is
+    closed.  A lattice read from an order has them as its base points
     (``irreducible_base``), under their own names, in ascending index, as
     :func:`_birkhoff` lists them: the relabelling is the identity and the
-    base is J itself, so no down-set is closed."""
+    base is J itself."""
     base = lat.ideal_base
     if lat.irreducible_base:
         return base, range(len(base))
-    elems = [lat.ideal_index(down) for down in base.down_masks]
-    rank = {e: k for k, e in enumerate(sorted(elems))}
-    pos = [rank[e] for e in elems]
+    elems = sorted(lat.principal)
+    rank = {e: k for k, e in enumerate(elems)}
+    pos = [rank[e] for e in lat.principal]
     gen = [0] * len(pos)
     for x, succ in enumerate(base.gen_masks):
         for y in bits(succ):
             gen[pos[x]] |= 1 << pos[y]
-    irr = _generated_poset([lat.elements[e] for e in sorted(elems)], gen, [pos[x] for x in base.order])
+    irr = _generated_poset([lat.elements[e] for e in elems], gen, [pos[x] for x in base.order])
     return irr, pos
 
 
@@ -505,39 +558,30 @@ def _preserves_laws(image, domain, codomain):
     indices from the codomain base into the domain base, when the image
     preserves meet and join; else None.
 
-    One push along the domain order's generating edges gives, per element,
-    the union of its predecessors' ideals and of their images f (masks over
-    the codomain base).  The predecessors include the lower covers, so
-    their ideals make up the element's own unless it is the down-set of a
-    base point x, which they leave out.  It accepts when every other
-    element has f(a) = the union, and :func:`_least_by_differences` reads a
-    map phi off f and the unions at the down-sets, so that f(down-set of x)
-    = phi^-1(down-set of x).  Every other element is bottom or the join of
-    its lower covers, so by induction f = phi^-1, which preserves meet,
-    join, bottom and top; and y is in f(down-set of x) exactly when
-    phi(y) <= x, so phi(y) is the least such x: phi is the dual map.  A
-    homomorphism passes: the union at the down-set of x is then
-    f(down-set of x less x), and f is the preimage map of its dual.  No
-    mask is looked up.
+    With f(a) the image's mask over the codomain base, it accepts when
+    f(a) = f(c1) | f(c2) for the two lowest-index lower covers c1, c2 of
+    every element a that has two, and :func:`_least_by_differences`
+    reads a map phi off f at each principal element, the down-set of a
+    base point x, with f of its one lower cover, the down-set of x less
+    x, as the strict image; so that f(down-set of x) = phi^-1(down-set of
+    x).  Two distinct lower covers join to their element, as c1 < c1 v c2
+    <= a and c1 is covered by a.  So by induction on rank every element
+    other than bottom is principal or has f(a) = phi^-1(c1) |
+    phi^-1(c2) = phi^-1(a): f = phi^-1, which preserves meet, join,
+    bottom and top; and y is in f(down-set of x) exactly when phi(y) <= x,
+    so phi(y) is the least such x: phi is the dual map.  A homomorphism
+    passes: it keeps c1 v c2 = a, and f is the preimage map of its dual.
+    No mask is looked up.
     """
-    masks = domain.element_masks
-    f = [codomain.element_masks[i] for i in image]
-    below, joined = [0] * len(f), [0] * len(f)
-    for w, succ in enumerate(domain.order.gen_masks):
-        ideal, img = masks[w], f[w]
-        while succ:
-            low = succ & -succ
-            a = low.bit_length() - 1
-            below[a] |= ideal
-            joined[a] |= img
-            succ ^= low
-    principal = [0] * len(domain.ideal_base)
-    for a, (ideal, lower) in enumerate(zip(masks, below)):
-        if ideal != lower:
-            principal[(ideal ^ lower).bit_length() - 1] = a
-        elif f[a] != joined[a]:
+    f = list(map(codomain.element_masks.__getitem__, image))
+    for fa, c, d in zip(f, domain.first_lower, domain.second_lower):
+        if d >= 0 and fa != f[c] | f[d]:
             return None
-    return _least_by_differences([f[a] for a in principal], [joined[a] for a in principal], domain.ideal_base, codomain.ideal_base)
+    first = domain.first_lower
+    principal = domain.principal
+    return _least_by_differences(
+        [f[a] for a in principal], [f[first[a]] for a in principal], domain.ideal_base, codomain.ideal_base
+    )
 
 
 def _least_by_differences(images, strict_images, p, q):
@@ -553,13 +597,20 @@ def _least_by_differences(images, strict_images, p, q):
     """
     least = [None] * len(q)
     below = [0] * len(p)
-    for x, (img, strict) in enumerate(zip(images, strict_images)):
-        for y in bits(img & ~strict):
-            if least[y] is not None:
-                return None
-            least[y] = x
-        for w in bits(p.gen_masks[x]):
-            below[w] |= img
+    seen = 0
+    for x, (img, strict, succ) in enumerate(zip(images, strict_images, p.gen_masks)):
+        new = img & ~strict
+        if new & seen:
+            return None
+        seen |= new
+        while new:
+            low = new & -new
+            least[low.bit_length() - 1] = x
+            new ^= low
+        while succ:
+            low = succ & -succ
+            below[low.bit_length() - 1] |= img
+            succ ^= low
     if None in least or any(img != img & ~strict | low for img, strict, low in zip(images, strict_images, below)):
         return None
     return least

@@ -148,12 +148,15 @@ def build_poset(elements, pairs) -> Poset:
     names the two least elements of the first part with more than one
     element.
     """
-    seen = set()
-    for x in elements:
-        if x in seen:
-            raise DuplicateElement(x)
-        seen.add(x)
-    ids = sorted(seen)
+    if not isinstance(elements, (list, tuple)):
+        elements = list(elements)
+    ids = sorted(set(elements))
+    if len(ids) != len(elements):
+        seen = set()
+        for x in elements:
+            if x in seen:
+                raise DuplicateElement(x)
+            seen.add(x)
     index = {x: i for i, x in enumerate(ids)}
     get = index.get
     adj = [0] * len(ids)
@@ -375,9 +378,10 @@ def count_ideals(poset: Poset, max_count=None) -> int:
     return total * _count_along(order, succ, pred, limit, max_count)
 
 
-def _cover_masks(poset, lower=None):
+def _cover_masks(poset, lower=None, closed=None):
     """Upper cover masks, read off the generators; given a list ``lower``
-    of zeros, the same pass fills in the lower covers.
+    of zeros, the same pass fills in the lower covers, and given a list
+    ``closed``, it receives the up-sets whenever mixed rows read them.
 
     Every upper cover of i is a generating successor of i, and one is a
     cover unless it lies strictly above another.  One pass along ``order``
@@ -410,6 +414,8 @@ def _cover_masks(poset, lower=None):
     upper = list(gen)
     if mixed:
         up = poset._up_masks or dag_reach(gen, poset.order)
+        if closed is not None:
+            closed[:] = up
         for v in mixed:
             above = 0
             for w in bits(gen[v]):

@@ -6,6 +6,7 @@ the code paths they check.
 """
 
 import heapq
+import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -32,8 +33,9 @@ from dualfix import (
 )
 from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
 from dualfix.fixpoint import _index_classes
-from dualfix.lattice import FiniteLattice, _irreducibles
-from dualfix.poset import _generated_poset, _total_image
+from dualfix.jsonio import ParseError
+from dualfix.lattice import FiniteLattice, _irreducibles, _least_by_differences
+from dualfix.poset import _cover_masks, _generated_poset, _total_image
 
 LETTERS = "abcdefgh"
 
@@ -170,6 +172,111 @@ def closure_birkhoff(order):
     return base, masks
 
 
+def two_loop_birkhoff(order):
+    """(J, masks) when the order is a distributive lattice, else None, by
+    the cover check with one loop over each element's lower covers for the
+    union of their masks and gens, and a second over the points of that
+    union of gens, dropping everything strictly below one of them: every
+    element outside J must have as many lower covers as gens points, each
+    lower cover's mask one point smaller than the union, and the masks
+    (keyed by gens) distinct, one of them all of J."""
+    n = len(order)
+    lower = [0] * n
+    _cover_masks(order, lower)
+    irr = [a for a in range(n) if lower[a].bit_count() == 1]
+    rank = {j: k for k, j in enumerate(irr)}
+    masks = [0] * n
+    gens = [0] * n
+    below = [0] * len(irr)
+    strictly_below = [0] * len(irr)
+    for a in reversed(order.order):
+        covers = lower[a]
+        if not covers:
+            continue
+        c = covers.bit_length() - 1
+        k = rank.get(a)
+        if k is not None:
+            below[k] = gens[c]
+            strictly_below[k] = masks[c]
+            masks[a] = masks[c] | 1 << k
+            gens[a] = 1 << k
+            continue
+        size = masks[c].bit_count()
+        mask = gen = 0
+        for c in bits(covers):
+            if masks[c].bit_count() != size:
+                return None
+            mask |= masks[c]
+            gen |= gens[c]
+        drop = 0
+        for i in bits(gen):
+            drop |= strictly_below[i]
+        gen &= ~drop
+        if gen.bit_count() != covers.bit_count() or mask.bit_count() != size + 1:
+            return None
+        masks[a] = mask
+        gens[a] = gen
+    if len(set(gens)) != n or (1 << len(irr)) - 1 not in masks:
+        return None
+    base = _generated_poset(
+        [order.elements[j] for j in irr],
+        transpose_masks(below),
+        [rank[a] for a in order.order if a in rank],
+    )
+    return base, masks
+
+
+def push_preserves_laws(image, domain, codomain):
+    """The dual map of an image that keeps bottom and top, or None unless it
+    preserves meet and join, by one push along the domain order's
+    generating edges: per element, the union of its predecessors' ideals
+    and of their images.  Every element whose ideal is not its
+    predecessors' union must go to the union of their images; the others
+    are the down-sets of base points, where the images and those unions
+    give the dual by differences."""
+    masks = domain.element_masks
+    f = [codomain.element_masks[i] for i in image]
+    below, joined = [0] * len(f), [0] * len(f)
+    for w, succ in enumerate(domain.order.gen_masks):
+        for a in bits(succ):
+            below[a] |= masks[w]
+            joined[a] |= f[w]
+    principal = [0] * len(domain.ideal_base)
+    for a, (ideal, lower) in enumerate(zip(masks, below)):
+        if ideal != lower:
+            principal[(ideal ^ lower).bit_length() - 1] = a
+        elif f[a] != joined[a]:
+            return None
+    return _least_by_differences([f[a] for a in principal], [joined[a] for a in principal], domain.ideal_base, codomain.ideal_base)
+
+
+def text_load_obj(path):
+    """A JSON document read through a text-mode file, as json.load reads
+    it, with its failures as ParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def ordered_poset_from_obj(obj):
+    """The poset of a document, every part checked in document order before
+    anything is built."""
+    if not isinstance(obj, dict):
+        raise ParseError("poset document must be a JSON object")
+    elements = obj.get("elements")
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise ParseError('"elements" must be a list of strings')
+    pairs = obj.get("leq", [])
+    if not isinstance(pairs, list):
+        raise ParseError('"leq" must be a list of [lesser, greater] pairs')
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)):
+            raise ParseError(f'"leq" entry {p!r} is not a [lesser, greater] pair')
+    return build_poset(elements, pairs)
+
+
 def closure_is_down_closed(poset, mask):
     """Down-closure by the closed rows: no member has anything outside the
     mask below it."""
@@ -237,7 +344,19 @@ def complement_scan_ideal_lattice(base):
             if down[x] & comp == 1 << x:
                 covers[i] |= 1 << index[m | 1 << x]
     order = _generated_poset(names, covers, [index[m] for m in reversed(masks)])
-    return FiniteLattice(order, base, emasks)
+    first, second = lowest_two(transpose_masks(covers))
+    return FiniteLattice(order, base, emasks, [index[d] for d in down], first, second)
+
+
+def lowest_two(rows):
+    """Per row of a mask list, its lowest and next lowest set bit, -1 where
+    it has fewer."""
+    first, second = [], []
+    for row in rows:
+        got = list(bits(row))[:2] + [-1, -1]
+        first.append(got[0])
+        second.append(got[1])
+    return first, second
 
 
 def closure_ideal_masks(poset):

@@ -11,9 +11,12 @@ import pytest
 
 import dualfix.bitgraph
 import dualfix.fixpoint
+import dualfix.jsonio
 import dualfix.lattice
 import dualfix.poset
 from dualfix import (
+    AntisymmetryViolation,
+    DuplicateElement,
     LatticeHom,
     MonotoneMap,
     NotDistributive,
@@ -29,8 +32,16 @@ from dualfix import (
     lattice_from_order,
 )
 from dualfix.cli import EXIT_INTERNAL, UsageError, _dumps, _parse_exact, _parser, _quotient_json, main
-from dualfix.jsonio import map_to_obj, poset_from_obj, poset_to_obj, quotient_to_obj
-from helpers import fresh_names, labeled_posets, monotone_selfmaps, random_monotone_between, random_poset
+from dualfix.jsonio import ParseError, load_obj, map_to_obj, poset_from_obj, poset_to_obj, quotient_to_obj
+from helpers import (
+    fresh_names,
+    labeled_posets,
+    monotone_selfmaps,
+    ordered_poset_from_obj,
+    random_monotone_between,
+    random_poset,
+    text_load_obj,
+)
 
 TWO_CHAIN = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 TWO_ANTICHAIN = {"elements": ["a", "b"], "leq": []}
@@ -135,6 +146,75 @@ class TestMalformedInput:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {bad}: ") and message in err
+
+
+class TestInputLayerAgainstTextMode:
+    """Differential: load_obj, which decodes the bytes and translates
+    newlines itself, and poset_from_obj, which builds a well-typed document
+    before checking it, against the text-mode read and the checks in
+    document order, exception and message byte for byte."""
+
+    DOCS = [
+        pytest.param(b"[" * 100_000, id="deep"),
+        pytest.param(b'{"elements": ["\xff"]}', id="not-utf8"),
+        pytest.param(b"[" + b"1" * 5000 + b"]", id="long-integer"),
+        pytest.param(b'{"elements": ["a", "b", "a"], "leq": [["a", "b"], ["a"]]}', id="duplicate-then-malformed-pair"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": [{"a": 0, "b": 1}]}', id="pair-as-two-key-object"),
+        pytest.param(b'{"elements": ["a", "b"],\r\n"leq": [["a", "b"]\r\n,,]}\r\n', id="crlf-syntax-error"),
+        pytest.param(b'{"elements":\r["a",\r\r\n"b"],\r"leq": [["a",\r"b"]]}', id="cr-newlines"),
+        pytest.param(b'{"elements":\r\n["a",\r\n"b\r\nc"]}', id="crlf-in-a-string"),
+        pytest.param(b'{"elements": ["' + b"a" * 9000 + b'\xfe"]}', id="not-utf8-past-8k"),
+        pytest.param(b'\xef\xbb\xbf{"elements": []}', id="byte-order-mark"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": [["a", "b", "a"]]}', id="three-item-pair"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": [["a", 1]]}', id="pair-with-a-number"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": [["a", ["b"]]]}', id="pair-with-a-list"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": ["ab"]}', id="pair-as-string"),
+        pytest.param(b'{"elements": ["a", 2], "leq": []}', id="number-element"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": {"a": "b"}}', id="leq-object"),
+        pytest.param(b'["a", "b"]', id="not-an-object"),
+        pytest.param(b'{"elements": ["a", "b", "a"]}', id="duplicate"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": [["a", "c"]]}', id="unknown"),
+        pytest.param(b'{"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]}', id="cycle"),
+        pytest.param(b'{"elements": ["b", "a", "c"], "leq": [["c", "a"], ["a", "a"]]}', id="accepted"),
+    ]
+
+    @staticmethod
+    def _outcome(load, build, path):
+        try:
+            poset = build(load(path))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+        return poset.elements, poset.up_masks
+
+    @pytest.mark.parametrize("body", DOCS)
+    def test_same_outcome_as_the_text_mode_read_and_ordered_checks(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "doc.json"
+        path.write_bytes(body)
+        calls = []
+        build = dualfix.jsonio.build_poset
+
+        def counted(elements, pairs):
+            calls.append(1)
+            return build(elements, pairs)
+
+        monkeypatch.setattr(dualfix.jsonio, "build_poset", counted)
+        got = self._outcome(load_obj, poset_from_obj, path)
+        assert len(calls) <= 1  # a refused document is built at most once
+        assert got == self._outcome(text_load_obj, ordered_poset_from_obj, path)
+
+    def test_a_document_refused_by_the_build_is_built_once(self, monkeypatch):
+        calls = []
+        build = dualfix.jsonio.build_poset
+        monkeypatch.setattr(dualfix.jsonio, "build_poset", lambda *args: calls.append(1) or build(*args))
+        for doc, error in (
+            ({"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]}, AntisymmetryViolation),
+            ({"elements": ["a", "a"], "leq": []}, DuplicateElement),
+            ({"elements": ["a", "b", "a"], "leq": [["a", "b"], ["a"]]}, ParseError),
+        ):
+            del calls[:]
+            with pytest.raises(error):
+                poset_from_obj(doc)
+            assert calls == [1]
 
 
 class TestValidateAtTheLatticeCap:

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -44,6 +46,7 @@ from helpers import (
     random_monotone_between,
     random_poset,
     union_find_components,
+    union_member_masks,
     unchecked,
 )
 
@@ -506,6 +509,31 @@ class TestFixpointsViaDuality:
                     ideals += verdict
                     others += not verdict
         assert ideals > 1000 and others > 1000
+
+    def test_the_class_guard_by_class_index_agrees_with_the_masks(self):
+        # iter_members gathers each class's edges by the quotient's class
+        # index, mapped into name order when names sort unlike least
+        # members ("[c10]" < "[c1]"); the verdicts must be those read off
+        # the masks on every union of classes
+        rng = random.Random(233)
+        permuted = 0
+        for _ in range(150):
+            p = random_poset(rng, rng.randrange(0, 9))
+            names = [f"c{k}" for k in rng.sample(range(1, 13), len(p))]
+            rename = dict(zip(p.elements, names))
+            base = build_poset(sorted(names), [(rename[x], rename[y]) for x, y in p.covers()])
+            for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
+                quo = coequalizer_general(phi)
+                _, _, _, masks = quo._naming()
+                class_of = [next(k for k, m in enumerate(masks) if m >> v & 1) for v in range(len(base))]
+                permuted += class_of != list(quo._class_idx)
+                by_index = _class_guard(base, masks, class_of)
+                by_masks = _class_guard(base, masks)
+                for qmask in range(1 << len(masks)):
+                    union = reduce(or_, [m for c, m in enumerate(masks) if qmask >> c & 1], 0)
+                    assert by_index(qmask, union) == by_masks(qmask, union) == base.is_down_closed(union)
+                assert [m.mask for m in fixpoints_via_duality(phi).iter_members()] == union_member_masks(quo)
+        assert permuted > 50
 
     def test_the_class_guard_needs_a_partition(self, three_chain):
         for masks in ((1, 2), (1, 3, 4), (1, 2, 4, 4)):

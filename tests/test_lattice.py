@@ -3,9 +3,12 @@ from itertools import permutations, product
 
 import pytest
 
+import dualfix.poset
 from dualfix import (
     LatticeHom,
     MonotoneMap,
+    count_ideals,
+    hom_quotient,
     QuotientNotAntisymmetric,
     NotALattice,
     NotDistributive,
@@ -37,17 +40,23 @@ from helpers import (
     brute_join_irreducibles,
     brute_lattice_witness,
     climbing_preserves_laws,
+    climbing_cover_masks,
     closure_birkhoff,
+    closure_rows,
     complement_scan_ideal_lattice,
     down_set,
     fresh_names,
+    grid_shape,
     inclusion_rows,
     labeled_posets,
+    lowest_two,
     noniso_posets_upto,
+    push_preserves_laws,
     random_monotone_between,
     random_poset,
     relabelled_irreducibles,
     restrict,
+    two_loop_birkhoff,
     unchecked,
 )
 
@@ -961,3 +970,177 @@ class TestWitnessAtScale:
         assert len(rows) <= 3 * n
         failing = [tuple(order.elements[i] for i in (a, b, c)) for a, b, cs in rows for c in cs]
         assert failing == sorted(permutations(["za", "zb", "zc"]))
+
+
+def _small_distributive_lattices():
+    """Every distributive lattice of at most five elements, as the ideal
+    lattice of a poset and as read from that lattice's order."""
+    out = []
+    for p in noniso_posets_upto(4):
+        lat = ideal_lattice(p)
+        if len(lat) <= 5:
+            out += [lat, lattice_from_order(lat.order)]
+    return out
+
+
+class TestHomCheckByTwoCovers:
+    """Differential: the hom check on each element's two lowest lower
+    covers against the push along the generating edges that it replaced,
+    the climbing check and the pair scan."""
+
+    def test_every_table_between_distributive_lattices_of_at_most_five_elements(self):
+        lattices = _small_distributive_lattices()
+        assert len(lattices) == 16
+        accepted = checked = 0
+        for dom in lattices:
+            for cod in lattices:
+                inner = [i for i in range(len(dom)) if i not in (dom.bot_idx, dom.top_idx)]
+                for choice in product(range(len(cod)), repeat=len(inner)):
+                    image = [0] * len(dom)
+                    image[dom.bot_idx], image[dom.top_idx] = cod.bot_idx, cod.top_idx
+                    for i, c in zip(inner, choice):
+                        image[i] = c
+                    if image[dom.bot_idx] != cod.bot_idx:
+                        continue  # a one-element domain into a larger codomain
+                    least = _preserves_laws(image, dom, cod)
+                    assert least == push_preserves_laws(image, dom, cod)
+                    verdict = least is not None
+                    assert verdict == climbing_preserves_laws(image, dom, cod) == _pair_scan_accepts(image, dom, cod)
+                    if verdict:
+                        table = {x: cod.elements[c] for x, c in zip(dom.elements, image)}
+                        hom = is_homomorphism(table, dom, cod)
+                        assert list(hom.dual.image) == least
+                        assert (hom.dual.domain, hom.dual.codomain) == (cod.ideal_base, dom.ideal_base)
+                    accepted += verdict
+                    checked += 1
+        assert 0 < accepted < checked
+
+    def test_every_constructor_keeps_the_principal_elements_and_two_lowest_covers(self):
+        rng = random.Random(223)
+        for _ in range(120):
+            base = random_poset(rng, rng.randrange(0, 7))
+            lat = ideal_lattice(base)
+            old = complement_scan_ideal_lattice(base)
+            assert (lat.principal, lat.first_lower, lat.second_lower) == (
+                old.principal, old.first_lower, old.second_lower
+            )
+            for order in (lat.order, _renamed(lat.order, rng, True)):
+                read = lattice_from_order(order)
+                lower, _ = climbing_cover_masks(order)
+                assert list(read.principal) == [a for a in range(len(order)) if lower[a].bit_count() == 1]
+                assert (list(read.first_lower), list(read.second_lower)) == lowest_two(lower)
+
+    def test_an_explicit_count_builds_no_mask_dict(self):
+        rng = random.Random(227)
+        for _ in range(20):
+            base = random_poset(rng, rng.randrange(0, 7))
+            lat = lattice_from_order(ideal_lattice(base).order)
+            phi = random_monotone_between(rng, lat.ideal_base, lat.ideal_base).image
+            by_mask = {m: x for x, m in zip(lat.elements, lat.element_masks)}
+            table = {x: by_mask[sum(1 << y for y, z in enumerate(phi) if m >> z & 1)] for x, m in zip(lat.elements, lat.element_masks)}
+            hom = is_homomorphism(table, lat, lat)
+            count_ideals(hom_quotient(hom).graph)
+            assert lat._by_mask is None
+
+
+def _one_loop_agrees(order):
+    """Whether _birkhoff accepts the order, after asserting that it agrees
+    with the closure oracle and with the two-loop check it replaced: the
+    same verdict, J with the same generators, and the same masks; and
+    that it lists J as the principal elements and each element's two
+    lowest lower covers.  The oracles run first, so they close the order
+    themselves."""
+    expected, two = closure_birkhoff(order), two_loop_birkhoff(order)
+    lower, _ = climbing_cover_masks(order)
+    got = _birkhoff(order)
+    assert (got is None) == (expected is None) == (two is None), order.elements
+    if got is None:
+        return False
+    base, masks, principal, first, second = got
+    for ref in (expected, two):
+        assert (base.elements, base.gen_masks, masks) == (ref[0].elements, ref[0].gen_masks, ref[1]), order.elements
+    assert [order.elements[a] for a in principal] == list(base.elements)
+    assert (first, second) == lowest_two(lower)
+    return True
+
+
+class TestBirkhoffOneLoop:
+    """Differential: the one-loop cover check against the closure oracle
+    and the two-loop check, on every bounded poset of at most seven
+    elements given by every strict relation, by its covers, and by its
+    covers under identifiers that run against the order."""
+
+    def test_every_bounded_poset_of_at_most_seven_elements(self):
+        accepted = total = 0
+        for n in range(6):
+            for inner in labeled_posets(n):
+                redundant = _bounded(inner)
+                pairs = redundant.covers()
+                rename = fresh_names(redundant, None, "reversed", "r")
+                forms = (
+                    redundant,
+                    build_poset(list(redundant.elements), pairs),
+                    build_poset(sorted(rename.values()), [(rename[x], rename[y]) for x, y in pairs]),
+                )
+                verdicts = {_one_loop_agrees(order) for order in forms}
+                assert len(verdicts) == 1
+                accepted += verdicts.pop()
+                total += 1
+        assert total == 4474 and 0 < accepted < total
+
+
+class TestRefusalClosesOnce:
+    def test_mixed_rows_close_once_on_refusal_and_never_on_accept(self, monkeypatch):
+        # N5 above the top of the ideal lattice of a 4x4 grid: the top's
+        # successors have heights 2 and 1, so the cover pass closes the
+        # up-sets; the refusal's witness scans read them and close only the
+        # down-sets.
+        lat = ideal_lattice(build_poset(*grid_shape(4, 4)))
+        top = lat.top
+        elements = list(lat.elements) + ["xa", "xb", "xc", "xt"]
+        pairs = lat.order.covers() + [(top, "xa"), ("xa", "xb"), ("xb", "xt"), (top, "xc"), ("xc", "xt")]
+        calls = []
+        closure = dualfix.poset.dag_reach
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return closure(*args)
+
+        monkeypatch.setattr(dualfix.poset, "dag_reach", counted)
+        order = build_poset(elements, pairs)
+        with pytest.raises(NotDistributive) as exc:
+            lattice_from_order(order)
+        assert calls == [74, 74]
+        assert list(order.up_masks) == closure_rows(order.gen_masks)
+        assert _witness(brute_lattice_witness, build_poset(elements, pairs)) == (NotDistributive, exc.value.args)
+        # a distributive lattice given with a redundant edge from bottom to
+        # top has a mixed row at the bottom; accepting it closes nothing
+        del calls[:]
+        given = build_poset(list(lat.elements), lat.order.covers() + [(lat.bot, top)])
+        lattice_from_order(given)
+        assert calls == [len(given)]
+        assert given._up_masks is None and given._down_masks is None
+
+
+class TestIrreduciblesReadThePrincipalElements:
+    """Differential: _irreducibles of an ideal lattice, which reads each
+    base point's principal element off the lattice, against the
+    relabelling by each point's closed down-set."""
+
+    def test_every_poset_of_at_most_five_elements_shuffled_and_reversed(self):
+        rng = random.Random(229)
+        checked = 0
+        for p in noniso_posets_upto(5):
+            for naming in ("shuffled", "reversed", "shuffled"):
+                rename = fresh_names(p, rng, naming, "b")
+                base = build_poset(sorted(rename.values()), [(rename[x], rename[y]) for x, y in p.covers()])
+                lat = ideal_lattice(base)
+                irr, pos = _irreducibles(lat)
+                assert base._down_masks is None
+                ref_irr, ref_pos = relabelled_irreducibles(lat)
+                assert (irr.elements, irr.gen_masks, irr.order, list(pos)) == (
+                    ref_irr.elements, ref_irr.gen_masks, ref_irr.order, list(ref_pos)
+                )
+                assert irr == ref_irr
+                checked += 1
+        assert checked == 3 * 88
