@@ -34,7 +34,7 @@ from .jsonio import (
     table_from_obj,
 )
 from .lattice import ideal_lattice, is_homomorphism, join_irreducibles, lattice_from_order
-from .poset import MonotoneMap, _cover_masks, _ideal_walk, build_poset, count_ideals, is_monotone, iter_ideal_masks
+from .poset import MonotoneMap, _cover_masks, build_poset, count_ideals, is_monotone, iter_ideal_masks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -334,33 +334,27 @@ def cmd_fixpoints(cfg, out) -> int:
     if isinstance(loaded, MonotoneMap):
         if not loaded.is_endo():
             raise UsageError("fix-points need a self-map: codomain must equal domain")
-        fx = fixpoint_mod.fixpoints_via_duality(loaded)
-        if cfg.mode == "list":
-            # Each name encoded once, as json.dumps encodes a string under
-            # ensure_ascii, so every line matches _dumps of the member list.
-            enc = list(map(encode_basestring_ascii, fx.quotient.base.elements))
-            for member in fx.iter_members():
-                out.write("[" + ",".join(select(enc, member.mask)) + "]\n")
-        elif cfg.mode == "count":
-            print(fx.count(), file=out)
-        else:
-            out.write(_quotient_json(fx.quotient) + "\n")
+        phi = loaded
+        # Each name encoded once, as json.dumps encodes a string under
+        # ensure_ascii, so every line matches _dumps of the member list.
+        enc = list(map(encode_basestring_ascii, phi.domain.elements))
+        line = lambda mask: "[" + ",".join(select(enc, mask)) + "]\n"
     else:
-        hom = loaded
-        if not hom.is_endo():
+        if not loaded.is_endo():
             raise UsageError("fix-points need an endomorphism: codomain must equal domain")
-        quo = fixpoint_mod.hom_quotient(hom)
-        if cfg.mode == "list":
-            # The fix-point of a quotient ideal is the join of the
-            # irreducibles in its classes: the union of their ideals, which
-            # the walk gathers per class.
-            lat = hom.domain
-            for _, _, union in _ideal_walk(quo._naming()[2], rows=fixpoint_mod._class_rows(lat, quo)):
-                out.write(encode_basestring_ascii(lat.elements[lat.ideal_index(union)]) + "\n")
-        elif cfg.mode == "count":
-            print(count_ideals(quo.graph), file=out)
-        else:
-            out.write(_quotient_json(quo) + "\n")
+        # A lattice read from an order has its join-irreducibles J as ideal
+        # base: the dual a hom carries maps J to itself, and a fixed ideal
+        # of J is the ideal of a fixed element.
+        phi, lat = loaded.dual, loaded.domain
+        line = lambda mask: encode_basestring_ascii(lat.elements[lat.ideal_index(mask)]) + "\n"
+    fx = fixpoint_mod.fixpoints_via_duality(phi)
+    if cfg.mode == "list":
+        for member in fx.iter_members():
+            out.write(line(member.mask))
+    elif cfg.mode == "count":
+        print(fx.count(), file=out)
+    else:
+        out.write(_quotient_json(fx.quotient) + "\n")
     return EXIT_OK
 
 

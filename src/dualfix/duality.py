@@ -33,9 +33,13 @@ def dual_map(hom: LatticeHom) -> MonotoneMap:
 def _dual_on_irreducibles(hom: LatticeHom) -> MonotoneMap:
     """The dual of an endomorphism as a self-map of the join-irreducibles
     of its domain, named as lattice elements: base point x of the Birkhoff
-    representation becomes the element whose ideal is the down-set of x."""
+    representation becomes the element whose ideal is the down-set of x.
+    When the base is J already, as for a lattice read from an order, that
+    is ``hom.dual`` as it is."""
     phi = dual_map(hom)
     irr, pos = _irreducibles(hom.domain)
+    if irr is hom.domain.ideal_base:
+        return phi
     image = [0] * len(irr)
     for x, y in enumerate(phi.image):
         image[pos[x]] = pos[y]

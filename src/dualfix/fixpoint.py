@@ -5,6 +5,10 @@ classes of each quotient ideal gives back exactly the fixed ideals of the
 base, so the whole fix-point lattice is read off without ever iterating the
 endomorphism or materializing its lattice.  The number of fix-points is the
 quotient's ideal count, which ``count_ideals`` computes without listing them.
+An explicit endomorphism takes the same route: the dual it carries maps J,
+the join-irreducibles of its lattice, to itself, and a lattice read from an
+order has J as its base, so each fixed ideal of J is the ideal of a fixed
+element.
 
 There is one quotient construction, ``coequalizer_general``, which always
 yields a partial order.  It finds the connected components of the map
@@ -28,7 +32,7 @@ from operator import or_
 from .bitgraph import bits, mask_of, select, tarjan_scc, topo_order
 from .duality import _dual_on_irreducibles
 from .errors import NotAnIdealOfC, QuotientNotAntisymmetric
-from .lattice import FiniteLattice, LatticeHom
+from .lattice import LatticeHom
 from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk, count_ideals
 
 
@@ -324,10 +328,12 @@ def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:
 def hom_quotient(hom: LatticeHom) -> QuotientPoset:
     """Quotient for an explicit endomorphism: dualize, then quotient.
 
-    The dual is the one the hom carries.  The quotient is over the
-    join-irreducibles of the domain, named as lattice elements: base point
-    x of the Birkhoff representation becomes the element whose ideal is the
-    down-set of x.
+    The dual is the one the hom carries, on the join-irreducibles of the
+    domain, named as lattice elements: base point x of the Birkhoff
+    representation becomes the element whose ideal is the down-set of x.
+    A lattice read from an order has that J as its base, so its quotient
+    is ``fixpoints_via_duality(hom.dual).quotient``, which the CLI answers
+    from as it does for a monotone map.
     """
     return coequalizer_general(_dual_on_irreducibles(hom))
 
@@ -337,8 +343,9 @@ def algorithm1(hom: LatticeHom, ideal, quotient=None):
 
     ``ideal`` is an OrderIdeal of the quotient's class poset (or an iterable
     of class names, checked for down-closure).  The union of its classes is
-    a set of join-irreducibles of the domain; their join is returned.  The
-    empty ideal gives bottom, the full one gives top.
+    a set of join-irreducibles of the domain; their join, the element whose
+    ideal is the union of theirs, is returned.  The empty ideal gives
+    bottom, the full one gives top.
     """
     if not hom.is_endo():
         raise ValueError("algorithm1 expects an endomorphism")
@@ -353,20 +360,9 @@ def algorithm1(hom: LatticeHom, ideal, quotient=None):
         qmask = quo.class_poset.mask_from(names)
         if not quo.class_poset.is_down_closed(qmask):
             raise NotAnIdealOfC(names)
-    out = reduce(or_, select(_class_rows(lat, quo), qmask), 0)
+    irr = quo.base.ids_from(reduce(or_, select(quo.member_masks, qmask), 0))
+    out = reduce(or_, [lat.element_masks[lat.index(x)] for x in irr], 0)
     return lat.elements[lat.ideal_index(out)]
-
-
-def _class_rows(lat: FiniteLattice, quo: QuotientPoset) -> list:
-    """Per class of a quotient over the join-irreducibles of ``lat``, the
-    union of its irreducibles' ideals, a mask over the lattice's base.
-
-    The fix-point of a quotient ideal is the join of the irreducibles in
-    its classes, so it is the element whose ideal is the union of the
-    rows of those classes.
-    """
-    ideals = [lat.element_masks[lat.index(x)] for x in quo.base.elements]
-    return [reduce(or_, select(ideals, m), 0) for m in quo.member_masks]
 
 
 def bruteforce_fixpoints(hom: LatticeHom) -> tuple:

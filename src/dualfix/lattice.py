@@ -59,31 +59,30 @@ class FiniteLattice:
     i corresponds to; the map is an order-isomorphism onto all ideals of B,
     so meet and join are intersection and union of masks.  For ideal
     lattices B is the poset the elements are ideals of; for lattices built
-    from an order it is the sub-poset of join-irreducible elements,
-    generated by sparse edges found while validating, like every poset;
-    then ``irreducible_base`` is True: each base point is the element whose
-    ideal is its down-set.  It is False for ideal lattices.
+    from an order it is J, the sub-poset of join-irreducible elements,
+    generated by sparse edges found while validating, like every poset.
     ``principal[x]`` is the index of the element whose ideal is the
-    down-set of base point x, and ``first_lower[i]`` and ``second_lower[i]``
-    are the indices of the two lowest-index lower covers of element i, -1
-    where it has fewer; two distinct lower covers join to their element.
+    down-set of base point x; B is J exactly when each x bears that
+    element's name (:func:`_irreducibles`).  ``first_lower[i]`` and
+    ``second_lower[i]`` are the indices of the two lowest-index lower
+    covers of element i, -1 where it has fewer; two distinct lower covers
+    join to their element.
     The mask-to-element dict behind the lookups is built on first use.
     Instances come from the validating constructors below and are immutable.
     """
 
     __slots__ = (
-        "order", "bot_idx", "top_idx", "ideal_base", "element_masks", "irreducible_base",
+        "order", "bot_idx", "top_idx", "ideal_base", "element_masks",
         "principal", "first_lower", "second_lower", "_by_mask",
     )
 
-    def __init__(self, order, ideal_base, element_masks, principal, first_lower, second_lower, irreducible_base=False):
+    def __init__(self, order, ideal_base, element_masks, principal, first_lower, second_lower):
         self.order = order
         self.ideal_base = ideal_base
         self.element_masks = tuple(element_masks)
         self.principal = tuple(principal)
         self.first_lower = tuple(first_lower)
         self.second_lower = tuple(second_lower)
-        self.irreducible_base = irreducible_base
         self._by_mask = None
         self.bot_idx = self.element_masks.index(0)
         self.top_idx = self.element_masks.index((1 << len(ideal_base)) - 1)
@@ -174,7 +173,7 @@ def lattice_from_order(order: Poset, max_size=None) -> FiniteLattice:
     if rep is None:
         _raise_lattice_witness(order)
         raise RuntimeError("Birkhoff check rejected an order that the witness scans accept")
-    return FiniteLattice(order, *rep, irreducible_base=True)
+    return FiniteLattice(order, *rep)
 
 
 def _birkhoff(order: Poset):
@@ -484,12 +483,14 @@ def _irreducibles(lat: FiniteLattice):
     relabelled by that index.
 
     The lattice keeps those elements as ``principal``, so no down-set is
-    closed.  A lattice read from an order has them as its base points
-    (``irreducible_base``), under their own names, in ascending index, as
-    :func:`_birkhoff` lists them: the relabelling is the identity and the
-    base is J itself."""
+    closed.  Of the lattices the constructors build, the base is J itself,
+    and the relabelling the identity, exactly when each base point x bears
+    the name of ``principal[x]``: a lattice read from an order has J as its
+    base, under its own names, in ascending index, as :func:`_birkhoff`
+    lists them.  An ideal lattice never passes the test, as the name of
+    the down-set of x holds the name of x between braces, so it is longer."""
     base = lat.ideal_base
-    if lat.irreducible_base:
+    if base.elements == tuple(map(lat.elements.__getitem__, lat.principal)):
         return base, range(len(base))
     elems = sorted(lat.principal)
     rank = {e: k for k, e in enumerate(elems)}

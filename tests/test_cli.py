@@ -277,20 +277,29 @@ class TestInternalErrors:
         # identity quotient of the chain 0 < m < 1 swapped, the classes
         # still partition the base, but the first fix-point listed after []
         # would be {m}, which is not down-closed; the class-level guard
-        # must stop it.
+        # must stop it.  The explicit side lists through the same guard: on
+        # the 3-chain lattice its base is J = {m < 1}, and with the masks
+        # swapped the fix-point after bottom would be {1}.  A union of
+        # principal ideals is an ideal, so only the guard can stop it.
         naming = dualfix.fixpoint.QuotientPoset._naming
 
         def swapped(self):
             names, classes, order, masks = naming(self)
             return names, classes, order, masks[-1:] + masks[1:-1] + masks[:1]
 
-        args = ["--poset", write_json("p.json", THREE_CHAIN), "--map", write_json("m.json", {"map": {"0": "0", "m": "m", "1": "1"}})]
-        assert run(capsys, "fixpoints", *args, "--list") == (0, '[]\n["0"]\n["0","m"]\n["0","1","m"]\n', "")
-        monkeypatch.setattr(dualfix.fixpoint.QuotientPoset, "_naming", swapped)
-        code, out, err = run(capsys, "fixpoints", *args, "--list")
-        assert code == EXIT_INTERNAL
-        assert out == "[]\n"
-        assert err == "error: internal: fix-point ['m'] is not down-closed in the base\n"
+        identity = write_json("m.json", {"map": {"0": "0", "m": "m", "1": "1"}})
+        cases = [
+            (["--poset", write_json("p.json", THREE_CHAIN), "--map", identity], '[]\n["0"]\n["0","m"]\n["0","1","m"]\n', "[]\n", "['m']"),
+            (["--lattice", write_json("l.json", THREE_CHAIN), "--hom", identity], '"0"\n"m"\n"1"\n', '"0"\n', "['1']"),
+        ]
+        for args, listed, before, bad in cases:
+            assert run(capsys, "fixpoints", *args, "--list") == (0, listed, "")
+            with monkeypatch.context() as patch:
+                patch.setattr(dualfix.fixpoint.QuotientPoset, "_naming", swapped)
+                code, out, err = run(capsys, "fixpoints", *args, "--list")
+            assert code == EXIT_INTERNAL
+            assert out == before
+            assert err == f"error: internal: fix-point {bad} is not down-closed in the base\n"
 
 
 class TestQuotientAtScale:
