@@ -352,10 +352,26 @@ def cmd_fixpoints(cfg, out) -> int:
         for member in fx.iter_members():
             out.write(line(member.mask))
     elif cfg.mode == "count":
-        print(fx.count(), file=out)
+        out.write(_decimal(fx.count()) + "\n")
     else:
         out.write(_quotient_json(fx.quotient) + "\n")
     return EXIT_OK
+
+
+def _decimal(count: int) -> str:
+    """The digits of an exact count.  Python 3.11+ refuses to convert an
+    int of more than ``sys.get_int_max_str_digits()`` digits (4,300 by
+    default) to a string; the limit is lifted for this one conversion
+    and restored after it."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return str(count)
+    limit = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _quotient_json(quo) -> str:

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from itertools import combinations
 
 import pytest
@@ -194,3 +195,31 @@ def test_swapped_pairs_on_an_antichain(inputs):
     code, out, err = _cli("fixpoints", "--quotient", *args)
     expected = _dumps({"classes": {f"[{p[0]}]": p for p in pairs}, "leq": []}) + "\n"
     assert (code, err, out.sha.hexdigest()) == (0, "", _digest([expected])[0])
+
+
+def test_count_past_the_digit_limit(inputs):
+    # 2^15000 has 4,516 digits, past the 4,300 that Python 3.11+ converts
+    # from int to str by default; the count is printed in full, and the
+    # interpreter's limit is left as it was found, here a non-default one.
+    ids = [f"a{i:05d}" for i in range(15000)]
+    args = [
+        "--poset", inputs("antichain-15000.json", {"elements": ids, "leq": []}),
+        "--map", inputs("identity-15000.json", {"map": {x: x for x in ids}}),
+    ]
+    limits = getattr(sys, "get_int_max_str_digits", None)
+    before = None if limits is None else limits()
+    if before is not None:
+        sys.set_int_max_str_digits(4400)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fixpoints", "--count", *args])
+        if before is not None:
+            assert sys.get_int_max_str_digits() == 4400
+            sys.set_int_max_str_digits(0)
+        digits = str(1 << 15000)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+    assert len(digits) == 4516
+    assert (code, err.getvalue(), out.getvalue()) == (0, "", digits + "\n")
