@@ -257,12 +257,12 @@ class FixpointLattice:
     """All fix-points of the endomorphism induced by a monotone self-map.
 
     Members are the unions of quotient-ideal classes, streamed in the
-    canonical ideal order of the quotient, each union carried along the
-    ideal walk.  Each one is re-checked to be down-closed in the base on
-    emission, class by class (:func:`_class_guard`), and a failure raises
-    RuntimeError.  The member count equals the quotient's ideal count, so
-    ``count`` takes it from the frontier DP of ``count_ideals`` and never
-    builds the members.
+    canonical ideal order of the quotient.  The walk carries each union U
+    with the generating predecessors P(U) of its points, as one row
+    ``U | P(U) << n`` (:func:`_guard_rows`); U is down-closed in the base
+    exactly when P(U) lies in it, else emitting it raises RuntimeError.
+    The member count equals the quotient's ideal count, so ``count`` takes
+    it from the frontier DP of ``count_ideals`` and builds no member.
     """
 
     __slots__ = ("phi", "quotient")
@@ -274,16 +274,11 @@ class FixpointLattice:
     def iter_members(self):
         base = self.quotient.base
         _, _, order, masks = self.quotient._naming()
-        class_of = self.quotient._class_idx
-        if masks != self.quotient._masks:
-            # classes in name order: map each class, by its least member
-            rank = [0] * len(masks)
-            for k, m in enumerate(masks):
-                rank[class_of[(m & -m).bit_length() - 1]] = k
-            class_of = [rank[c] for c in class_of]
-        down_closed = _class_guard(base, masks, class_of)
-        for qmask, _, union in _ideal_walk(order, rows=masks):
-            if not down_closed(qmask, union):
+        n = len(base)
+        points = (1 << n) - 1
+        for _, _, row in _ideal_walk(order, rows=_guard_rows(base, masks)):
+            union = row & points
+            if row >> n & ~union:
                 raise RuntimeError(f"fix-point {list(base.ids_from(union))} is not down-closed in the base")
             yield OrderIdeal._tested(base, union)
 
@@ -294,26 +289,26 @@ class FixpointLattice:
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"
 
 
-def _class_guard(base: Poset, masks, class_of=None):
-    """``down_closed(qmask, union)`` for the union of the classes in
-    ``qmask``.  The classes' ``masks`` must partition the base, so the union
-    is down-closed (``Poset.is_down_closed``) exactly when no generating
-    edge leaving a class outside ``qmask`` enters it.  ``class_of[v]``,
-    when given, is the position in ``masks`` of the class of base point v,
-    and each class's edges are gathered by one OR per point; else they
-    are read off each class's mask."""
-    if sum(m.bit_count() for m in masks) != len(base) or reduce(or_, masks, 0).bit_count() != len(base):
+def _guard_rows(base: Poset, masks):
+    """The walk row ``m | P(m) << n`` of each class of member mask m, on a
+    base of n points: P(m) ORs the generating predecessors
+    (``Poset.pred_masks``) of m's points, read bit by bit.  So the rows of
+    the classes of a quotient ideal OR to ``U | P(U) << n`` for their
+    union U, which is down-closed (``Poset.is_down_closed``) exactly when
+    ``P(U) & ~U`` is 0.  The ``masks`` must partition the base."""
+    n = len(base)
+    if sum(m.bit_count() for m in masks) != n or reduce(or_, masks, 0).bit_count() != n:
         raise RuntimeError("the quotient's classes do not partition the base")
-    gen = base.gen_masks
-    leaving = [0] * len(masks)
-    if class_of is None:
-        for c, m in enumerate(masks):
-            leaving[c] = reduce(or_, select(gen, m), 0)
-    else:
-        for c, row in zip(class_of, gen):
-            leaving[c] |= row
-    full = (1 << len(masks)) - 1
-    return lambda qmask, union: not reduce(or_, select(leaving, full ^ qmask), 0) & union
+    pred = base.pred_masks
+    rows = []
+    for m in masks:
+        below, rest = 0, m
+        while rest:
+            low = rest & -rest
+            below |= pred[low.bit_length() - 1]
+            rest ^= low
+        rows.append(m | below << n)
+    return rows
 
 
 def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:

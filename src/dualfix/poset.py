@@ -114,18 +114,8 @@ class Poset:
         return tuple(select(self.elements, mask))
 
     def is_down_closed(self, mask: int) -> bool:
-        """True iff no generating edge enters ``mask`` from outside it.
-
-        Reads the smaller side: the generating predecessors of the members
-        when they are at most half the carrier, else the generating
-        successors of the points outside.
-        """
-        n = len(self.elements)
-        k = mask.bit_count()
-        if 2 * k <= n:
-            return not k or not reduce(or_, select(self.pred_masks, mask), 0) & ~mask
-        outside = ((1 << n) - 1) & ~mask
-        return not reduce(or_, select(self.gen_masks, outside), 0) & mask
+        """True iff every generating predecessor of a member is a member."""
+        return not reduce(or_, select(self.pred_masks, mask), 0) & ~mask
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from functools import reduce
 from itertools import product
@@ -30,12 +31,13 @@ from dualfix import (
     phi_components,
 )
 from dualfix.bitgraph import topo_order
-from dualfix.fixpoint import _class_guard
+from dualfix.fixpoint import FixpointLattice, _guard_rows
 from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
     CycleReport,
     MaxStepsExceeded,
     all_ideals,
+    closure_is_down_closed,
     brute_components_witness,
     brute_preorder_pairs,
     closure_coequalizer,
@@ -53,6 +55,17 @@ from helpers import (
 
 def collapse_phi(two_chain):
     return is_monotone({"p": "q", "q": "q"}, two_chain, two_chain)
+
+
+def _carried_verdicts(base, masks):
+    """(union, verdict) for every union of the classes of ``masks``, the
+    verdict read as iter_members reads it off the ORed guard rows."""
+    n = len(base)
+    rows = _guard_rows(base, masks)
+    for qmask in range(1 << len(masks)):
+        row = reduce(or_, [r for c, r in enumerate(rows) if qmask >> c & 1], 0)
+        union = row & ((1 << n) - 1)
+        yield union, not row >> n & ~union
 
 
 class TestPhiComponents:
@@ -487,9 +500,10 @@ class TestFixpointsViaDuality:
                     assert fx.quotient.class_poset._up_masks is None
 
     def test_the_class_guard_agrees_with_the_base_on_every_union_of_classes(self):
-        # iter_members tests each member's down-closure class by class; on
-        # every union of classes, ideal of the quotient or not, the test
-        # must agree with the base's own.
+        # iter_members carries each member's predecessors in its walk row
+        # and tests them against the member; on every union of classes,
+        # ideal of the quotient or not, the test must agree with the base's
+        # own.
         rng = random.Random(109)
         ideals = others = 0
         for _ in range(150):
@@ -498,23 +512,17 @@ class TestFixpointsViaDuality:
             base = poset_from_obj(doc)
             for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
                 _, _, _, masks = coequalizer_general(phi)._naming()
-                down_closed = _class_guard(base, masks)
-                for qmask in range(1 << len(masks)):
-                    union = 0
-                    for c, m in enumerate(masks):
-                        if qmask >> c & 1:
-                            union |= m
-                    verdict = base.is_down_closed(union)
-                    assert down_closed(qmask, union) == verdict
+                for union, verdict in _carried_verdicts(base, masks):
+                    assert verdict == base.is_down_closed(union)
                     ideals += verdict
                     others += not verdict
         assert ideals > 1000 and others > 1000
 
-    def test_the_class_guard_by_class_index_agrees_with_the_masks(self):
-        # iter_members gathers each class's edges by the quotient's class
-        # index, mapped into name order when names sort unlike least
-        # members ("[c10]" < "[c1]"); the verdicts must be those read off
-        # the masks on every union of classes
+    def test_the_class_guard_agrees_with_the_base_when_names_sort_unlike_least_members(self):
+        # When names sort unlike least members ("[c10]" < "[c1]") the
+        # classes come in name order, and the rows are built in that order
+        # from the member masks; the verdicts must be the base's on every
+        # union of classes, and the members those of the quotient ideals.
         rng = random.Random(233)
         permuted = 0
         for _ in range(150):
@@ -525,25 +533,78 @@ class TestFixpointsViaDuality:
             for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
                 quo = coequalizer_general(phi)
                 _, _, _, masks = quo._naming()
-                class_of = [next(k for k, m in enumerate(masks) if m >> v & 1) for v in range(len(base))]
-                permuted += class_of != list(quo._class_idx)
-                by_index = _class_guard(base, masks, class_of)
-                by_masks = _class_guard(base, masks)
-                for qmask in range(1 << len(masks)):
-                    union = reduce(or_, [m for c, m in enumerate(masks) if qmask >> c & 1], 0)
-                    assert by_index(qmask, union) == by_masks(qmask, union) == base.is_down_closed(union)
+                permuted += list(masks) != sorted(masks, key=lambda m: m & -m)
+                for union, verdict in _carried_verdicts(base, masks):
+                    assert verdict == base.is_down_closed(union)
                 assert [m.mask for m in fixpoints_via_duality(phi).iter_members()] == union_member_masks(quo)
         assert permuted > 50
 
     def test_the_class_guard_needs_a_partition(self, three_chain):
         for masks in ((1, 2), (1, 3, 4), (1, 2, 4, 4)):
             with pytest.raises(RuntimeError, match="do not partition"):
-                _class_guard(three_chain, masks)
+                _guard_rows(three_chain, masks)
 
     def test_empty_poset_has_single_fixpoint(self):
         base = build_poset([], [])
         fx = fixpoints_via_duality(MonotoneMap.identity(base))
         assert [m.name for m in fx.iter_members()] == ["{}"]
+
+
+class TestCarriedGuardAgainstClosure:
+    # The check iter_members carries along the ideal walk, against the
+    # closed down-sets of the base, on every union of classes and on the
+    # members listed, with the classes' masks as named and permuted.  A
+    # permutation keeps a partition but breaks the class order: the walk
+    # then reaches unions that are not down-closed, and iter_members must
+    # list exactly the unions before the first of them and then raise.
+    @staticmethod
+    def _check(phi, rng, permutations):
+        base = phi.domain
+        quo = coequalizer_general(phi)
+        names, classes, order, masks = quo._naming()
+        failed = 0
+        for perm in [masks] + [tuple(rng.sample(masks, len(masks))) for _ in range(permutations)]:
+            for union, verdict in _carried_verdicts(base, perm):
+                assert verdict == closure_is_down_closed(base, union)
+            expected, bad = [], None
+            for qmask in iter_ideal_masks(order):
+                union = reduce(or_, [m for c, m in enumerate(perm) if qmask >> c & 1], 0)
+                if not closure_is_down_closed(base, union):
+                    bad = union
+                    break
+                expected.append(union)
+            quo._named = names, classes, order, perm
+            listed = []
+            with pytest.raises(RuntimeError) if bad is not None else contextlib.nullcontext() as caught:
+                for member in FixpointLattice(phi, quo).iter_members():
+                    listed.append(member.mask)
+            assert listed == expected
+            if bad is not None:
+                assert str(caught.value) == f"fix-point {list(base.ids_from(bad))} is not down-closed in the base"
+                failed += 1
+        return failed
+
+    def test_every_poset_of_at_most_five_elements_with_the_identity(self):
+        rng = random.Random(311)
+        failed = sum(self._check(MonotoneMap.identity(p), rng, 3) for p in noniso_posets_upto(5))
+        assert failed > 100
+
+    def test_every_monotone_self_map_of_at_most_four_elements(self):
+        rng = random.Random(313)
+        failed = sum(self._check(phi, rng, 1) for p in noniso_posets_upto(4) for phi in monotone_selfmaps(p))
+        assert failed > 100
+
+    def test_seeded_posets_whose_names_sort_unlike_least_members(self):
+        rng = random.Random(317)
+        failed = 0
+        for _ in range(60):
+            p = random_poset(rng, rng.randrange(1, 9))
+            names = [f"c{k}" for k in rng.sample(range(1, 13), len(p))]
+            rename = dict(zip(p.elements, names))
+            base = build_poset(sorted(names), [(rename[x], rename[y]) for x, y in p.covers()])
+            for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
+                failed += self._check(phi, rng, 2)
+        assert failed > 50
 
 
 class TestAlgorithm1:
