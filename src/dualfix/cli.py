@@ -359,14 +359,11 @@ def cmd_fixpoints(cfg, out) -> int:
 
 
 def _decimal(count: int) -> str:
-    """The digits of an exact count.  Python 3.11+ refuses to convert an
-    int of more than ``sys.get_int_max_str_digits()`` digits (4,300 by
-    default) to a string; the limit is lifted for this one conversion
-    and restored after it."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
+    """``str(count)`` past the int-to-str digit limit of Python 3.11+
+    (4,300 digits by default): lifted for one conversion, then restored."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
         return str(count)
-    limit = limit()
     sys.set_int_max_str_digits(0)
     try:
         return str(count)
