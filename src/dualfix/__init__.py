@@ -7,7 +7,6 @@ from .errors import (
     DuplicateElement,
     InvalidInput,
     NotALattice,
-    NotAnIdealOfC,
     NotDistributive,
     NotHom,
     NotMonotone,
@@ -37,11 +36,9 @@ from .duality import dual_map, hom_from_dual, lift_hom
 from .fixpoint import (
     FixpointLattice,
     QuotientPoset,
-    algorithm1,
     bruteforce_fixpoints,
     coequalizer_general,
     fixpoints_via_duality,
-    hom_quotient,
     phi_components,
 )
 
@@ -54,7 +51,6 @@ __all__ = [
     "LatticeHom",
     "MonotoneMap",
     "NotALattice",
-    "NotAnIdealOfC",
     "NotDistributive",
     "NotHom",
     "NotMonotone",
@@ -64,7 +60,6 @@ __all__ = [
     "QuotientPoset",
     "SizeBoundExceeded",
     "UnknownElement",
-    "algorithm1",
     "bruteforce_fixpoints",
     "build_poset",
     "coequalizer_general",
@@ -73,7 +68,6 @@ __all__ = [
     "explicit_lattice_bound",
     "fixpoints_via_duality",
     "hom_from_dual",
-    "hom_quotient",
     "ideal_lattice",
     "is_homomorphism",
     "is_monotone",

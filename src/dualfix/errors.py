@@ -84,13 +84,6 @@ class QuotientNotAntisymmetric(InvalidInput):
         super().__init__(f"classes {c1!r} and {c2!r} are mutually below each other", witness=[c1, c2])
 
 
-class NotAnIdealOfC(InvalidInput):
-    code = "NotAnIdealOfC"
-
-    def __init__(self, names):
-        super().__init__(f"class set {sorted(names)} is not down-closed in the quotient", witness=sorted(names))
-
-
 class SizeBoundExceeded(InvalidInput):
     code = "SizeBoundExceeded"
 

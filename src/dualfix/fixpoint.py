@@ -29,10 +29,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .bitgraph import bits, mask_of, select, tarjan_scc, topo_order
-from .duality import _dual_on_irreducibles
-from .errors import NotAnIdealOfC, QuotientNotAntisymmetric
-from .lattice import LatticeHom
+from .bitgraph import bits, mask_of, tarjan_scc, topo_order
+from .errors import QuotientNotAntisymmetric
 from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk, count_ideals
 
 
@@ -320,47 +318,7 @@ def fixpoints_via_duality(phi: MonotoneMap) -> FixpointLattice:
     return FixpointLattice(phi, coequalizer_general(phi))
 
 
-def hom_quotient(hom: LatticeHom) -> QuotientPoset:
-    """Quotient for an explicit endomorphism: dualize, then quotient.
-
-    The dual is the one the hom carries, on the join-irreducibles of the
-    domain, named as lattice elements: base point x of the Birkhoff
-    representation becomes the element whose ideal is the down-set of x.
-    A lattice read from an order has that J as its base, so its quotient
-    is ``fixpoints_via_duality(hom.dual).quotient``, which the CLI answers
-    from as it does for a monotone map.
-    """
-    return coequalizer_general(_dual_on_irreducibles(hom))
-
-
-def algorithm1(hom: LatticeHom, ideal, quotient=None):
-    """Fix-point of an explicit endomorphism selected by a quotient ideal.
-
-    ``ideal`` is an OrderIdeal of the quotient's class poset (or an iterable
-    of class names, checked for down-closure).  The union of its classes is
-    a set of join-irreducibles of the domain; their join, the element whose
-    ideal is the union of theirs, is returned.  The empty ideal gives
-    bottom, the full one gives top.
-    """
-    if not hom.is_endo():
-        raise ValueError("algorithm1 expects an endomorphism")
-    lat = hom.domain
-    quo = quotient if quotient is not None else hom_quotient(hom)
-    if isinstance(ideal, OrderIdeal):
-        if ideal.carrier != quo.class_poset:
-            raise NotAnIdealOfC(ideal.members)
-        qmask = ideal.mask
-    else:
-        names = list(ideal)
-        qmask = quo.class_poset.mask_from(names)
-        if not quo.class_poset.is_down_closed(qmask):
-            raise NotAnIdealOfC(names)
-    irr = quo.base.ids_from(reduce(or_, select(quo.member_masks, qmask), 0))
-    out = reduce(or_, [lat.element_masks[lat.index(x)] for x in irr], 0)
-    return lat.elements[lat.ideal_index(out)]
-
-
-def bruteforce_fixpoints(hom: LatticeHom) -> tuple:
+def bruteforce_fixpoints(hom) -> tuple:
     """Fixed elements of an explicit endomorphism, by exhaustive scan.
 
     The oracle the dual route is judged against: independent of quotients,

@@ -107,7 +107,7 @@ class Poset:
     def leq_idx(self, i, j) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
-    def mask_from(self, members: Iterable) -> int:
+    def mask_from(self, members) -> int:
         return mask_of(self.index(x) for x in members)
 
     def ids_from(self, mask: int) -> tuple:
@@ -194,6 +194,8 @@ class OrderIdeal:
 
     def __init__(self, carrier: Poset, members):
         mask = members if isinstance(members, int) else carrier.mask_from(members)
+        if mask < 0 or mask >> len(carrier):
+            raise ValueError(f"mask {mask:#x} has bits outside the {len(carrier)} elements")
         if not carrier.is_down_closed(mask):
             raise ValueError(f"not down-closed: {list(carrier.ids_from(mask))}")
         self.carrier = carrier
@@ -232,7 +234,7 @@ class OrderIdeal:
         return f"OrderIdeal({self.name})"
 
 
-def iter_ideal_masks(poset: Poset, max_count=None) -> Iterator[int]:
+def iter_ideal_masks(poset: Poset, max_count=None):
     """Stream the bitmasks of every order ideal in canonical order.
 
     Canonical order: ascending cardinality, then lexicographic on the sorted

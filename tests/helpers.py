@@ -27,11 +27,13 @@ from dualfix import (
     SizeBoundExceeded,
     UnknownElement,
     build_poset,
+    coequalizer_general,
     count_ideals,
     is_monotone,
     iter_ideal_masks,
 )
 from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
+from dualfix.duality import _dual_on_irreducibles
 from dualfix.fixpoint import _index_classes
 from dualfix.jsonio import ParseError
 from dualfix.lattice import FiniteLattice, _irreducibles, _least_by_differences
@@ -689,6 +691,57 @@ def candidate_dual_map(hom):
             raise NoMinimum(q.elements[y])
         table[q.elements[y]] = p.elements[least]
     return is_monotone(table, q, p)
+
+
+class NotAnIdealOfC(InvalidInput):
+    """A set of class names that is not down-closed in the quotient."""
+
+    code = "NotAnIdealOfC"
+
+    def __init__(self, names):
+        super().__init__(f"class set {sorted(names)} is not down-closed in the quotient", witness=sorted(names))
+
+
+def hom_quotient(hom):
+    """Quotient for an explicit endomorphism: dualize, then quotient.
+
+    The dual is the one the hom carries, on the join-irreducibles of the
+    domain, named as lattice elements: base point x of the Birkhoff
+    representation becomes the element whose ideal is the down-set of x.
+    A lattice read from an order has that J as its base, so its quotient
+    is ``fixpoints_via_duality(hom.dual).quotient``, which the CLI answers
+    from as it does for a monotone map.
+    """
+    return coequalizer_general(_dual_on_irreducibles(hom))
+
+
+def algorithm1(hom, ideal, quotient=None):
+    """Fix-point of an explicit endomorphism selected by a quotient ideal.
+
+    ``ideal`` is an OrderIdeal of the quotient's class poset (or an iterable
+    of class names, checked for down-closure).  The union of its classes is
+    a set of join-irreducibles of the domain; their join, the element whose
+    ideal is the union of theirs, is returned.  The empty ideal gives
+    bottom, the full one gives top.  The CLI's explicit ``--list`` writes
+    ``lat.elements[lat.ideal_index(m.mask)]`` for each member m of
+    ``fixpoints_via_duality(hom.dual)`` instead.
+    """
+    if not hom.is_endo():
+        raise ValueError("algorithm1 expects an endomorphism")
+    lat = hom.domain
+    quo = quotient if quotient is not None else hom_quotient(hom)
+    if isinstance(ideal, OrderIdeal):
+        if ideal.carrier != quo.class_poset:
+            raise NotAnIdealOfC(ideal.members)
+        qmask = ideal.mask
+    else:
+        names = list(ideal)
+        qmask = quo.class_poset.mask_from(names)
+        if not quo.class_poset.is_down_closed(qmask):
+            raise NotAnIdealOfC(names)
+    irr = quo.base.ids_from(reduce(or_, select(quo.member_masks, qmask), 0))
+    out = reduce(or_, [lat.element_masks[lat.index(x)] for x in irr], 0)
+    return lat.elements[lat.ideal_index(out)]
 
 
 def brute_preorder_pairs(poset, phi):

@@ -21,11 +21,9 @@ from dualfix import (
     MonotoneMap,
     NotDistributive,
     OrderIdeal,
-    algorithm1,
     build_poset,
     coequalizer_general,
     hom_from_dual,
-    hom_quotient,
     ideal_lattice,
     is_homomorphism,
     iter_ideal_masks,
@@ -34,7 +32,9 @@ from dualfix import (
 from dualfix.cli import EXIT_INTERNAL, UsageError, _dumps, _parse_exact, _parser, _quotient_json, main
 from dualfix.jsonio import ParseError, load_obj, map_to_obj, poset_from_obj, poset_to_obj, quotient_to_obj
 from helpers import (
+    algorithm1,
     fresh_names,
+    hom_quotient,
     labeled_posets,
     monotone_selfmaps,
     ordered_poset_from_obj,

@@ -10,10 +10,8 @@ import dualfix.fixpoint
 from dualfix import (
     LatticeHom,
     MonotoneMap,
-    NotAnIdealOfC,
     OrderIdeal,
     QuotientNotAntisymmetric,
-    algorithm1,
     bruteforce_fixpoints,
     build_poset,
     coequalizer_general,
@@ -21,7 +19,6 @@ from dualfix import (
     dual_map,
     fixpoints_via_duality,
     hom_from_dual,
-    hom_quotient,
     ideal_lattice,
     is_homomorphism,
     is_monotone,
@@ -36,12 +33,15 @@ from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
     CycleReport,
     MaxStepsExceeded,
+    NotAnIdealOfC,
+    algorithm1,
     all_ideals,
     closure_is_down_closed,
     brute_components_witness,
     brute_preorder_pairs,
     closure_coequalizer,
     gen_preorder,
+    hom_quotient,
     kleene_iterate,
     monotone_selfmaps,
     noniso_posets_upto,

@@ -8,7 +8,6 @@ from dualfix import (
     LatticeHom,
     MonotoneMap,
     count_ideals,
-    hom_quotient,
     QuotientNotAntisymmetric,
     NotALattice,
     NotDistributive,
@@ -47,6 +46,7 @@ from helpers import (
     down_set,
     fresh_names,
     grid_shape,
+    hom_quotient,
     inclusion_rows,
     labeled_posets,
     lowest_two,

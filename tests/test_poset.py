@@ -521,6 +521,15 @@ class TestOrderIdeal:
         assert "p" in ideal and "q" in ideal
         assert len(ideal) == 2
 
+    def test_rejects_masks_outside_the_carrier(self):
+        # P = {a < b, c}: a negative mask has every bit set, and bit 100
+        # names no element; both read as some set of members otherwise
+        poset = build_poset(["a", "b", "c"], [("a", "b")])
+        for mask in (-1, -2, 1 << 3, 1 << 100, (1 << 100) | 1):
+            with pytest.raises(ValueError, match="outside the 3 elements"):
+                OrderIdeal(poset, mask)
+        assert [OrderIdeal(poset, m).members for m in (0, 1, 0b011, 0b111)] == [(), ("a",), ("a", "b"), ("a", "b", "c")]
+
 
 class TestIsMonotone:
     def test_identity_is_valid(self):

@@ -1,9 +1,13 @@
 """Rules on the package source, checked on its syntax tree."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import dualfix
@@ -131,3 +135,61 @@ def test_files_are_written_only_through_the_overwrite_helper():
             if mode is not None and not set(mode) <= set("rbt") or getattr(node.func, "attr", None) in ("write_text", "write_bytes"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _package_modules():
+    return [importlib.import_module(f"dualfix.{info.name}") for info in pkgutil.iter_modules(dualfix.__path__)]
+
+
+def test_every_annotation_resolves():
+    # Annotations are strings, so a name that a module never imports only
+    # shows when they are evaluated: every one must resolve in its module.
+    checked = 0
+    for module in _package_modules():
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if isinstance(obj, type):
+                for attr in vars(obj).values():
+                    if isinstance(attr, property):
+                        members += [attr.fget, attr.fset, attr.fdel]
+                    else:
+                        members.append(getattr(attr, "__func__", attr))
+            for member in members:
+                if inspect.isfunction(member) or isinstance(member, type):
+                    typing.get_type_hints(member)
+                    checked += 1
+    assert checked > 150
+
+
+POSET_SIDE = ("bitgraph.py", "errors.py", "poset.py", "jsonio.py", "fixpoint.py")
+
+
+def test_the_poset_side_imports_nothing_from_the_explicit_side():
+    # A monotone map's fix-points need neither lattices nor homs: the poset
+    # side reaches dualfix.lattice and dualfix.duality through no import.
+    explicit = {"dualfix.lattice", "dualfix.duality"}
+    found = []
+    for path, tree in _trees():
+        if path.name not in POSET_SIDE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["dualfix" if node.level else "", node.module]))
+                targets = {base} | {f"{base}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            if targets & explicit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert {path.name for path, _ in _trees()} >= set(POSET_SIDE)
+    assert found == []
+
+
+def test_the_public_names_exist():
+    assert all(hasattr(dualfix, name) for name in dualfix.__all__)
+    for name in ("algorithm1", "hom_quotient", "NotAnIdealOfC"):
+        assert name not in dualfix.__all__
+        assert not any(hasattr(module, name) for module in [dualfix, *_package_modules()])
