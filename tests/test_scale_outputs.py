@@ -3,11 +3,12 @@
 Each case writes a deterministic input into ``tmp_path`` and runs
 ``cli.main`` in process.  The expected stdout comes from a closed form
 where one exists: n + 1 ideals for an n-chain, one line per element from
-bottom to top for a chain lattice, 2^k unions for k swapped pairs.  Where
-none is written here, the digest pinned is cross-checked by an
-independent route.  A change to any expected stdout here is a change to
-what the CLI prints.  Stdout is hashed as it is written, so no case keeps
-a listing of tens of megabytes in memory.  No time is asserted.
+bottom to top for a chain lattice, 2^k unions for k swapped pairs,
+C(r + c, r) ideals for an r x c grid.  Where none is written here, the
+digest pinned is cross-checked by an independent route.  A change to
+any expected stdout here is a change to what the CLI prints.  Stdout is
+hashed as it is written, so no case keeps a listing of tens of megabytes
+in memory.  No time is asserted.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import io
 import json
 import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -195,6 +197,53 @@ def test_swapped_pairs_on_an_antichain(inputs):
     code, out, err = _cli("fixpoints", "--quotient", *args)
     expected = _dumps({"classes": {f"[{p[0]}]": p for p in pairs}, "leq": []}) + "\n"
     assert (code, err, out.sha.hexdigest()) == (0, "", _digest([expected])[0])
+
+
+@pytest.mark.parametrize("naming", ["row-major", "column-major"])
+def test_grid_with_the_identity(inputs, naming):
+    # an r x c grid has C(r + c, r) ideals, the monotone lattice paths
+    # across it, and the identity quotient is the grid itself; the
+    # identifiers run along rows or down columns, so the count walks a
+    # frontier of one width or the other
+    rows, cols = 10, 14
+
+    def name(r, c):
+        return f"g{r:02d}{c:02d}" if naming == "row-major" else f"g{c:02d}{r:02d}"
+
+    ids = [name(r, c) for r in range(rows) for c in range(cols)]
+    covers = [(name(r, c), name(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    covers += [(name(r, c), name(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    args = [
+        "--poset", inputs(f"grid-{naming}.json", {"elements": ids, "leq": covers}),
+        "--map", inputs(f"grid-identity-{naming}.json", {"map": {x: x for x in ids}}),
+    ]
+    assert comb(rows + cols, rows) == 1961256
+    code, out, err = _cli("fixpoints", "--count", *args)
+    assert (code, err, out.sha.hexdigest()) == (0, "", _digest(["1961256\n"])[0])
+    code, out, err = _cli("fixpoints", "--quotient", *args)
+    assert (code, err) == (0, "")
+    assert out.sha.hexdigest() == _digest([_identity_quotient(sorted(ids), covers)])[0]
+
+
+def test_mk_reject(inputs):
+    # bottom, 1,000 pairwise incomparable atoms and top form a lattice
+    # that is not distributive: any three atoms fail to distribute, and
+    # the witness is the three least
+    atoms = [f"a{i:04d}" for i in range(1000)]
+    ids = ["bottom", *atoms, "top"]
+    leq = [("bottom", a) for a in atoms] + [(a, "top") for a in atoms]
+    args = [
+        "--lattice", inputs("mk-1002.json", {"elements": ids, "leq": leq}),
+        "--hom", inputs("mk-1002-identity.json", {"map": {x: x for x in ids}}),
+    ]
+    verdict = {
+        "error": "NotDistributive",
+        "message": "meet does not distribute over join at ('a0000', 'a0001', 'a0002')",
+        "valid": False,
+        "witness": ["a0000", "a0001", "a0002"],
+    }
+    code, out, err = _cli("fixpoints", "--count", *args)
+    assert (code, err, out.sha.hexdigest()) == (2, _dumps(verdict) + "\n", _digest([])[0])
 
 
 def test_count_past_the_digit_limit(inputs):
