@@ -26,9 +26,6 @@ and raises QuotientNotAntisymmetric when some class holds two of them.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-
 from .bitgraph import bits, mask_of, tarjan_scc, topo_order
 from .errors import QuotientNotAntisymmetric
 from .poset import MonotoneMap, OrderIdeal, Poset, _generated_poset, _ideal_walk, count_ideals
@@ -42,39 +39,38 @@ class QuotientPoset:
     its class, and ``graph`` is the class order on the identifiers of the
     least members (the base itself when every class is one point), which
     is all a count reads.  A class is named ``[x]`` after its least member
-    x.  ``classes`` (member identifiers), ``member_masks`` and
-    ``class_poset``, the order on class names, are built on first read, in
-    name order.  The generating preorder is recoverable: x is below y in it
-    exactly when class_leq([x], [y]).
+    x.  ``classes`` (member identifiers) and ``class_poset``, the order on
+    class names, are built on first read and ``member_masks`` on every
+    read, all in name order.  The generating preorder is recoverable: x is
+    below y in it exactly when class_leq([x], [y]).
     """
 
-    __slots__ = ("base", "groups", "_masks", "_class_idx", "graph", "_named", "_class_poset")
+    __slots__ = ("base", "groups", "_class_idx", "graph", "_named", "_class_poset")
 
-    def __init__(self, base, groups, masks, class_idx, graph):
+    def __init__(self, base, groups, class_idx, graph):
         self.base = base
         self.groups = groups
-        self._masks = masks
         self._class_idx = class_idx
         self.graph = graph
         self._named = self._class_poset = None
 
     def _naming(self):
-        """(names, classes, order, member_masks) in name order.  ``order``,
-        the class order a walk or the covers read, is the graph itself, the
+        """(names, classes, order, groups) in name order.  ``order``, the
+        class order a walk or the covers read, is the graph itself, the
         base too, on which the covers close nothing, unless names sort
         unlike least members (``"[c10]" < "[c1]"``); then it is the class
         poset, the graph permuted."""
         if self._named is None:
-            groups, masks, order = self.groups, self._masks, self.graph
+            groups, order = self.groups, self.graph
             names = [f"[{x}]" for x in order.elements]
             if names != sorted(names):
                 perm = sorted(range(len(names)), key=names.__getitem__)
                 rank = sorted(range(len(perm)), key=perm.__getitem__)
-                names, groups, masks = ([seq[c] for c in perm] for seq in (names, groups, masks))
+                names, groups = ([seq[c] for c in perm] for seq in (names, groups))
                 gen = [mask_of(rank[d] for d in bits(order.gen_masks[c])) for c in perm]
                 order = self._class_poset = _generated_poset(names, gen, [rank[c] for c in order.order])
             classes = tuple(tuple(map(self.base.elements.__getitem__, group)) for group in groups)
-            self._named = names, classes, order, tuple(masks)
+            self._named = names, classes, order, groups
         return self._named
 
     @property
@@ -85,7 +81,7 @@ class QuotientPoset:
         return self._class_poset
 
     classes = property(lambda self: self._naming()[1])
-    member_masks = property(lambda self: self._naming()[3])
+    member_masks = property(lambda self: tuple(map(mask_of, self._naming()[3])))
 
     def __len__(self):
         return len(self.groups)
@@ -99,7 +95,7 @@ class QuotientPoset:
     def __eq__(self, other):
         if not isinstance(other, QuotientPoset):
             return NotImplemented
-        return self.base == other.base and self._masks == other._masks and self.graph == other.graph
+        return self.base == other.base and self.groups == other.groups and self.graph == other.graph
 
     __hash__ = None
 
@@ -113,18 +109,14 @@ def _endo_base(phi: MonotoneMap) -> Poset:
     return phi.domain
 
 
-def _index_classes(groups, n):
-    """Class index of each of n points and member mask of each class, for
-    classes given as ascending lists of points and listed by least member."""
+def _class_index(groups, n):
+    """Class index of each of n points, for classes given as lists of
+    points and listed by least member."""
     class_idx = [0] * n
-    masks = []
     for c, group in enumerate(groups):
-        mask = 0
         for v in group:
-            mask |= 1 << v
             class_idx[v] = c
-        masks.append(mask)
-    return class_idx, tuple(masks)
+    return class_idx
 
 
 def _map_components(image):
@@ -190,23 +182,27 @@ def _check_components(phi: MonotoneMap, quotient: QuotientPoset):
         first[c] = least
 
 
-def _contract(gen_masks, class_idx, member_masks):
-    """Successor masks of the classes: the edges leaving each class, mapped
-    onto the classes they enter, and whether every one of them ascends,
-    from a class to one of larger index.  Each target class costs one step,
-    however many edges enter it."""
-    leaving = [0] * len(member_masks)
+def _contract(gen_masks, class_idx, k):
+    """Successor masks of the k classes: the edges leaving each class,
+    mapped onto the classes they enter, and whether every one of them
+    ascends, from a class to one of larger index.  Each target class costs
+    one step, however many edges enter it.  The member masks it clears are
+    built in the same pass and dropped on return."""
+    leaving = [0] * k
+    members = [0] * k
     for v, succ in enumerate(gen_masks):
-        leaving[class_idx[v]] |= succ
+        c = class_idx[v]
+        leaving[c] |= succ
+        members[c] |= 1 << v
     gen = []
     ascending = True
     for c, rest in enumerate(leaving):
-        rest &= ~member_masks[c]
+        rest &= ~members[c]
         row = 0
         while rest:
             d = class_idx[(rest & -rest).bit_length() - 1]
             row |= 1 << d
-            rest &= ~member_masks[d]
+            rest &= ~members[d]
         if row & ((1 << c) - 1):
             ascending = False
         gen.append(row)
@@ -233,22 +229,19 @@ def coequalizer_general(phi: MonotoneMap) -> QuotientPoset:
     base = _endo_base(phi)
     n = len(base)
     if phi.image == tuple(range(n)):
-        groups = [[v] for v in range(n)]
-    else:
-        groups = _map_components(phi.image)
-    class_idx, masks = _index_classes(groups, n)
-    if len(groups) == n:
-        return QuotientPoset(base, groups, masks, class_idx, base)
-    gen, ascending = _contract(base.gen_masks, class_idx, masks)
+        return QuotientPoset(base, [[v] for v in range(n)], list(range(n)), base)
+    groups = _map_components(phi.image)
+    class_idx = _class_index(groups, n)
+    gen, ascending = _contract(base.gen_masks, class_idx, len(groups))
     order = range(len(gen) - 1, -1, -1) if ascending else topo_order(gen)
     if order is None:
-        parts = [reduce(or_, [masks[c] for c in part]) for part in tarjan_scc(gen)]
-        groups = sorted(list(bits(m)) for m in parts)
-        class_idx, masks = _index_classes(groups, n)
-        gen, _ = _contract(base.gen_masks, class_idx, masks)
-        order = [class_idx[(m & -m).bit_length() - 1] for m in parts]
+        parts = [sorted(v for c in part for v in groups[c]) for part in tarjan_scc(gen)]
+        groups = sorted(parts)
+        class_idx = _class_index(groups, n)
+        gen, _ = _contract(base.gen_masks, class_idx, len(groups))
+        order = [class_idx[p[0]] for p in parts]
     graph = _generated_poset([base.elements[group[0]] for group in groups], gen, order)
-    return QuotientPoset(base, groups, masks, class_idx, graph)
+    return QuotientPoset(base, groups, class_idx, graph)
 
 
 class FixpointLattice:
@@ -271,10 +264,10 @@ class FixpointLattice:
 
     def iter_members(self):
         base = self.quotient.base
-        _, _, order, masks = self.quotient._naming()
+        _, _, order, groups = self.quotient._naming()
         n = len(base)
         points = (1 << n) - 1
-        for _, _, row in _ideal_walk(order, rows=_guard_rows(base, masks)):
+        for _, _, row in _ideal_walk(order, rows=_guard_rows(base, groups)):
             union = row & points
             if row >> n & ~union:
                 raise RuntimeError(f"fix-point {list(base.ids_from(union))} is not down-closed in the base")
@@ -287,24 +280,23 @@ class FixpointLattice:
         return f"FixpointLattice(quotient of {len(self.quotient)} classes)"
 
 
-def _guard_rows(base: Poset, masks):
-    """The walk row ``m | P(m) << n`` of each class of member mask m, on a
-    base of n points: P(m) ORs the generating predecessors
-    (``Poset.pred_masks``) of m's points, read bit by bit.  So the rows of
-    the classes of a quotient ideal OR to ``U | P(U) << n`` for their
-    union U, which is down-closed (``Poset.is_down_closed``) exactly when
-    ``P(U) & ~U`` is 0.  The ``masks`` must partition the base."""
+def _guard_rows(base: Poset, groups):
+    """The walk row ``m | P(m) << n`` of each class, a list of points of a
+    base of n points: m is its member mask and P(m) ORs the generating
+    predecessors (``Poset.pred_masks``) of its points.  So the rows of the
+    classes of a quotient ideal OR to ``U | P(U) << n`` for their union U,
+    which is down-closed (``Poset.is_down_closed``) exactly when
+    ``P(U) & ~U`` is 0.  The ``groups`` must partition the base."""
     n = len(base)
-    if sum(m.bit_count() for m in masks) != n or reduce(or_, masks, 0).bit_count() != n:
+    if sorted(v for group in groups for v in group) != list(range(n)):
         raise RuntimeError("the quotient's classes do not partition the base")
     pred = base.pred_masks
     rows = []
-    for m in masks:
-        below, rest = 0, m
-        while rest:
-            low = rest & -rest
-            below |= pred[low.bit_length() - 1]
-            rest ^= low
+    for group in groups:
+        m = below = 0
+        for v in group:
+            m |= 1 << v
+            below |= pred[v]
         rows.append(m | below << n)
     return rows
 

@@ -110,12 +110,17 @@ class Poset:
     def mask_from(self, members) -> int:
         return mask_of(self.index(x) for x in members)
 
+    def _in_range(self, mask: int) -> int:
+        if mask < 0 or mask >> len(self.elements):
+            raise ValueError(f"mask {mask:#x} has bits outside the {len(self.elements)} elements")
+        return mask
+
     def ids_from(self, mask: int) -> tuple:
-        return tuple(select(self.elements, mask))
+        return tuple(select(self.elements, self._in_range(mask)))
 
     def is_down_closed(self, mask: int) -> bool:
         """True iff every generating predecessor of a member is a member."""
-        return not reduce(or_, select(self.pred_masks, mask), 0) & ~mask
+        return not reduce(or_, select(self.pred_masks, self._in_range(mask)), 0) & ~mask
 
     def covers(self) -> list:
         """Covering pairs (lesser, greater): the transitive reduction."""
@@ -194,8 +199,6 @@ class OrderIdeal:
 
     def __init__(self, carrier: Poset, members):
         mask = members if isinstance(members, int) else carrier.mask_from(members)
-        if mask < 0 or mask >> len(carrier):
-            raise ValueError(f"mask {mask:#x} has bits outside the {len(carrier)} elements")
         if not carrier.is_down_closed(mask):
             raise ValueError(f"not down-closed: {list(carrier.ids_from(mask))}")
         self.carrier = carrier

@@ -34,7 +34,7 @@ from dualfix import (
 )
 from dualfix.bitgraph import bits, select, tarjan_scc, topo_order, transpose_masks
 from dualfix.duality import _dual_on_irreducibles
-from dualfix.fixpoint import _index_classes
+from dualfix.fixpoint import _class_index
 from dualfix.jsonio import ParseError
 from dualfix.lattice import FiniteLattice, _irreducibles, _least_by_differences
 from dualfix.poset import _cover_masks, _generated_poset, _total_image
@@ -854,13 +854,13 @@ def closure_coequalizer(phi):
                     r |= reach[comp_of[w]]
         reach[ci] = r
     groups = sorted(sorted(c) for c in comps)
-    class_idx, member_masks = _index_classes(groups, n)
+    class_idx = _class_index(groups, n)
     canon = [class_idx[comp[0]] for comp in comps]
     up = [0] * len(comps)
     for e, r in enumerate(reach):
         up[canon[e]] = sum(1 << canon[e2] for e2 in bits(r))
     least = [base.elements[group[0]] for group in groups]
-    return QuotientPoset(base, groups, member_masks, class_idx, closed_poset(least, up))
+    return QuotientPoset(base, groups, class_idx, closed_poset(least, up))
 
 
 class UnionFind:
@@ -902,7 +902,7 @@ def union_find_components(phi):
     for i in range(n):
         uf.union(i, phi.image[i])
     groups = sorted(uf.groups().values())
-    class_idx, member_masks = _index_classes(groups, n)
+    class_idx = _class_index(groups, n)
     names = [f"[{base.elements[group[0]]}]" for group in groups]
     m = len(groups)
     cadj = [0] * m
@@ -918,7 +918,7 @@ def union_find_components(phi):
             raise QuotientNotAntisymmetric(a, b)
     gen = [row & ~(1 << c) for c, row in enumerate(cadj)]
     graph = _generated_poset([base.elements[group[0]] for group in groups], gen, [c[0] for c in comps])
-    return QuotientPoset(base, groups, member_masks, class_idx, graph)
+    return QuotientPoset(base, groups, class_idx, graph)
 
 
 def brute_components_witness(phi):

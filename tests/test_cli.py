@@ -273,12 +273,12 @@ class TestInternalErrors:
 
 
     def test_list_guard_is_exit_4(self, capsys, write_json, monkeypatch):
-        # With the member masks of the first and the last class of the
-        # identity quotient of the chain 0 < m < 1 swapped, the classes
+        # With the groups (member lists) of the first and the last class of
+        # the identity quotient of the chain 0 < m < 1 swapped, the classes
         # still partition the base, but the first fix-point listed after []
         # would be {m}, which is not down-closed; the class-level guard
         # must stop it.  The explicit side lists through the same guard: on
-        # the 3-chain lattice its base is J = {m < 1}, and with the masks
+        # the 3-chain lattice its base is J = {m < 1}, and with the groups
         # swapped the fix-point after bottom would be {1}.  A union of
         # principal ideals is an ideal, so only the guard can stop it.
         naming = dualfix.fixpoint.QuotientPoset._naming

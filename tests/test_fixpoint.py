@@ -1,5 +1,6 @@
 import contextlib
 import random
+import tracemalloc
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -27,7 +28,8 @@ from dualfix import (
     lift_hom,
     phi_components,
 )
-from dualfix.bitgraph import topo_order
+from dualfix.bitgraph import mask_of, topo_order
+from dualfix.cli import _bench_poset
 from dualfix.fixpoint import FixpointLattice, _guard_rows
 from dualfix.jsonio import poset_from_obj, quotient_to_obj
 from helpers import (
@@ -57,12 +59,12 @@ def collapse_phi(two_chain):
     return is_monotone({"p": "q", "q": "q"}, two_chain, two_chain)
 
 
-def _carried_verdicts(base, masks):
-    """(union, verdict) for every union of the classes of ``masks``, the
+def _carried_verdicts(base, groups):
+    """(union, verdict) for every union of the classes of ``groups``, the
     verdict read as iter_members reads it off the ORed guard rows."""
     n = len(base)
-    rows = _guard_rows(base, masks)
-    for qmask in range(1 << len(masks)):
+    rows = _guard_rows(base, groups)
+    for qmask in range(1 << len(groups)):
         row = reduce(or_, [r for c, r in enumerate(rows) if qmask >> c & 1], 0)
         union = row & ((1 << n) - 1)
         yield union, not row >> n & ~union
@@ -298,6 +300,28 @@ class TestCoequalizerGeneral:
             for phi in monotone_selfmaps(base):
                 assert phi_components(phi) == coequalizer_general(phi)
 
+    @pytest.mark.parametrize("shape", ["antichain", "chain"])
+    def test_the_identity_quotient_keeps_no_per_point_masks(self, shape):
+        # The identity's quotient keeps each class as its one-point group
+        # and its index, over the base itself.  A mask 1 << v takes about
+        # v/8 bytes, so one per point would retain about n^2/16 bytes,
+        # 25 MB at n = 20,000; the groups and the index take about 3 MB.
+        n = 20000
+        base = _bench_poset(shape, n)
+        phi = MonotoneMap.identity(base)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            quo = coequalizer_general(phi)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(quo) == n and quo.graph is base
+        assert retained < 5_000_000
+
 
 ODD_NAMES = {"elements": ["c1", "c10", "c2"], "leq": [["c1", "c2"]]}
 
@@ -511,8 +535,8 @@ class TestFixpointsViaDuality:
             doc = {"elements": list(p.elements), "leq": [list(pair) for pair in p.covers()]}
             base = poset_from_obj(doc)
             for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
-                _, _, _, masks = coequalizer_general(phi)._naming()
-                for union, verdict in _carried_verdicts(base, masks):
+                _, _, _, groups = coequalizer_general(phi)._naming()
+                for union, verdict in _carried_verdicts(base, groups):
                     assert verdict == base.is_down_closed(union)
                     ideals += verdict
                     others += not verdict
@@ -521,7 +545,7 @@ class TestFixpointsViaDuality:
     def test_the_class_guard_agrees_with_the_base_when_names_sort_unlike_least_members(self):
         # When names sort unlike least members ("[c10]" < "[c1]") the
         # classes come in name order, and the rows are built in that order
-        # from the member masks; the verdicts must be the base's on every
+        # from the groups; the verdicts must be the base's on every
         # union of classes, and the members those of the quotient ideals.
         rng = random.Random(233)
         permuted = 0
@@ -532,17 +556,19 @@ class TestFixpointsViaDuality:
             base = build_poset(sorted(names), [(rename[x], rename[y]) for x, y in p.covers()])
             for phi in (MonotoneMap.identity(base), random_monotone_between(rng, base, base)):
                 quo = coequalizer_general(phi)
-                _, _, _, masks = quo._naming()
-                permuted += list(masks) != sorted(masks, key=lambda m: m & -m)
-                for union, verdict in _carried_verdicts(base, masks):
+                _, _, _, groups = quo._naming()
+                permuted += list(groups) != sorted(groups)
+                for union, verdict in _carried_verdicts(base, groups):
                     assert verdict == base.is_down_closed(union)
                 assert [m.mask for m in fixpoints_via_duality(phi).iter_members()] == union_member_masks(quo)
         assert permuted > 50
 
     def test_the_class_guard_needs_a_partition(self, three_chain):
-        for masks in ((1, 2), (1, 3, 4), (1, 2, 4, 4)):
+        # a point left out, a point in two classes, a class twice, and a
+        # point past the base
+        for groups in (([0], [1]), ([0], [0, 1], [2]), ([0], [1], [2], [2]), ([0], [1], [3])):
             with pytest.raises(RuntimeError, match="do not partition"):
-                _guard_rows(three_chain, masks)
+                _guard_rows(three_chain, groups)
 
     def test_empty_poset_has_single_fixpoint(self):
         base = build_poset([], [])
@@ -553,7 +579,7 @@ class TestFixpointsViaDuality:
 class TestCarriedGuardAgainstClosure:
     # The check iter_members carries along the ideal walk, against the
     # closed down-sets of the base, on every union of classes and on the
-    # members listed, with the classes' masks as named and permuted.  A
+    # members listed, with the classes' groups as named and permuted.  A
     # permutation keeps a partition but breaks the class order: the walk
     # then reaches unions that are not down-closed, and iter_members must
     # list exactly the unions before the first of them and then raise.
@@ -561,14 +587,14 @@ class TestCarriedGuardAgainstClosure:
     def _check(phi, rng, permutations):
         base = phi.domain
         quo = coequalizer_general(phi)
-        names, classes, order, masks = quo._naming()
+        names, classes, order, groups = quo._naming()
         failed = 0
-        for perm in [masks] + [tuple(rng.sample(masks, len(masks))) for _ in range(permutations)]:
+        for perm in [groups] + [rng.sample(groups, len(groups)) for _ in range(permutations)]:
             for union, verdict in _carried_verdicts(base, perm):
                 assert verdict == closure_is_down_closed(base, union)
             expected, bad = [], None
             for qmask in iter_ideal_masks(order):
-                union = reduce(or_, [m for c, m in enumerate(perm) if qmask >> c & 1], 0)
+                union = reduce(or_, [mask_of(g) for c, g in enumerate(perm) if qmask >> c & 1], 0)
                 if not closure_is_down_closed(base, union):
                     bad = union
                     break

@@ -530,6 +530,23 @@ class TestOrderIdeal:
                 OrderIdeal(poset, mask)
         assert [OrderIdeal(poset, m).members for m in (0, 1, 0b011, 0b111)] == [(), ("a",), ("a", "b"), ("a", "b", "c")]
 
+    def test_mask_readers_reject_masks_outside_the_carrier(self):
+        # ids_from and is_down_closed share OrderIdeal's range check: the
+        # four calls below read as members, no members and an ideal
+        # otherwise, and in-range masks still read as before
+        poset = build_poset(["a", "b", "c"], [("a", "b")])
+        calls = [
+            (poset.ids_from, -1, "-0x1"),
+            (poset.ids_from, -2, "-0x2"),
+            (poset.ids_from, 1 << 100, hex(1 << 100)),
+            (poset.is_down_closed, -1, "-0x1"),
+        ]
+        for read, mask, shown in calls:
+            with pytest.raises(ValueError, match=f"^mask {shown} has bits outside the 3 elements$"):
+                read(mask)
+        assert [poset.ids_from(m) for m in (0, 0b101, 0b111)] == [(), ("a", "c"), ("a", "b", "c")]
+        assert [poset.is_down_closed(m) for m in (0, 0b010, 0b101, 0b111)] == [True, False, True, True]
+
 
 class TestIsMonotone:
     def test_identity_is_valid(self):
